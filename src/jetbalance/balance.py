@@ -52,10 +52,6 @@ class OrderTooHighError(EngineError):
         self.report = report
 
 
-class SingularPointError(EngineError):
-    code = "singular-point"
-
-
 class BalanceSystem:
     """Chart plus flux matrix F[i][mu] and sources Pi[i]; order is the
     maximal jet order over all constitutive polynomials."""
@@ -120,6 +116,15 @@ class TrivialityResult:
     is_trivial: bool
     phi: Poly
 
+    @classmethod
+    def of(cls, ltilde: Poly) -> "TrivialityResult":
+        """Triviality read off the quasi-Lagrangian.  Every pairing monomial
+        carries a field or jet prefactor, so it has vertical degree >= 1 and
+        the scaling integral keeps the pairing's support: the pairing's
+        vertical part vanishes iff L~ does, and its base-only part phi is
+        always zero."""
+        return cls(ltilde.is_zero, Poly.zero())
+
 
 @dataclass(frozen=True)
 class GodunovReport:
@@ -150,6 +155,9 @@ class DecompositionReport:
     godunov_part: FunctionalForm
     helmholtz_closed: bool
     trivial_quasi_lagrangian: bool
+    phi: Poly
+    divergence_potentials: tuple
+    non_divergence_part: Poly
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +221,15 @@ def helmholtz_check(bs: BalanceSystem) -> HelmholtzResult:
     differential dies on top horizontal degree, so the residual is purely
     vertical; when it vanishes the scaling potential is a Lagrangian whose
     derivative and field partials reproduce the fluxes and sources."""
-    residual = balance_form(bs).d()
+    residual = balance_form(bs).d_V()
     closed = residual.is_zero
     return HelmholtzResult(closed, residual, quasi_lagrangian(bs) if closed else None)
 
 
 def trivial_quasi_lagrangian(bs: BalanceSystem) -> TrivialityResult:
     """The scaling potential vanishes identically iff the pairing polynomial
-    has no vertical part; the base-only part is then forced to zero because
-    every pairing monomial carries a field or jet prefactor."""
-    pairing = pairing_polynomial(bs)
-    return TrivialityResult(pairing.vertical_part().is_zero, pairing.base_part())
+    has no vertical part; see `TrivialityResult.of`."""
+    return TrivialityResult.of(quasi_lagrangian(bs))
 
 
 def lagrangian_split(bs: BalanceSystem) -> tuple:
@@ -238,14 +244,16 @@ def source_split(bs: BalanceSystem) -> tuple:
     (godunov_part, euler_part) with godunov_part the interior Euler image of
     the non-Lagrangian component and euler_part the Euler-Lagrange form of
     the scaling potential; componentwise they sum to the source form."""
-    _, nonlag = lagrangian_split(bs)
-    godunov_part = interior_euler(nonlag)
-    euler_part = euler_lagrange(bs.chart, quasi_lagrangian(bs))
-    return godunov_part, euler_part
+    dec = decompose(bs)
+    return dec.godunov_part, dec.euler_lagrange_form
 
 
 def decompose(bs: BalanceSystem) -> DecompositionReport:
+    """The quasi-Lagrangian with its triviality and divergence presentation,
+    and the form and functional splittings, each computed once."""
     ltilde = quasi_lagrangian(bs)
+    triviality = TrivialityResult.of(ltilde)
+    potentials, remainder = divergence_split(bs.chart, ltilde)
     lag_part, nonlag_part = lagrangian_split(bs)
     return DecompositionReport(
         quasi_lagrangian=ltilde,
@@ -254,7 +262,10 @@ def decompose(bs: BalanceSystem) -> DecompositionReport:
         euler_lagrange_form=euler_lagrange(bs.chart, ltilde),
         godunov_part=interior_euler(nonlag_part),
         helmholtz_closed=nonlag_part.is_zero,
-        trivial_quasi_lagrangian=trivial_quasi_lagrangian(bs).is_trivial,
+        trivial_quasi_lagrangian=triviality.is_trivial,
+        phi=triviality.phi,
+        divergence_potentials=potentials,
+        non_divergence_part=remainder,
     )
 
 

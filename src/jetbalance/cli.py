@@ -1,6 +1,16 @@
 """Command line front end: a small declaration language for balance systems,
 analysis drivers, and text / LaTeX / structured renderers.
 
+`run` looks the command up in a table of section builders; each builder
+fills a `Report` whose sections map names to dicts of raw values (`Poly`,
+`Form`, `Fraction`, booleans, nested dicts of them, lists, and matrices as
+lists of rows).  The renderers share one walk over those sections that turns
+each section into labelled entries (scalar, list, matrix, error) with a
+per-format leaf formatter for the values; text and LaTeX lay the entries
+out by per-format line templates, and a small override table lets a format
+lay out a whole section itself (the R1/S1 labels of `equations`, and the
+LaTeX quasi-Lagrangian with its divergence presentation).
+
 System files are semicolon-separated statements:
 
     base t x;
@@ -40,22 +50,20 @@ from fractions import Fraction
 from .balance import (
     BalanceSystem,
     OrderTooHighError,
+    TrivialityResult,
     balance_residuals,
     decompose,
-    divergence_split,
     evaluate_on_section,
     godunov_check,
     helmholtz_check,
     quasi_lagrangian,
     source_form,
     symmetric_hyperbolicity,
-    trivial_quasi_lagrangian,
 )
 from .jetforms import Form, form_latex, form_text, poly_latex
 from .symcore import Chart, EngineError, InvalidSystemError, Poly, poly_text
 from .variational import HigherBalanceData, higher_balance_residuals
 
-COMMANDS = ("equations", "check", "decompose", "hyperbolic", "higher", "verify")
 FORMATS = ("text", "latex", "structured")
 
 FOOTNOTE_SOURCE_WEIGHT = (
@@ -73,6 +81,7 @@ FOOTNOTE_DENSITY = (
     "first-order balance laws, so data with only single derivatives reduces "
     "exactly to the first-order residuals."
 )
+SPLITTING_FOOTNOTES = (FOOTNOTE_SOURCE_WEIGHT, FOOTNOTE_SIGN_CONVENTION)
 
 
 class ParseError(EngineError):
@@ -195,10 +204,6 @@ class SystemDocument:
     notes: tuple = ()
 
     @property
-    def max_flux_order(self) -> int:
-        return max((sum(counts) for _, counts in self.fluxes), default=0)
-
-    @property
     def has_higher_entries(self) -> bool:
         return any(sum(counts) > 1 for _, counts in self.fluxes)
 
@@ -276,6 +281,19 @@ class _Parser:
             return self.next()
         self.fail(f"expected a {what}", tok, expected=(what,))
 
+    def expect_string(self) -> str:
+        tok = self.peek()
+        if tok.kind == "string":
+            return self.next().text
+        self.fail("expected a quoted string", tok, ("string",))
+
+    def expect_field(self, fields: dict) -> tuple:
+        """A declared field name: its token and its index in `fields`."""
+        tok = self.expect_name("field name")
+        if tok.text not in fields:
+            raise UndeclaredNameError(f"undeclared field {tok.text!r}", tok.line, tok.col)
+        return tok, fields[tok.text]
+
     def at_sym(self, sym) -> bool:
         tok = self.peek()
         return tok.kind == "sym" and tok.text == sym
@@ -288,11 +306,7 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self, scope) -> Poly:
-        value = self._sum(scope)
-        return value
-
-    def _sum(self, scope) -> Poly:
+    def expr(self, scope) -> Poly:
         value = self._product(scope)
         while self.peek().kind == "sym" and self.peek().text in "+-":
             op = self.next().text
@@ -353,7 +367,7 @@ class _Parser:
             return Poly.constant(int(tok.text))
         if tok.kind == "sym" and tok.text == "(":
             self.next()
-            value = self._sum(scope)
+            value = self.expr(scope)
             self.expect_sym(")")
             return value
         if tok.kind == "name":
@@ -374,11 +388,7 @@ class _Parser:
         self.expect_sym("(")
         if scope["fields"] is None:
             self.fail("jet variables are not allowed in this expression", head)
-        name_tok = self.expect_name("field name")
-        if name_tok.text not in scope["fields"]:
-            raise UndeclaredNameError(
-                f"undeclared field {name_tok.text!r}", name_tok.line, name_tok.col
-            )
+        _, i = self.expect_field(scope["fields"])
         self.expect_sym(";")
         counts = []
         while True:
@@ -395,7 +405,6 @@ class _Parser:
         n = len(scope["base"])
         if len(counts) != n:
             self.fail(f"expected {n} derivative counts, got {len(counts)}", head)
-        i = scope["fields"][name_tok.text]
         return Poly.variable(("j", i, tuple(counts)))
 
     def _resolve_name(self, tok, scope) -> Poly:
@@ -422,6 +431,9 @@ class _Parser:
         if fields is not None and name in fields:
             return Poly.variable(("j", fields[name], (0,) * len(base)))
         raise UndeclaredNameError(f"undeclared name {name!r}", tok.line, tok.col)
+
+
+_STATEMENTS = ("F", "Pi", "density", "title", "note")
 
 
 def parse_system(text: str) -> SystemDocument:
@@ -468,92 +480,50 @@ def parse_system(text: str) -> SystemDocument:
     notes = []
     fluxes = {}
     sources = {}
-    seen = set()
+    expected = tuple(repr(keyword) for keyword in _STATEMENTS)
 
     while parser.peek().kind != "eof":
         tok = parser.peek()
         if tok.kind != "name":
-            parser.fail("expected a statement", tok, ("'F'", "'Pi'", "'density'", "'title'", "'note'"))
+            parser.fail("expected a statement", tok, expected)
         keyword = tok.text
+        if keyword not in _STATEMENTS:
+            parser.fail(f"unknown statement {keyword!r}", tok, expected)
+        parser.next()
         if keyword == "density":
-            parser.next()
-            density = parser.parse_expr(base_scope)
+            density = parser.expr(base_scope)
             if density.is_zero:
                 parser.fail("the density must be a nonzero polynomial", tok)
-            parser.end_statement()
         elif keyword == "title":
-            parser.next()
-            st = parser.peek()
-            if st.kind != "string":
-                parser.fail("expected a quoted string", st, ("string",))
-            title = parser.next().text
-            parser.end_statement()
+            title = parser.expect_string()
         elif keyword == "note":
-            parser.next()
-            st = parser.peek()
-            if st.kind != "string":
-                parser.fail("expected a quoted string", st, ("string",))
-            notes.append(parser.next().text)
-            parser.end_statement()
-        elif keyword == "F":
-            parser.next()
-            parser.expect_sym("[")
-            name_tok = parser.expect_name("field name")
-            if name_tok.text not in field_index:
-                raise UndeclaredNameError(
-                    f"undeclared field {name_tok.text!r}", name_tok.line, name_tok.col
-                )
-            parser.expect_sym(",")
-            coord_tok = parser.expect_name("coordinate suffix")
-            counts = _segment_suffix(coord_tok.text, base_names)
-            if counts is None or sum(counts) == 0:
-                parser.fail(
-                    f"cannot read {coord_tok.text!r} as a run of base coordinates",
-                    coord_tok,
-                )
-            parser.expect_sym("]")
-            parser.expect_sym("=")
-            key = (field_index[name_tok.text], counts)
-            if ("F",) + key in seen:
-                raise DuplicateRelationError(
-                    f"duplicate flux entry F[{name_tok.text},{coord_tok.text}]",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            seen.add(("F",) + key)
-            value = parser.parse_expr(full_scope)
-            if not value.is_zero:
-                fluxes[key] = value
-            parser.end_statement()
-        elif keyword == "Pi":
-            parser.next()
-            parser.expect_sym("[")
-            name_tok = parser.expect_name("field name")
-            if name_tok.text not in field_index:
-                raise UndeclaredNameError(
-                    f"undeclared field {name_tok.text!r}", name_tok.line, name_tok.col
-                )
-            parser.expect_sym("]")
-            parser.expect_sym("=")
-            key = field_index[name_tok.text]
-            if ("Pi", key) in seen:
-                raise DuplicateRelationError(
-                    f"duplicate source entry Pi[{name_tok.text}]",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            seen.add(("Pi", key))
-            value = parser.parse_expr(full_scope)
-            if not value.is_zero:
-                sources[key] = value
-            parser.end_statement()
+            notes.append(parser.expect_string())
         else:
-            parser.fail(
-                f"unknown statement {keyword!r}",
-                tok,
-                ("'F'", "'Pi'", "'density'", "'title'", "'note'"),
-            )
+            parser.expect_sym("[")
+            name_tok, i = parser.expect_field(field_index)
+            if keyword == "F":
+                parser.expect_sym(",")
+                coord_tok = parser.expect_name("coordinate suffix")
+                counts = _segment_suffix(coord_tok.text, base_names)
+                if counts is None or sum(counts) == 0:
+                    parser.fail(
+                        f"cannot read {coord_tok.text!r} as a run of base coordinates",
+                        coord_tok,
+                    )
+                entries, key = fluxes, (i, counts)
+                what = f"flux entry F[{name_tok.text},{coord_tok.text}]"
+            else:
+                entries, key = sources, i
+                what = f"source entry Pi[{name_tok.text}]"
+            parser.expect_sym("]")
+            parser.expect_sym("=")
+            if key in entries:
+                raise DuplicateRelationError(f"duplicate {what}", name_tok.line, name_tok.col)
+            entries[key] = parser.expr(full_scope)
+        parser.end_statement()
 
+    fluxes = {key: p for key, p in fluxes.items() if not p.is_zero}
+    sources = {key: p for key, p in sources.items() if not p.is_zero}
     chart = Chart(tuple(base_names), tuple(field_names), density)
     for (i, counts), p in fluxes.items():
         chart.validate_poly(p)
@@ -570,15 +540,11 @@ def parse_section(text: str, doc: SystemDocument) -> list:
     chart = doc.chart
     parser = _Parser(_tokenize(text))
     base_index = {name: k for k, name in enumerate(chart.base_names)}
+    field_index = {name: k for k, name in enumerate(chart.field_names)}
     scope = {"base": base_index, "fields": None}
     values = {}
     while parser.peek().kind != "eof":
-        name_tok = parser.expect_name("field name")
-        if name_tok.text not in chart.field_names:
-            raise UndeclaredNameError(
-                f"undeclared field {name_tok.text!r}", name_tok.line, name_tok.col
-            )
-        i = chart.field_names.index(name_tok.text)
+        name_tok, i = parser.expect_field(field_index)
         if i in values:
             raise DuplicateRelationError(
                 f"duplicate section entry for {name_tok.text!r}",
@@ -586,7 +552,7 @@ def parse_section(text: str, doc: SystemDocument) -> list:
                 name_tok.col,
             )
         parser.expect_sym("=")
-        values[i] = parser.parse_expr(scope)
+        values[i] = parser.expr(scope)
         parser.end_statement()
     missing = [chart.field_names[i] for i in range(chart.m) if i not in values]
     if missing:
@@ -639,127 +605,134 @@ def _by_field(chart: Chart, values) -> dict:
     return {chart.field_names[i]: v for i, v in enumerate(values)}
 
 
-def _quasi_lagrangian_section(bs: BalanceSystem, with_divergence: bool) -> dict:
+def _by_coord(chart: Chart, values) -> dict:
+    return {chart.base_names[mu]: v for mu, v in enumerate(values)}
+
+
+# Section builders: each fills a fresh report for one command.
+
+
+def _equations(report: Report, at, section_text) -> None:
+    bs = report.doc.to_balance_system()
+    report.sections["equations"] = {
+        "residuals": _by_field(bs.chart, balance_residuals(bs)),
+        "source_components": _by_field(bs.chart, source_form(bs).components()),
+    }
+
+
+def _check(report: Report, at, section_text) -> None:
+    bs = report.doc.to_balance_system()
     chart = bs.chart
-    ltilde = quasi_lagrangian(bs)
-    triv = trivial_quasi_lagrangian(bs)
-    section = {"value": ltilde, "is_trivial": triv.is_trivial, "phi": triv.phi}
-    if with_divergence:
-        potentials, remainder = divergence_split(chart, ltilde)
-        section["divergence_potentials"] = {
-            chart.base_names[mu]: potentials[mu] for mu in range(chart.n)
-        }
-        section["non_divergence_part"] = remainder
-    return section
+    hel = helmholtz_check(bs)
+    report.sections["helmholtz"] = {
+        "closed": hel.closed,
+        "residual": hel.residual,
+        "lagrangian": hel.lagrangian,
+    }
+    ltilde = hel.lagrangian if hel.closed else quasi_lagrangian(bs)
+    triviality = TrivialityResult.of(ltilde)
+    report.sections["quasi_lagrangian"] = {
+        "value": ltilde,
+        "is_trivial": triviality.is_trivial,
+        "phi": triviality.phi,
+    }
+    report.footnotes.extend(SPLITTING_FOOTNOTES)
+    try:
+        god, note = godunov_check(bs), None
+    except OrderTooHighError as exc:
+        god, note = exc.report, str(exc)
+    section = report.sections["godunov"] = {
+        "applicable": god.is_zero_order,
+        "flux_symmetric": _by_coord(chart, god.flux_symmetric),
+        "potentials": None if god.potentials is None else _by_coord(chart, god.potentials),
+        "source_pairing": god.source_pairing,
+        "pairing_constant": god.pairing_constant,
+        "verdict": god.verdict,
+    }
+    if note:
+        section["note"] = note
+
+
+def _decompose(report: Report, at, section_text) -> None:
+    bs = report.doc.to_balance_system()
+    chart = bs.chart
+    dec = decompose(bs)
+    report.sections["quasi_lagrangian"] = {
+        "value": dec.quasi_lagrangian,
+        "is_trivial": dec.trivial_quasi_lagrangian,
+        "phi": dec.phi,
+        "divergence_potentials": _by_coord(chart, dec.divergence_potentials),
+        "non_divergence_part": dec.non_divergence_part,
+    }
+    report.sections["k_split"] = {
+        "lagrangian_part": dec.lagrangian_part,
+        "non_lagrangian_part": dec.nonlagrangian_part,
+        "helmholtz_closed": dec.helmholtz_closed,
+    }
+    report.sections["f_split"] = {
+        "euler_lagrange_components": _by_field(chart, dec.euler_lagrange_form.components()),
+        "godunov_components": _by_field(chart, dec.godunov_part.components()),
+    }
+    report.footnotes.extend(SPLITTING_FOOTNOTES)
+
+
+def _hyperbolic(report: Report, at, section_text) -> None:
+    bs = report.doc.to_balance_system()
+    chart = bs.chart
+    if at is None:
+        raise InvalidSystemError("the hyperbolic analysis needs --at rational coordinates")
+    try:
+        rep = symmetric_hyperbolicity(bs, at)
+    except OrderTooHighError as exc:
+        report.error_section("hyperbolicity", exc)
+        return
+    report.sections["hyperbolicity"] = {
+        "symmetric": _by_coord(chart, rep.symmetric),
+        "matrices": _by_coord(chart, ([list(row) for row in m] for m in rep.matrices)),
+        "point": list(rep.point),
+        "leading_minors": list(rep.leading_minors),
+        "singular": rep.singular,
+        "verdict": rep.verdict,
+    }
+
+
+def _higher(report: Report, at, section_text) -> None:
+    residuals = higher_balance_residuals(report.doc.to_higher_data())
+    report.sections["higher_order"] = {"residuals": _by_field(report.doc.chart, residuals)}
+    report.footnotes.append(FOOTNOTE_DENSITY)
+
+
+def _verify(report: Report, at, section_text) -> None:
+    bs = report.doc.to_balance_system()
+    chart = bs.chart
+    if section_text is None:
+        raise InvalidSystemError("the verify analysis needs --section <file>")
+    section = parse_section(section_text, report.doc)
+    residuals = [evaluate_on_section(r, section, chart) for r in balance_residuals(bs)]
+    report.sections["section_check"] = {
+        "section": _by_field(chart, section),
+        "residuals": _by_field(chart, residuals),
+        "solves": all(r.is_zero for r in residuals),
+    }
+
+
+# command -> (section builder, help text)
+_COMMANDS = {
+    "equations": (_equations, "balance residuals and the source form"),
+    "check": (_check, "Helmholtz closedness, triviality and Godunov classification"),
+    "decompose": (_decompose, "quasi-Lagrangian and the Lagrangian / non-Lagrangian splitting"),
+    "hyperbolic": (_hyperbolic, "symmetric hyperbolicity of the Godunov component at a point"),
+    "higher": (_higher, "residuals of higher-order flux data"),
+    "verify": (_verify, "evaluate the residuals on an explicit section"),
+}
 
 
 def run(command: str, doc: SystemDocument, at=None, section_text: str | None = None) -> Report:
     """Drive one analysis command over a parsed document."""
-    if command not in COMMANDS:
+    if command not in _COMMANDS:
         raise InvalidSystemError(f"unknown command {command!r}")
     report = Report(command, doc)
-    chart = doc.chart
-
-    if command == "equations":
-        bs = doc.to_balance_system()
-        residuals = balance_residuals(bs)
-        report.sections["equations"] = {
-            "residuals": _by_field(chart, residuals),
-            "source_components": _by_field(chart, source_form(bs).components()),
-        }
-
-    elif command == "check":
-        bs = doc.to_balance_system()
-        hel = helmholtz_check(bs)
-        report.sections["helmholtz"] = {
-            "closed": hel.closed,
-            "residual": hel.residual,
-            "lagrangian": hel.lagrangian,
-        }
-        report.sections["quasi_lagrangian"] = _quasi_lagrangian_section(bs, False)
-        report.footnotes.append(FOOTNOTE_SOURCE_WEIGHT)
-        report.footnotes.append(FOOTNOTE_SIGN_CONVENTION)
-        try:
-            god = godunov_check(bs)
-            note = None
-        except OrderTooHighError as exc:
-            god = exc.report
-            note = str(exc)
-        section = {
-            "applicable": god.is_zero_order,
-            "flux_symmetric": {
-                chart.base_names[mu]: god.flux_symmetric[mu] for mu in range(chart.n)
-            },
-            "potentials": None
-            if god.potentials is None
-            else {chart.base_names[mu]: god.potentials[mu] for mu in range(chart.n)},
-            "source_pairing": god.source_pairing,
-            "pairing_constant": god.pairing_constant,
-            "verdict": god.verdict,
-        }
-        if note:
-            section["note"] = note
-        report.sections["godunov"] = section
-
-    elif command == "decompose":
-        bs = doc.to_balance_system()
-        dec = decompose(bs)
-        report.sections["quasi_lagrangian"] = _quasi_lagrangian_section(bs, True)
-        report.sections["k_split"] = {
-            "lagrangian_part": dec.lagrangian_part,
-            "non_lagrangian_part": dec.nonlagrangian_part,
-            "helmholtz_closed": dec.helmholtz_closed,
-        }
-        report.sections["f_split"] = {
-            "euler_lagrange_components": _by_field(
-                chart, dec.euler_lagrange_form.components()
-            ),
-            "godunov_components": _by_field(chart, dec.godunov_part.components()),
-        }
-        report.footnotes.append(FOOTNOTE_SOURCE_WEIGHT)
-        report.footnotes.append(FOOTNOTE_SIGN_CONVENTION)
-
-    elif command == "hyperbolic":
-        bs = doc.to_balance_system()
-        if at is None:
-            raise InvalidSystemError("the hyperbolic analysis needs --at rational coordinates")
-        try:
-            rep = symmetric_hyperbolicity(bs, at)
-        except OrderTooHighError as exc:
-            report.error_section("hyperbolicity", exc)
-            return report
-        report.sections["hyperbolicity"] = {
-            "symmetric": {chart.base_names[mu]: rep.symmetric[mu] for mu in range(chart.n)},
-            "matrices": {
-                chart.base_names[mu]: [list(row) for row in rep.matrices[mu]]
-                for mu in range(chart.n)
-            },
-            "point": list(rep.point),
-            "leading_minors": list(rep.leading_minors),
-            "singular": rep.singular,
-            "verdict": rep.verdict,
-        }
-
-    elif command == "higher":
-        data = doc.to_higher_data()
-        residuals = higher_balance_residuals(data)
-        report.sections["higher_order"] = {"residuals": _by_field(chart, residuals)}
-        report.footnotes.append(FOOTNOTE_DENSITY)
-
-    elif command == "verify":
-        bs = doc.to_balance_system()
-        if section_text is None:
-            raise InvalidSystemError("the verify analysis needs --section <file>")
-        section = parse_section(section_text, doc)
-        residuals = [
-            evaluate_on_section(r, section, chart) for r in balance_residuals(bs)
-        ]
-        report.sections["section_check"] = {
-            "section": _by_field(chart, section),
-            "residuals": _by_field(chart, residuals),
-            "solves": all(r.is_zero for r in residuals),
-        }
-
+    _COMMANDS[command][0](report, at, section_text)
     return report
 
 
@@ -768,96 +741,182 @@ def run(command: str, doc: SystemDocument, at=None, section_text: str | None = N
 # ---------------------------------------------------------------------------
 
 
+def _text_leaf(value, chart: Chart) -> str:
+    if isinstance(value, Poly):
+        return poly_text(value, chart)
+    if isinstance(value, Form):
+        return form_text(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "none" if value is None else str(value)
+
+
+def _latex_leaf(value, chart: Chart) -> str:
+    if isinstance(value, Poly):
+        return poly_latex(value, chart)
+    if isinstance(value, Form):
+        return form_latex(value)
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return str(value.numerator)
+        sign = "-" if value < 0 else ""
+        return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+    return f"\\text{{{_text_leaf(value, chart)}}}"
+
+
+def _structured_leaf(value, chart: Chart):
+    return _text_leaf(value, chart) if isinstance(value, (Poly, Form, Fraction)) else value
+
+
+_LEAVES = {"text": _text_leaf, "latex": _latex_leaf, "structured": _structured_leaf}
+
+
+def _walk(report: Report, fmt: str):
+    """The one walk over `report.sections`: yields each section's name, its
+    content and, lazily, its labelled entries (kind, path, value) with every
+    leaf formatted for `fmt`.  Kind is scalar, list, matrix (a list of rows
+    inside a nested dict) or error; path is (key,) or (key, inner key)."""
+    chart = report.doc.chart
+    leaf = _LEAVES[fmt]
+
+    def entries(content):
+        for key, value in content.items():
+            if key == "error":
+                yield "error", (key,), value
+            elif isinstance(value, dict):
+                for sub, inner in value.items():
+                    if isinstance(inner, list):
+                        yield "matrix", (key, sub), [[leaf(c, chart) for c in row] for row in inner]
+                    else:
+                        yield "scalar", (key, sub), leaf(inner, chart)
+            elif isinstance(value, (list, tuple)):
+                yield "list", (key,), [leaf(v, chart) for v in value]
+            else:
+                yield "scalar", (key,), leaf(value, chart)
+
+    for name, content in report.sections.items():
+        yield name, content, entries(content)
+
+
+def _equation_lines(template: str, leaf):
+    """Override for the equations section: residual k as R<k>, then source
+    component k as S<k>."""
+
+    def lines(content: dict, chart: Chart) -> list:
+        return [
+            template.format(letter, k, leaf(value, chart))
+            for letter, key in (("R", "residuals"), ("S", "source_components"))
+            for k, value in enumerate(content[key].values(), 1)
+        ]
+
+    return lines
+
+
+def _latex_quasi_lagrangian(content: dict, chart: Chart) -> list:
+    """LaTeX override for the quasi-Lagrangian section: L~, its divergence
+    presentation when the section carries one, and the triviality verdict."""
+    lines = [f"\\[ \\tilde{{L}} = {_latex_leaf(content['value'], chart)} \\]"]
+    if "divergence_potentials" in content:
+        parts = [
+            f"d_{{{_latex_leaf(chart.x(mu), chart)}}}\\left({_latex_leaf(pot, chart)}\\right)"
+            for mu, pot in enumerate(content["divergence_potentials"].values())
+            if not pot.is_zero
+        ]
+        if not content["non_divergence_part"].is_zero:
+            parts.append(_latex_leaf(content["non_divergence_part"], chart))
+        if parts:
+            lines.append("\\[ \\tilde{L} = " + " + ".join(parts).replace(" + -", " - ") + " \\]")
+    lines.append(f"\\[ \\text{{trivial: }} {_latex_leaf(content['is_trivial'], chart)} \\]")
+    return lines
+
+
+# Per line format: an entry's line template per kind, then the separators of
+# matrix rows and cells.
+_TEMPLATES = {
+    "text": (
+        {
+            "scalar": "{label}: {value}",
+            "list": "{label}: {value}",
+            "matrix": "{label}:\n    {value}",
+            "error": "{label}: {code}: {message}",
+        },
+        "\n    ",
+        "  ",
+    ),
+    "latex": (
+        {
+            "scalar": "\\[ \\text{{{label}}} = {value} \\]",
+            "list": "\\[ \\text{{{label}}} = ({value}) \\]",
+            "matrix": "\\[ {label} = \\begin{{pmatrix}} {value} \\end{{pmatrix}} \\]",
+            "error": "% error {code}: {message}",
+        },
+        " \\\\ ",
+        " & ",
+    ),
+}
+# Sections a format lays out by itself instead of entry by entry.
+_SECTION_OVERRIDES = {
+    ("text", "equations"): _equation_lines("{}{}: {}", _text_leaf),
+    ("latex", "equations"): _equation_lines("\\[ {}_{{{}}} = {} \\]", _latex_leaf),
+    ("latex", "quasi_lagrangian"): _latex_quasi_lagrangian,
+}
+
+
+def _lines(report: Report, fmt: str):
+    """(section name, lines) for the text or LaTeX format."""
+    templates, row_sep, cell_sep = _TEMPLATES[fmt]
+    for name, content, entries in _walk(report, fmt):
+        override = _SECTION_OVERRIDES.get((fmt, name))
+        if override is not None:
+            yield name, override(content, report.doc.chart)
+            continue
+        lines = []
+        for kind, path, value in entries:
+            if kind == "matrix":
+                value = row_sep.join(cell_sep.join(row) for row in value)
+            elif kind == "list":
+                value = ", ".join(value)
+            label = path[0] if len(path) == 1 else f"{path[0]}[{path[1]}]"
+            fields = value if kind == "error" else {"value": value}
+            lines.append(templates[kind].format(label=label, **fields))
+        yield name, lines
+
+
 def _system_summary(doc: SystemDocument) -> dict:
     chart = doc.chart
+    polys = [*doc.fluxes.values(), *doc.sources.values()]
     return {
         "title": doc.title,
         "base": list(chart.base_names),
         "fields": list(chart.field_names),
-        "density": chart.rho,
-        "order": max(
-            [p.jet_order() for p in doc.fluxes.values()]
-            + [p.jet_order() for p in doc.sources.values()]
-            + [0]
-        ),
+        "density": poly_text(chart.rho, chart),
+        "order": max([p.jet_order() for p in polys] + [0]),
         "fluxes": {
             chart.field_names[i]: {
-                _suffix_for(chart, counts): p
+                _suffix_for(chart, counts): poly_text(p, chart)
                 for (j, counts), p in sorted(doc.fluxes.items())
                 if j == i
             }
             for i in range(chart.m)
         },
-        "sources": {chart.field_names[i]: doc.source(i) for i in range(chart.m)},
+        "sources": {chart.field_names[i]: poly_text(doc.source(i), chart) for i in range(chart.m)},
         "notes": list(doc.notes),
     }
 
 
-def _structured_value(value, chart: Chart):
-    if isinstance(value, Poly):
-        return poly_text(value, chart)
-    if isinstance(value, Form):
-        return form_text(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _structured_value(v, chart) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_structured_value(v, chart) for v in value]
-    return value
-
-
 def render_structured(report: Report) -> str:
+    analyses = {}
+    for name, _, entries in _walk(report, "structured"):
+        section = analyses[name] = {}
+        for _, path, value in entries:
+            node = section if len(path) == 1 else section.setdefault(path[0], {})
+            node[path[-1]] = value
     payload = {
-        "system": _structured_value(_system_summary(report.doc), report.doc.chart),
-        "analyses": _structured_value(report.sections, report.doc.chart),
+        "system": _system_summary(report.doc),
+        "analyses": analyses,
         "footnotes": list(report.footnotes),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _text_value(value, chart: Chart) -> str:
-    if isinstance(value, Poly):
-        return poly_text(value, chart)
-    if isinstance(value, Form):
-        return form_text(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    return str(value)
-
-
-def _text_lines(name: str, content: dict, chart: Chart) -> list:
-    lines = [f"== {name} =="]
-    if name == "equations":
-        for idx, fname in enumerate(chart.field_names):
-            lines.append(f"R{idx + 1}: {_text_value(content['residuals'][fname], chart)}")
-        for idx, fname in enumerate(chart.field_names):
-            lines.append(
-                f"S{idx + 1}: {_text_value(content['source_components'][fname], chart)}"
-            )
-        return lines
-    for key, value in content.items():
-        if isinstance(value, dict) and key != "error":
-            for sub, inner in value.items():
-                if isinstance(inner, list):
-                    lines.append(f"{key}[{sub}]:")
-                    for row in inner:
-                        lines.append(
-                            "    " + "  ".join(_text_value(cell, chart) for cell in row)
-                        )
-                else:
-                    lines.append(f"{key}[{sub}]: {_text_value(inner, chart)}")
-        elif isinstance(value, dict):
-            lines.append(f"{key}: {value['code']}: {value['message']}")
-        elif isinstance(value, (list, tuple)):
-            lines.append(f"{key}: " + ", ".join(_text_value(v, chart) for v in value))
-        else:
-            lines.append(f"{key}: {_text_value(value, chart)}")
-    return lines
 
 
 def render_text(report: Report) -> str:
@@ -869,103 +928,18 @@ def render_text(report: Report) -> str:
         f"density: {poly_text(chart.rho, chart)}",
         "",
     ]
-    for name, content in report.sections.items():
-        lines.extend(_text_lines(name, content, chart))
-        lines.append("")
+    for name, section in _lines(report, "text"):
+        lines += [f"== {name} ==", *section, ""]
     if report.footnotes:
-        lines.append("footnotes:")
-        for note in report.footnotes:
-            lines.append(f"  - {note}")
-        lines.append("")
+        lines += ["footnotes:", *(f"  - {note}" for note in report.footnotes), ""]
     return "\n".join(lines)
-
-
-def _latex_value(value, chart: Chart) -> str:
-    if isinstance(value, Poly):
-        return poly_latex(value, chart)
-    if isinstance(value, Form):
-        return form_latex(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        sign = "-" if value < 0 else ""
-        return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
-    if isinstance(value, bool):
-        return "\\text{true}" if value else "\\text{false}"
-    if value is None:
-        return "\\text{none}"
-    return f"\\text{{{value}}}"
-
-
-def _latex_lines(name: str, content: dict, chart: Chart) -> list:
-    lines = [f"% {name}"]
-    if name == "equations":
-        for idx, fname in enumerate(chart.field_names):
-            lines.append(
-                f"\\[ R_{{{idx + 1}}} = {_latex_value(content['residuals'][fname], chart)} \\]"
-            )
-        for idx, fname in enumerate(chart.field_names):
-            lines.append(
-                f"\\[ S_{{{idx + 1}}} = {_latex_value(content['source_components'][fname], chart)} \\]"
-            )
-        return lines
-    if name == "quasi_lagrangian":
-        lines.append(f"\\[ \\tilde{{L}} = {_latex_value(content['value'], chart)} \\]")
-        if "divergence_potentials" in content:
-            parts = []
-            for mu, coord in enumerate(chart.base_names):
-                pot = content["divergence_potentials"][coord]
-                if not pot.is_zero:
-                    parts.append(
-                        f"d_{{{_latex_coord(chart, mu)}}}\\left({poly_latex(pot, chart)}\\right)"
-                    )
-            remainder = content["non_divergence_part"]
-            if not remainder.is_zero:
-                parts.append(poly_latex(remainder, chart))
-            if parts:
-                joined = " + ".join(parts).replace(" + -", " - ")
-                lines.append("\\[ \\tilde{L} = " + joined + " \\]")
-        lines.append(
-            f"\\[ \\text{{trivial: }} {_latex_value(content['is_trivial'], chart)} \\]"
-        )
-        return lines
-    for key, value in content.items():
-        if isinstance(value, dict) and key != "error":
-            for sub, inner in value.items():
-                if isinstance(inner, list):
-                    rows = " \\\\ ".join(
-                        " & ".join(_latex_value(cell, chart) for cell in row)
-                        for row in inner
-                    )
-                    lines.append(
-                        f"\\[ {key}[{sub}] = \\begin{{pmatrix}} {rows} \\end{{pmatrix}} \\]"
-                    )
-                else:
-                    lines.append(
-                        f"\\[ \\text{{{key}[{sub}]}} = {_latex_value(inner, chart)} \\]"
-                    )
-        elif isinstance(value, dict):
-            lines.append(f"% error {value['code']}: {value['message']}")
-        elif isinstance(value, (list, tuple)):
-            body = ", ".join(_latex_value(v, chart) for v in value)
-            lines.append(f"\\[ \\text{{{key}}} = ({body}) \\]")
-        else:
-            lines.append(f"\\[ \\text{{{key}}} = {_latex_value(value, chart)} \\]")
-    return lines
-
-
-def _latex_coord(chart: Chart, mu: int):
-    from .jetforms import _latex_name
-
-    return _latex_name(chart.base_names[mu])
 
 
 def render_latex(report: Report) -> str:
     lines = [f"% system: {report.doc.title or '(untitled)'}"]
-    for name, content in report.sections.items():
-        lines.extend(_latex_lines(name, content, report.doc.chart))
-    for note in report.footnotes:
-        lines.append(f"% footnote: {note}")
+    for name, section in _lines(report, "latex"):
+        lines += [f"% {name}", *section]
+    lines += [f"% footnote: {note}" for note in report.footnotes]
     return "\n".join(lines) + "\n"
 
 
@@ -997,14 +971,7 @@ def _build_argparser() -> argparse.ArgumentParser:
         description="exact variational analysis of balance systems on jet coordinates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("equations", "balance residuals and the source form"),
-        ("check", "Helmholtz closedness, triviality and Godunov classification"),
-        ("decompose", "quasi-Lagrangian and the Lagrangian / non-Lagrangian splitting"),
-        ("hyperbolic", "symmetric hyperbolicity of the Godunov component at a point"),
-        ("higher", "residuals of higher-order flux data"),
-        ("verify", "evaluate the residuals on an explicit section"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("system", help="system file ('-' reads stdin)")
         cmd.add_argument("--format", choices=FORMATS, default="text")

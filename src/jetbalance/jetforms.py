@@ -105,11 +105,6 @@ class Form:
         return cls(chart, {((), ((i, counts),)): Poly.constant(1)})
 
     @classmethod
-    def coordinate_volume(cls, chart: Chart) -> "Form":
-        """dx^0 ^ ... ^ dx^(n-1) with coefficient 1 (no density)."""
-        return cls(chart, {(tuple(range(chart.n)), ()): Poly.constant(1)})
-
-    @classmethod
     def volume(cls, chart: Chart) -> "Form":
         """The metric volume form: density rho times the coordinate volume."""
         return cls(chart, {(tuple(range(chart.n)), ()): chart.rho})

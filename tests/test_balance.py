@@ -14,6 +14,7 @@ from jetbalance import (
     InvalidSystemError,
     OrderTooHighError,
     Poly,
+    TrivialityResult,
     balance_form,
     balance_residuals,
     decompose,
@@ -23,6 +24,7 @@ from jetbalance import (
     godunov_check,
     helmholtz_check,
     lagrangian_split,
+    pairing_polynomial,
     quasi_lagrangian,
     source_form,
     source_split,
@@ -32,7 +34,7 @@ from jetbalance import (
 )
 from jetbalance.symcore import jet_var
 
-from conftest import random_poly, random_system
+from conftest import CHARTS, random_poly, random_system
 
 
 def plasticity() -> BalanceSystem:
@@ -153,6 +155,18 @@ class TestHelmholtz:
                 for mu in range(chart.n):
                     counts = tuple(1 if k == mu else 0 for k in range(chart.n))
                     assert result.lagrangian.partial(jet_var(i, counts)) == bs.F[i][mu]
+
+    def test_residual_is_the_full_differential(self):
+        """The residual is built from d_V alone: d_H vanishes on the encoding
+        because every word already carries all dx^mu."""
+        rng = random.Random(61)
+        x = Chart(("t", "x"), ("u",)).x(1)
+        charts = CHARTS + (Chart(("t", "x"), ("u", "v"), 1 + x**2),)
+        for chart in charts:
+            for max_order in (1, 2):
+                for _ in range(4):
+                    bs = random_system(rng, chart, max_order=max_order)
+                    assert helmholtz_check(bs).residual == balance_form(bs).d()
 
     def test_closure_matches_partial_derivative_conditions(self):
         """Independent oracle: closedness of the encoding is equivalent to the
@@ -351,6 +365,17 @@ class TestTriviality:
     def test_zero_system(self, chart_tx_u):
         bs = BalanceSystem(chart_tx_u, [[Poly.zero()] * 2], [Poly.zero()])
         assert trivial_quasi_lagrangian(bs).is_trivial
+
+    def test_read_off_the_pairing_polynomial(self):
+        """Triviality read off L~ agrees with the pairing polynomial: no
+        vertical part, and phi its base-only part."""
+        rng = random.Random(67)
+        for chart in CHARTS:
+            for _ in range(6):
+                bs = random_system(rng, chart, max_order=2)
+                pairing = pairing_polynomial(bs)
+                expected = TrivialityResult(pairing.vertical_part().is_zero, pairing.base_part())
+                assert trivial_quasi_lagrangian(bs) == expected
 
     def test_trivial_implies_no_euler_part(self, chart_tx_uv):
         chart = chart_tx_uv
