@@ -60,8 +60,8 @@ from .balance import (
     source_form,
     symmetric_hyperbolicity,
 )
-from .jetforms import Form, form_latex, form_text, poly_latex
-from .symcore import Chart, EngineError, InvalidSystemError, Poly, poly_text
+from .jetforms import Form, form_latex, form_text, latex_rational, poly_latex
+from .symcore import Chart, EngineError, InvalidSystemError, Poly, poly_text, suffix
 from .variational import HigherBalanceData, higher_balance_residuals
 
 FORMATS = ("text", "latex", "structured")
@@ -560,10 +560,6 @@ def parse_section(text: str, doc: SystemDocument) -> list:
     return [values[i] for i in range(chart.m)]
 
 
-def _suffix_for(chart: Chart, counts) -> str:
-    return "".join(chart.base_names[mu] * c for mu, c in enumerate(counts))
-
-
 def render_system(doc: SystemDocument) -> str:
     """Canonical text of a document; parsing it back yields an equal document."""
     chart = doc.chart
@@ -576,7 +572,7 @@ def render_system(doc: SystemDocument) -> str:
         lines.append(f'note "{note}";')
     for (i, counts), p in sorted(doc.fluxes.items()):
         lines.append(
-            f"F[{chart.field_names[i]},{_suffix_for(chart, counts)}] = {poly_text(p, chart)};"
+            f"F[{chart.field_names[i]},{suffix(chart.base_names, counts)}] = {poly_text(p, chart)};"
         )
     for i, p in sorted(doc.sources.items()):
         lines.append(f"Pi[{chart.field_names[i]}] = {poly_text(p, chart)};")
@@ -757,10 +753,7 @@ def _latex_leaf(value, chart: Chart) -> str:
     if isinstance(value, Form):
         return form_latex(value)
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        sign = "-" if value < 0 else ""
-        return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+        return latex_rational(value)
     return f"\\text{{{_text_leaf(value, chart)}}}"
 
 
@@ -893,7 +886,7 @@ def _system_summary(doc: SystemDocument) -> dict:
         "order": max([p.jet_order() for p in polys] + [0]),
         "fluxes": {
             chart.field_names[i]: {
-                _suffix_for(chart, counts): poly_text(p, chart)
+                suffix(chart.base_names, counts): poly_text(p, chart)
                 for (j, counts), p in sorted(doc.fluxes.items())
                 if j == i
             }

@@ -22,9 +22,10 @@ the density's logarithmic-derivative terms exactly under total derivatives.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .symcore import Chart, ChartMismatchError, EngineError, Poly, Var, mi_add
+from .symcore import poly_text, render_terms, suffix
 
 ContactGen = tuple  # (field index, counts)
 Word = tuple  # (hwedge tuple, cwedge tuple)
@@ -354,117 +355,83 @@ def _word_key(word: Word):
     return (len(h) + len(c), len(c), h, c)
 
 
-def _split_volume(form: Form, word: Word, coeff: Poly):
-    """If the word is the full horizontal volume and the coefficient is an
-    exact multiple of the chart density, return the quotient (eta detection)."""
-    h, c = word
-    if h != tuple(range(form.chart.n)):
-        return None
-    return coeff.div_exact(form.chart.rho)
+def _latex_name(name: str) -> str:
+    return f"\\{name}" if name in _GREEK else name
+
+
+def latex_rational(q: Fraction) -> str:
+    """A rational in LaTeX: the integer itself, otherwise a signed \\frac."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    sign = "-" if q < 0 else ""
+    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+
+
+def poly_latex(p: Poly, chart: Chart) -> str:
+    """LaTeX fragment for a polynomial, jet variables as subscripted fields."""
+    bases = [_latex_name(b) for b in chart.base_names]
+
+    def name(var: Var) -> str:
+        if var[0] == "b":
+            return bases[var[1]]
+        field = _latex_name(chart.field_names[var[1]])
+        return f"{field}_{{{suffix(bases, var[2])}}}" if any(var[2]) else field
+
+    return render_terms(p, name, "{}^{{{}}}", latex_rational)
+
+
+class _Notation(NamedTuple):
+    """How a format spells the pieces of a form word."""
+
+    name: Callable  # a chart name as a symbol
+    contact: str  # contact generator from its field symbol and subscript
+    subscript: str  # subscript from a multi-index suffix
+    volume: str
+    wedge: str
+    coefficient: str  # a rendered coefficient before its basis
+
+
+_TEXT = _Notation(str, "w({}{})", "_{}", "eta", "^", "({}) {}")
+_LATEX = _Notation(
+    _latex_name, "\\omega^{{{}}}{}", "_{{{}}}", "\\eta", " \\wedge ", "\\left({}\\right) {}"
+)
+
+
+def _render_form(form: Form, notation: _Notation, poly) -> str:
+    """The form word walker: words in degree order, each a coefficient times
+    its basis.  A top horizontal word whose coefficient the density divides
+    prints the quotient against the volume symbol in place of the dx
+    factors (eta detection); coefficients +-1 print as a sign."""
+    if form.is_zero:
+        return "0"
+    chart = form.chart
+    bases = [notation.name(b) for b in chart.base_names]
+    pieces = []
+    for word in sorted(form.terms, key=_word_key):
+        (h, c), coeff = word, form.terms[word]
+        quotient = coeff.div_exact(chart.rho) if h == tuple(range(chart.n)) else None
+        if quotient is None:
+            factors, volume = [f"d{bases[mu]}" for mu in h], []
+        else:
+            coeff, factors, volume = quotient, [], [notation.volume]
+        for i, counts in c:
+            sub = notation.subscript.format(suffix(bases, counts)) if any(counts) else ""
+            factors.append(notation.contact.format(notation.name(chart.field_names[i]), sub))
+        basis = notation.wedge.join(factors + volume)
+        if coeff == 1:
+            pieces.append(basis)
+        elif coeff == -1:
+            pieces.append(f"-{basis}")
+        else:
+            pieces.append(notation.coefficient.format(poly(coeff, chart), basis))
+    return " + ".join(pieces)
 
 
 def form_text(form: Form) -> str:
     """Canonical text rendering of a form; top horizontal factors divisible by
     the density print symbolically as eta."""
-    if form.is_zero:
-        return "0"
-    chart = form.chart
-    from .symcore import poly_text
-
-    pieces = []
-    for word in sorted(form.terms, key=_word_key):
-        coeff = form.terms[word]
-        h, c = word
-        factors = []
-        quotient = _split_volume(form, word, coeff)
-        if quotient is not None:
-            coeff = quotient
-        else:
-            factors.extend(f"d{chart.base_names[mu]}" for mu in h)
-        for i, counts in c:
-            factors.append(f"w({chart.var_name(('j', i, counts))})")
-        if quotient is not None:
-            factors.append("eta")
-        basis = "^".join(factors)
-        if coeff == Poly.constant(1):
-            pieces.append(basis)
-        elif coeff == Poly.constant(-1):
-            pieces.append(f"-{basis}")
-        else:
-            pieces.append(f"({poly_text(coeff, chart)}) {basis}")
-    return " + ".join(pieces)
-
-
-def _latex_name(name: str) -> str:
-    return f"\\{name}" if name in _GREEK else name
-
-
-def poly_latex(p: Poly, chart: Chart) -> str:
-    """LaTeX fragment for a polynomial, jet variables as subscripted fields."""
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for idx, (mono, coeff) in enumerate(p.sorted_terms()):
-        factors = []
-        for var, e in mono:
-            if var[0] == "b":
-                base = _latex_name(chart.base_names[var[1]])
-            else:
-                i, counts = var[1], var[2]
-                base = _latex_name(chart.field_names[i])
-                if any(counts):
-                    suffix = "".join(
-                        _latex_name(chart.base_names[mu]) * c for mu, c in enumerate(counts)
-                    )
-                    base = f"{base}_{{{suffix}}}"
-            factors.append(base if e == 1 else f"{base}^{{{e}}}")
-        mag = abs(coeff)
-        if mag.denominator == 1:
-            mag_tex = str(mag.numerator)
-        else:
-            mag_tex = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        if not mono:
-            body = mag_tex
-        elif mag == 1:
-            body = " ".join(factors)
-        else:
-            body = f"{mag_tex} " + " ".join(factors)
-        if idx == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(pieces)
+    return _render_form(form, _TEXT, poly_text)
 
 
 def form_latex(form: Form) -> str:
-    if form.is_zero:
-        return "0"
-    chart = form.chart
-    pieces = []
-    for word in sorted(form.terms, key=_word_key):
-        coeff = form.terms[word]
-        h, c = word
-        factors = []
-        quotient = _split_volume(form, word, coeff)
-        if quotient is not None:
-            coeff = quotient
-        else:
-            factors.extend(f"d{_latex_name(chart.base_names[mu])}" for mu in h)
-        for i, counts in c:
-            gen = f"\\omega^{{{_latex_name(chart.field_names[i])}}}"
-            if any(counts):
-                suffix = "".join(
-                    _latex_name(chart.base_names[mu]) * cnt for mu, cnt in enumerate(counts)
-                )
-                gen += f"_{{{suffix}}}"
-            factors.append(gen)
-        if quotient is not None:
-            factors.append("\\eta")
-        basis = " \\wedge ".join(factors)
-        if coeff == Poly.constant(1):
-            pieces.append(basis)
-        elif coeff == Poly.constant(-1):
-            pieces.append(f"-{basis}")
-        else:
-            pieces.append(f"\\left({poly_latex(coeff, chart)}\\right) {basis}")
-    return " + ".join(pieces)
+    return _render_form(form, _LATEX, poly_latex)

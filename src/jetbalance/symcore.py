@@ -548,43 +548,42 @@ class Chart:
     def var_name(self, var: Var) -> str:
         if var[0] == "b":
             return self.base_names[var[1]]
-        i, counts = var[1], var[2]
-        if not any(counts):
-            return self.field_names[i]
-        suffix = "".join(self.base_names[mu] * c for mu, c in enumerate(counts))
-        return f"{self.field_names[i]}_{suffix}"
+        name, counts = self.field_names[var[1]], var[2]
+        return f"{name}_{suffix(self.base_names, counts)}" if any(counts) else name
+
+
+def suffix(names, counts) -> str:
+    """The multi-index suffix: each coordinate name repeated by its count."""
+    return "".join(name * c for name, c in zip(names, counts))
 
 
 def _generic_name(var: Var) -> str:
     if var[0] == "b":
         return f"x{var[1]}"
     i, counts = var[1], var[2]
-    if not any(counts):
-        return f"y{i}"
-    suffix = "".join(f"{mu}" * c for mu, c in enumerate(counts))
-    return f"y{i}_d{suffix}"
+    return f"y{i}_d{suffix(map(str, range(len(counts))), counts)}" if any(counts) else f"y{i}"
+
+
+def render_terms(p: Poly, name, power: str = "{}^{}", magnitude=str) -> str:
+    """The polynomial term walker: terms in descending graded order joined by
+    their signs, each the coefficient magnitude (left out when it is 1 on a
+    non-constant monomial) followed by the factors, separated by spaces.
+    `name` renders a variable, `power` lays out a factor and its exponent
+    and `magnitude` renders a positive rational."""
+    if p.is_zero:
+        return "0"
+    pieces: list[str] = []
+    for mono, coeff in p.sorted_terms():
+        factors = [name(var) if e == 1 else power.format(name(var), e) for var, e in mono]
+        mag = abs(coeff)
+        if not mono or mag != 1:
+            factors.insert(0, magnitude(mag))
+        sign = ("-" if coeff < 0 else "") if not pieces else (" - " if coeff < 0 else " + ")
+        pieces.append(sign + " ".join(factors))
+    return "".join(pieces)
 
 
 def poly_text(p: Poly, chart: Chart | None = None) -> str:
     """Canonical text rendering: terms in descending graded order, rationals
     as p/q, factors separated by spaces (juxtaposition parses as product)."""
-    if p.is_zero:
-        return "0"
-    name = chart.var_name if chart is not None else _generic_name
-    pieces: list[str] = []
-    for idx, (mono, coeff) in enumerate(p.sorted_terms()):
-        factors = " ".join(
-            name(var) if e == 1 else f"{name(var)}^{e}" for var, e in mono
-        )
-        mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = factors
-        else:
-            body = f"{mag} {factors}"
-        if idx == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(pieces)
+    return render_terms(p, chart.var_name if chart is not None else _generic_name)
