@@ -747,6 +747,17 @@ def _text_leaf(value, chart: Chart) -> str:
     return "none" if value is None else str(value)
 
 
+# LaTeX text-mode specials; an unescaped `_` in `\text{}` does not compile.
+_TEXT_ESCAPES = str.maketrans({
+    "\\": "\\textbackslash{}", "{": "\\{", "}": "\\}", "$": "\\$", "&": "\\&", "#": "\\#",
+    "^": "\\^{}", "_": "\\_", "%": "\\%", "~": "\\~{}",
+})
+
+
+def _latex_text(text: str) -> str:
+    return f"\\text{{{text.translate(_TEXT_ESCAPES)}}}"
+
+
 def _latex_leaf(value, chart: Chart) -> str:
     if isinstance(value, Poly):
         return poly_latex(value, chart)
@@ -754,7 +765,7 @@ def _latex_leaf(value, chart: Chart) -> str:
         return form_latex(value)
     if isinstance(value, Fraction):
         return latex_rational(value)
-    return f"\\text{{{_text_leaf(value, chart)}}}"
+    return _latex_text(_text_leaf(value, chart))
 
 
 def _structured_leaf(value, chart: Chart):
@@ -823,8 +834,8 @@ def _latex_quasi_lagrangian(content: dict, chart: Chart) -> list:
     return lines
 
 
-# Per line format: an entry's line template per kind, then the separators of
-# matrix rows and cells.
+# Per line format: an entry's line template per kind, the separators of
+# matrix rows and cells, and the label layout.
 _TEMPLATES = {
     "text": (
         {
@@ -835,16 +846,18 @@ _TEMPLATES = {
         },
         "\n    ",
         "  ",
+        str,
     ),
     "latex": (
         {
-            "scalar": "\\[ \\text{{{label}}} = {value} \\]",
-            "list": "\\[ \\text{{{label}}} = ({value}) \\]",
+            "scalar": "\\[ {label} = {value} \\]",
+            "list": "\\[ {label} = ({value}) \\]",
             "matrix": "\\[ {label} = \\begin{{pmatrix}} {value} \\end{{pmatrix}} \\]",
             "error": "% error {code}: {message}",
         },
         " \\\\ ",
         " & ",
+        _latex_text,
     ),
 }
 # Sections a format lays out by itself instead of entry by entry.
@@ -857,7 +870,7 @@ _SECTION_OVERRIDES = {
 
 def _lines(report: Report, fmt: str):
     """(section name, lines) for the text or LaTeX format."""
-    templates, row_sep, cell_sep = _TEMPLATES[fmt]
+    templates, row_sep, cell_sep, label_layout = _TEMPLATES[fmt]
     for name, content, entries in _walk(report, fmt):
         override = _SECTION_OVERRIDES.get((fmt, name))
         if override is not None:
@@ -869,7 +882,7 @@ def _lines(report: Report, fmt: str):
                 value = row_sep.join(cell_sep.join(row) for row in value)
             elif kind == "list":
                 value = ", ".join(value)
-            label = path[0] if len(path) == 1 else f"{path[0]}[{path[1]}]"
+            label = label_layout(path[0] if len(path) == 1 else f"{path[0]}[{path[1]}]")
             fields = value if kind == "error" else {"value": value}
             lines.append(templates[kind].format(label=label, **fields))
         yield name, lines

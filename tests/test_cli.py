@@ -15,6 +15,7 @@ from jetbalance.cli import (
     DuplicateRelationError,
     ParseError,
     UndeclaredNameError,
+    _latex_leaf,
     main,
     parse_section,
     parse_system,
@@ -205,6 +206,14 @@ class TestRendering:
     def test_latex_compilable_tokens(self):
         latex = render(run("equations", parse_system(PLASTICITY)), "latex").decode()
         assert "\\xi" in latex and "u_{\\xi}" in latex
+
+    def test_latex_text_mode_labels_and_strings(self):
+        doc = parse_system((SYSTEMS / "godunov_pair.bal").read_text(encoding="utf-8"))
+        latex = render(run("hyperbolic", doc, at=[0, 0, 1, 2]), "latex").decode()
+        assert "\\text{leading\\_minors}" in latex and "\\text{matrices[t]} = " in latex
+        assert _latex_leaf("a_b & 50% ~{x}$ #^\\", None) == (
+            "\\text{a\\_b \\& 50\\% \\~{}\\{x\\}\\$ \\#\\^{}\\textbackslash{}}"
+        )
 
     def test_footnotes_attached_on_decompose(self):
         report = run("decompose", parse_system(BURGERS))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -81,6 +82,18 @@ def test_no_stale_golden_files():
     assert sorted(p.name for p in GOLDEN.glob("*.txt")) == sorted(
         golden_path(stem).name for stem in JOBS
     )
+
+
+# A `\text{...}` argument, allowing escaped characters and one level of braces.
+TEXT_ARGUMENT = re.compile(r"\\text\{((?:[^{}\\]|\\.|\{[^{}]*\})*)\}")
+
+
+def test_latex_text_arguments_are_escaped():
+    """No `\\text{...}` argument of a LaTeX report holds a bare `_`, which
+    LaTeX accepts in math mode only."""
+    for path in sorted(GOLDEN.glob("*.latex.txt")):
+        for argument in TEXT_ARGUMENT.findall(path.read_text(encoding="utf-8")):
+            assert re.search(r"(?<!\\)_", argument) is None, (path.name, argument)
 
 
 # One job per (seed, job) pair keeps this to six interpreter starts.
