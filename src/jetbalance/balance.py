@@ -114,16 +114,14 @@ class HelmholtzResult:
 @dataclass(frozen=True)
 class TrivialityResult:
     is_trivial: bool
-    phi: Poly
 
     @classmethod
     def of(cls, ltilde: Poly) -> "TrivialityResult":
         """Triviality read off the quasi-Lagrangian.  Every pairing monomial
         carries a field or jet prefactor, so it has vertical degree >= 1 and
         the scaling integral keeps the pairing's support: the pairing's
-        vertical part vanishes iff L~ does, and its base-only part phi is
-        always zero."""
-        return cls(ltilde.is_zero, Poly.zero())
+        vertical part vanishes iff L~ does, and it has no base-only part."""
+        return cls(ltilde.is_zero)
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,6 @@ class DecompositionReport:
     godunov_part: FunctionalForm
     helmholtz_closed: bool
     trivial_quasi_lagrangian: bool
-    phi: Poly
     divergence_potentials: tuple
     non_divergence_part: Poly
 
@@ -252,7 +249,6 @@ def decompose(bs: BalanceSystem) -> DecompositionReport:
     """The quasi-Lagrangian with its triviality and divergence presentation,
     and the form and functional splittings, each computed once."""
     ltilde = quasi_lagrangian(bs)
-    triviality = TrivialityResult.of(ltilde)
     potentials, remainder = divergence_split(bs.chart, ltilde)
     lag_part, nonlag_part = lagrangian_split(bs)
     return DecompositionReport(
@@ -262,8 +258,7 @@ def decompose(bs: BalanceSystem) -> DecompositionReport:
         euler_lagrange_form=euler_lagrange(bs.chart, ltilde),
         godunov_part=interior_euler(nonlag_part),
         helmholtz_closed=nonlag_part.is_zero,
-        trivial_quasi_lagrangian=triviality.is_trivial,
-        phi=triviality.phi,
+        trivial_quasi_lagrangian=TrivialityResult.of(ltilde).is_trivial,
         divergence_potentials=potentials,
         non_divergence_part=remainder,
     )

@@ -626,11 +626,9 @@ def _check(report: Report, at, section_text) -> None:
         "lagrangian": hel.lagrangian,
     }
     ltilde = hel.lagrangian if hel.closed else quasi_lagrangian(bs)
-    triviality = TrivialityResult.of(ltilde)
     report.sections["quasi_lagrangian"] = {
         "value": ltilde,
-        "is_trivial": triviality.is_trivial,
-        "phi": triviality.phi,
+        "is_trivial": TrivialityResult.of(ltilde).is_trivial,
     }
     report.footnotes.extend(SPLITTING_FOOTNOTES)
     try:
@@ -656,7 +654,6 @@ def _decompose(report: Report, at, section_text) -> None:
     report.sections["quasi_lagrangian"] = {
         "value": dec.quasi_lagrangian,
         "is_trivial": dec.trivial_quasi_lagrangian,
-        "phi": dec.phi,
         "divergence_potentials": _by_coord(chart, dec.divergence_potentials),
         "non_divergence_part": dec.non_divergence_part,
     }

@@ -67,10 +67,6 @@ def jet_var(i: int, counts: Iterable[int]) -> Var:
     return ("j", i, tuple(counts))
 
 
-def is_jet(var: Var) -> bool:
-    return var[0] == "j"
-
-
 def mi_add(counts: tuple, mu: int) -> tuple:
     """Multi-index raised by one derivative along coordinate mu."""
     return counts[:mu] + (counts[mu] + 1,) + counts[mu + 1 :]
