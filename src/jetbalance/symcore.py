@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 
@@ -77,6 +77,9 @@ def var_order(var: Var) -> int:
     return sum(var[2]) if var[0] == "j" else 0
 
 
+_RANKS: dict = {}  # var_rank memo; one entry per variable ever ranked
+
+
 def var_rank(var: Var) -> tuple:
     """Canonical total order on variables.
 
@@ -84,9 +87,11 @@ def var_rank(var: Var) -> tuple:
     by derivative order, then multi-index, then field index, so derivative
     terms lead the fields they derive from in rendered output.
     """
-    if var[0] == "b":
-        return (0, var[1], (), 0)
-    return (1, sum(var[2]), var[2], var[1])
+    rank = _RANKS.get(var)
+    if rank is None:
+        rank = (0, var[1], (), 0) if var[0] == "b" else (1, sum(var[2]), var[2], var[1])
+        _RANKS[var] = rank
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +100,29 @@ def var_rank(var: Var) -> tuple:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
+    """Product of two monomials: one merge pass over the rank-sorted factors."""
     if not a:
         return b
     if not b:
         return a
-    exps: dict[Var, int] = dict(a)
-    for var, e in b:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items(), key=lambda it: var_rank(it[0])))
+    ranks = _RANKS
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif (ranks.get(va) or var_rank(va)) < (ranks.get(vb) or var_rank(vb)):
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def mono_degree(m: Mono) -> int:
@@ -118,28 +138,11 @@ def mono_jet_order(m: Mono) -> int:
     return max((var_order(var) for var, _ in m), default=0)
 
 
-def _mono_cmp(a: Mono, b: Mono) -> int:
-    """Graded comparison: total degree first, then exponents read from the
-    highest-ranked variable downward (larger exponent wins)."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia, ib = len(a) - 1, len(b) - 1
-    while ia >= 0 or ib >= 0:
-        ra = var_rank(a[ia][0]) if ia >= 0 else None
-        rb = var_rank(b[ib][0]) if ib >= 0 else None
-        if rb is None or (ra is not None and ra > rb):
-            return 1
-        if ra is None or rb > ra:
-            return -1
-        if a[ia][1] != b[ib][1]:
-            return 1 if a[ia][1] > b[ib][1] else -1
-        ia -= 1
-        ib -= 1
-    return 0
-
-
-MONO_KEY = cmp_to_key(_mono_cmp)
+def mono_key(m: Mono) -> tuple:
+    """Sort key of the graded order: total degree first, then the exponents
+    read from the highest-ranked variable downward (a larger exponent, or a
+    variable the other monomial lacks, wins)."""
+    return (mono_degree(m), tuple((var_rank(var), e) for var, e in reversed(m)))
 
 
 def _mono_div(a: Mono, b: Mono) -> Mono | None:
@@ -149,11 +152,8 @@ def _mono_div(a: Mono, b: Mono) -> Mono | None:
         left = exps.get(var, 0) - e
         if left < 0:
             return None
-        if left == 0:
-            exps.pop(var, None)
-        else:
-            exps[var] = left
-    return tuple(sorted(exps.items(), key=lambda it: var_rank(it[0])))
+        exps[var] = left
+    return tuple((var, e) for var, e in exps.items() if e)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +239,15 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for mono, c in o.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
+            prev = out.get(mono)
+            if prev is None:
+                out[mono] = c
             else:
-                out.pop(mono, None)
+                s = prev + c
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
         p = Poly.__new__(Poly)
         p.terms = out
         return p
@@ -275,11 +279,15 @@ class Poly:
         for ma, ca in self.terms.items():
             for mb, cb in o.terms.items():
                 mono = mono_mul(ma, mb)
-                s = out.get(mono, Fraction(0)) + ca * cb
-                if s:
-                    out[mono] = s
+                prev = out.get(mono)
+                if prev is None:
+                    out[mono] = ca * cb
                 else:
-                    out.pop(mono, None)
+                    s = prev + ca * cb
+                    if s:
+                        out[mono] = s
+                    else:
+                        del out[mono]
         p = Poly.__new__(Poly)
         p.terms = out
         return p
@@ -294,16 +302,21 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Poly":
+        """A one-term base is raised directly; any other base is multiplied
+        in repeatedly, which on sparse polynomials takes fewer term pairs
+        than repeated squaring (Fateman 1974)."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if exponent == 0:
+            return Poly.constant(1)
+        if len(self.terms) == 1:
+            [(mono, coeff)] = self.terms.items()
+            p = Poly.__new__(Poly)
+            p.terms = {tuple((var, e * exponent) for var, e in mono): coeff**exponent}
+            return p
+        result = self
+        for _ in range(exponent - 1):
+            result = result * self
         return result
 
     # -- structure -----------------------------------------------------------
@@ -327,7 +340,7 @@ class Poly:
 
     def sorted_terms(self) -> list:
         """Terms in descending canonical (graded) order; leading term first."""
-        return sorted(self.terms.items(), key=lambda it: MONO_KEY(it[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda it: mono_key(it[0]), reverse=True)
 
     # -- calculus ------------------------------------------------------------
 
@@ -435,22 +448,60 @@ class Poly:
     # -- exact division ---------------------------------------------------------
 
     def div_exact(self, divisor: "Poly") -> "Poly | None":
-        """Exact polynomial quotient self / divisor, or None when not divisible."""
+        """Exact polynomial quotient self / divisor, or None when not divisible.
+
+        The remainder is kept in a dict and its leading monomial is taken
+        from a heap.  Every term of q * divisor other than the one that
+        cancels the leading term ranks below it (the order is a monomial
+        order), so the quotient monomials come out strictly decreasing."""
         if divisor.is_zero:
             raise ZeroDivisionError("division of a polynomial by zero")
-        lead_mono = max(divisor.terms, key=MONO_KEY)
+        if tuple(divisor.terms) == ((),):
+            return self * (1 / divisor.terms[()])
+        lead_mono = max(divisor.terms, key=mono_key)
         lead_coeff = divisor.terms[lead_mono]
-        rem = self
+        tail = [(m, c) for m, c in divisor.terms.items() if m != lead_mono]
+        # heap keys: the graded order over the variables present, negated so
+        # that the min-heap pops the leading monomial first
+        pool = sorted(self.variables() | divisor.variables(), key=var_rank, reverse=True)
+        slot = {var: k for k, var in enumerate(pool, 1)}
+
+        def heap_key(mono: Mono) -> tuple:
+            key = [0] * (len(pool) + 1)
+            for var, e in mono:
+                key[0] -= e
+                key[slot[var]] = -e
+            return tuple(key)
+
+        rem = dict(self.terms)
+        heap = [(heap_key(m), m) for m in rem]
+        heapify(heap)
         quot: dict[Mono, Fraction] = {}
-        while not rem.is_zero:
-            rm = max(rem.terms, key=MONO_KEY)
-            q_mono = _mono_div(rm, lead_mono)
+        while heap:
+            mono = heappop(heap)[1]
+            coeff = rem.pop(mono, None)
+            if coeff is None:  # cancelled after it was pushed
+                continue
+            q_mono = _mono_div(mono, lead_mono)
             if q_mono is None:
                 return None
-            q_coeff = rem.terms[rm] / lead_coeff
-            quot[q_mono] = quot.get(q_mono, Fraction(0)) + q_coeff
-            rem = rem - Poly({q_mono: q_coeff}) * divisor
-        return Poly(quot)
+            q_coeff = coeff / lead_coeff
+            quot[q_mono] = q_coeff
+            for m, c in tail:
+                prod = mono_mul(q_mono, m)
+                prev = rem.get(prod)
+                if prev is None:
+                    rem[prod] = -q_coeff * c
+                    heappush(heap, (heap_key(prod), prod))
+                else:
+                    s = prev - q_coeff * c
+                    if s:
+                        rem[prod] = s
+                    else:
+                        del rem[prod]
+        p = Poly.__new__(Poly)
+        p.terms = quot
+        return p
 
 
 # ---------------------------------------------------------------------------
