@@ -29,7 +29,6 @@ from .symcore import (
     jet_var,
     mi_add,
     var_order,
-    var_rank,
 )
 from .variational import (
     FunctionalForm,
@@ -499,10 +498,7 @@ def divergence_split(chart: Chart, p: Poly) -> tuple:
                 exps.pop(w)
                 k = exps.pop(v, 0)
                 exps[v] = k + 1
-                candidate_mono = tuple(
-                    sorted(exps.items(), key=lambda it: var_rank(it[0]))
-                )
-                candidate = Poly({candidate_mono: coeff * Fraction(1, k + 1)})
+                candidate = Poly({tuple(exps.items()): coeff * Fraction(1, k + 1)})
                 if candidate.total_derivative(mu) == term:
                     potentials[mu] = potentials[mu] + candidate
                     placed = True

@@ -145,6 +145,14 @@ def mono_key(m: Mono) -> tuple:
     return (mono_degree(m), tuple((var_rank(var), e) for var, e in reversed(m)))
 
 
+def _canonical(mono) -> Mono:
+    """Factors sorted by rank, repeated variables merged, zero exponents dropped."""
+    exps: dict[Var, int] = {}
+    for var, e in mono:
+        exps[var] = exps.get(var, 0) + e
+    return tuple(sorted(((var, e) for var, e in exps.items() if e), key=lambda it: var_rank(it[0])))
+
+
 def _mono_div(a: Mono, b: Mono) -> Mono | None:
     """a / b as a monomial, or None if some exponent would go negative."""
     exps = dict(a)
@@ -171,11 +179,14 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Mono, Fraction | int] | None = None):
+        """Monomials are brought into canonical form: factors sorted by
+        rank, repeated variables merged, zero exponents dropped."""
         clean: dict[Mono, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
                 c = Fraction(coeff)
                 if c:
+                    mono = _canonical(mono)
                     prev = clean.get(mono)
                     if prev is None:
                         clean[mono] = c
@@ -190,16 +201,25 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _raw(cls, terms: dict) -> "Poly":
+        """Internal: adopt terms that are already canonical (sorted
+        monomials, nonzero Fraction coefficients) without a check."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return cls._raw({})
 
     @classmethod
     def constant(cls, value: Fraction | int) -> "Poly":
-        return cls({(): Fraction(value)})
+        c = Fraction(value)
+        return cls._raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, var: Var) -> "Poly":
-        return cls({((var, 1),): Fraction(1)})
+        return cls._raw({((var, 1),): Fraction(1)})
 
     # -- basic protocol ------------------------------------------------------
 
@@ -248,16 +268,12 @@ class Poly:
                     out[mono] = s
                 else:
                     del out[mono]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.terms = {mono: -c for mono, c in self.terms.items()}
-        return p
+        return Poly._raw({mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         o = self._coerce(other)
@@ -288,9 +304,7 @@ class Poly:
                         out[mono] = s
                     else:
                         del out[mono]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._raw(out)
 
     __rmul__ = __mul__
 
@@ -311,9 +325,7 @@ class Poly:
             return Poly.constant(1)
         if len(self.terms) == 1:
             [(mono, coeff)] = self.terms.items()
-            p = Poly.__new__(Poly)
-            p.terms = {tuple((var, e * exponent) for var, e in mono): coeff**exponent}
-            return p
+            return Poly._raw({tuple((var, e * exponent) for var, e in mono): coeff**exponent})
         result = self
         for _ in range(exponent - 1):
             result = result * self
@@ -360,9 +372,7 @@ class Poly:
                     else:
                         out.pop(new, None)
                     break
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._raw(out)
 
     def total_derivative(self, mu: int) -> "Poly":
         """Total derivative d_mu: the base partial plus promotion of every jet
@@ -383,21 +393,17 @@ class Poly:
         buckets: dict[int, dict[Mono, Fraction]] = {}
         for mono, coeff in self.terms.items():
             buckets.setdefault(mono_vertical_degree(mono), {})[mono] = coeff
-        return {d: Poly(t) for d, t in sorted(buckets.items())}
+        return {d: Poly._raw(t) for d, t in sorted(buckets.items())}
 
     def vertical_part(self) -> "Poly":
         """The components of vertical degree >= 1."""
         out = {m: c for m, c in self.terms.items() if mono_vertical_degree(m) > 0}
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._raw(out)
 
     def base_part(self) -> "Poly":
         """The vertical-degree-0 component (base coordinates and constants only)."""
         out = {m: c for m, c in self.terms.items() if mono_vertical_degree(m) == 0}
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._raw(out)
 
     def scale_integrate(self, exponent: int) -> "Poly":
         """Exact value of the scaling integral over t in [0, 1] of
@@ -415,9 +421,7 @@ class Poly:
                     f"{mono_vertical_degree(mono)} with t-exponent {exponent}"
                 )
             out[mono] = coeff * Fraction(1, denom)
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return Poly._raw(out)
 
     # -- substitution ----------------------------------------------------------
 
@@ -499,9 +503,7 @@ class Poly:
                         rem[prod] = s
                     else:
                         del rem[prod]
-        p = Poly.__new__(Poly)
-        p.terms = quot
-        return p
+        return Poly._raw(quot)
 
 
 # ---------------------------------------------------------------------------

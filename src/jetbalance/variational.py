@@ -148,7 +148,7 @@ def vertical_homotopy(form: Form) -> Form:
             sign = -1 if (len(h) + q) % 2 else 1
             word = (h, c[:q] + c[q + 1 :])
             zvar = Poly.variable(jet_var(gen[0], gen[1]))
-            scaled = Poly(
+            scaled = Poly._raw(
                 {
                     mono: val * Fraction(sign, mono_vertical_degree(mono) + s)
                     for mono, val in coeff.terms.items()

@@ -38,6 +38,18 @@ class TestArithmetic:
         assert Poly.constant(Fraction(2, 4)) == Poly.constant(Fraction(1, 2))
         assert hash(Poly.constant(3)) == hash(Poly.constant(3))
 
+    def test_constructor_canonicalises_monomials(self):
+        u, x = jet_var(0, (0,)), base_var(0)
+        canonical = Poly.variable(x) * Poly.variable(u) ** 2
+        unsorted = Poly({((u, 2), (x, 1)): 1})
+        repeated = Poly({((u, 1), (x, 1), (u, 1)): 1})
+        zero_exponent = Poly({((x, 1), (jet_var(0, (1,)), 0), (u, 2)): 1})
+        for p in (unsorted, repeated, zero_exponent):
+            assert p == canonical and hash(p) == hash(canonical)
+            assert poly_text(p) == "x0 y0^2"
+        assert Poly({((u, 1), (x, 1)): 2, ((x, 1), (u, 1)): -2}).is_zero
+        assert Poly({((u, 0),): 3}) == Poly.constant(3)
+
 
 class TestPartial:
     def test_power_rule(self, chart_x_u):
