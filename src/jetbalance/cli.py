@@ -251,10 +251,14 @@ def _segment_suffix(suffix: str, base_names) -> tuple | None:
     return tuple(counts)
 
 
+MAX_PAREN_DEPTH = 100  # each level costs a few interpreter frames
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
 
     def peek(self, ahead=0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -342,12 +346,11 @@ class _Parser:
                 return value
 
     def _signed_factor(self, scope) -> Poly:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text in "+-":
-            self.next()
-            inner = self._signed_factor(scope)
-            return inner if tok.text == "+" else -inner
-        return self._factor(scope)
+        negate = False
+        while self.at_sym("+") or self.at_sym("-"):
+            negate ^= self.next().text == "-"
+        value = self._factor(scope)
+        return -value if negate else value
 
     def _factor(self, scope) -> Poly:
         value = self._atom(scope)
@@ -366,9 +369,13 @@ class _Parser:
             self.next()
             return Poly.constant(int(tok.text))
         if tok.kind == "sym" and tok.text == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels", tok)
             self.next()
+            self.depth += 1
             value = self.expr(scope)
             self.expect_sym(")")
+            self.depth -= 1
             return value
         if tok.kind == "name":
             if (

@@ -316,6 +316,26 @@ class TestRobustness:
             assert main(["equations", str(bad)]) == 2
             capsys.readouterr()
 
+    def test_deep_nesting(self, tmp_path, capsys):
+        head = "base t x; fields u;\nF[u,x] = "
+        bad = tmp_path / "deep.bal"
+        bad.write_text(head + "(" * 5000 + "u" + ")" * 5000 + ";\n")
+        assert main(["equations", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]: parentheses nested deeper than")
+        assert "at line 2, col 110" in err  # the 101st parenthesis
+
+        signs = tmp_path / "signs.bal"
+        for count, residual in ((5000, "R1: u_x"), (5001, "R1: -u_x")):
+            signs.write_text(head + "-" * count + "u;\n")
+            assert main(["equations", str(signs)]) == 0
+            assert residual in capsys.readouterr().out
+
+        nested = tmp_path / "nested.bal"
+        nested.write_text(head + "(" * 100 + "-u" + ")" * 100 + ";\n")
+        assert main(["equations", str(nested)]) == 0
+        assert "R1: -u_x" in capsys.readouterr().out
+
 
 class TestSectionFiles:
     def test_section_requires_all_fields(self):
