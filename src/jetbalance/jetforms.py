@@ -401,7 +401,8 @@ def _render_form(form: Form, notation: _Notation, poly) -> str:
     """The form word walker: words in degree order, each a coefficient times
     its basis.  A top horizontal word whose coefficient the density divides
     prints the quotient against the volume symbol in place of the dx
-    factors (eta detection); coefficients +-1 print as a sign."""
+    factors (eta detection); coefficients +-1 print as a sign, and a
+    function word prints as its bare coefficient."""
     if form.is_zero:
         return "0"
     chart = form.chart
@@ -418,7 +419,9 @@ def _render_form(form: Form, notation: _Notation, poly) -> str:
             sub = notation.subscript.format(suffix(bases, counts)) if any(counts) else ""
             factors.append(notation.contact.format(notation.name(chart.field_names[i]), sub))
         basis = notation.wedge.join(factors + volume)
-        if coeff == 1:
+        if not basis:  # a (0,0) word: the function itself
+            pieces.append(poly(coeff, chart))
+        elif coeff == 1:
             pieces.append(basis)
         elif coeff == -1:
             pieces.append(f"-{basis}")

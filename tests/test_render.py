@@ -137,39 +137,39 @@ EXPECTED = {
     'form_latex.greek.contact_volume': '\\left(\\alpha\\right) \\omega^{\\alpha} \\wedge \\eta + \\left(-\\frac{2}{3}\\right) \\omega^{\\alpha}_{\\eta\\eta} \\wedge \\eta',
     'form_latex.greek.dx_fallback': '\\left(\\alpha + \\eta\\right) \\eta',
     'form_latex.greek.dx_fallback_one': '\\eta',
-    'form_latex.greek.function': '\\left(\\alpha^{3} - \\frac{5}{7} \\eta + 1\\right) ',
+    'form_latex.greek.function': '\\alpha^{3} - \\frac{5}{7} \\eta + 1',
     'form_latex.greek.lower_degree': '\\left(-\\frac{1}{2}\\right) d\\xi + \\left(\\alpha_{\\eta}\\right) d\\eta + \\left(\\xi \\alpha_{\\eta}\\right) d\\xi \\wedge \\omega^{\\alpha}',
     'form_latex.greek.minus_volume': '-\\eta',
-    'form_latex.greek.mixed': '\\left(\\alpha\\right)  + \\left(\\eta\\right) \\eta + d\\eta \\wedge \\omega^{\\alpha} + \\left(2\\right) \\omega^{\\alpha} \\wedge \\omega^{\\alpha}_{\\eta\\eta}',
+    'form_latex.greek.mixed': '\\alpha + \\left(\\eta\\right) \\eta + d\\eta \\wedge \\omega^{\\alpha} + \\left(2\\right) \\omega^{\\alpha} \\wedge \\omega^{\\alpha}_{\\eta\\eta}',
     'form_latex.greek.poly_volume': '\\left(\\alpha^{2} \\alpha_{\\eta} + \\frac{1}{2} \\xi\\right) \\eta',
     'form_latex.greek.rational_volume': '\\left(-\\frac{3}{4}\\right) \\eta',
     'form_latex.greek.volume': '\\eta',
     'form_latex.greek.zero': '0',
-    'form_latex.greek.zero_word': '- + -\\omega^{\\alpha}_{\\eta\\eta}',
+    'form_latex.greek.zero_word': '-1 + -\\omega^{\\alpha}_{\\eta\\eta}',
     'form_latex.plain.contact_fallback': '\\left(x u - 1\\right) \\omega^{u}_{t} \\wedge \\eta',
     'form_latex.plain.contact_volume': '\\left(u\\right) \\omega^{u} \\wedge \\eta + \\left(-\\frac{2}{3}\\right) \\omega^{u}_{xx} \\wedge \\eta',
     'form_latex.plain.dx_fallback': '\\left(u + x\\right) \\eta',
     'form_latex.plain.dx_fallback_one': '\\eta',
-    'form_latex.plain.function': '\\left(u^{3} - \\frac{5}{7} x + 1\\right) ',
+    'form_latex.plain.function': 'u^{3} - \\frac{5}{7} x + 1',
     'form_latex.plain.lower_degree': '\\left(-\\frac{1}{2}\\right) dt + \\left(u_{x}\\right) dx + \\left(t u_{x}\\right) dt \\wedge \\omega^{u}',
     'form_latex.plain.minus_volume': '-\\eta',
-    'form_latex.plain.mixed': '\\left(u\\right)  + \\left(x\\right) \\eta + dx \\wedge \\omega^{u} + \\left(2\\right) \\omega^{u} \\wedge \\omega^{u}_{xx}',
+    'form_latex.plain.mixed': 'u + \\left(x\\right) \\eta + dx \\wedge \\omega^{u} + \\left(2\\right) \\omega^{u} \\wedge \\omega^{u}_{xx}',
     'form_latex.plain.poly_volume': '\\left(u^{2} u_{x} + \\frac{1}{2} t\\right) \\eta',
     'form_latex.plain.rational_volume': '\\left(-\\frac{3}{4}\\right) \\eta',
     'form_latex.plain.volume': '\\eta',
     'form_latex.plain.zero': '0',
-    'form_latex.plain.zero_word': '- + -\\omega^{u}_{xx}',
+    'form_latex.plain.zero_word': '-1 + -\\omega^{u}_{xx}',
     'form_latex.rho_1_x2.contact_fallback': '\\left(x u - 1\\right) dt \\wedge dx \\wedge \\omega^{u}_{t}',
     'form_latex.rho_1_x2.contact_rho_u2': '\\eta + \\left(u^{2}\\right) \\omega^{u} \\wedge \\eta',
     'form_latex.rho_1_x2.contact_volume': '\\left(u\\right) \\omega^{u} \\wedge \\eta + \\left(-\\frac{2}{3}\\right) \\omega^{u}_{xx} \\wedge \\eta',
     'form_latex.rho_1_x2.dx_fallback': '\\left(u + x\\right) dt \\wedge dx',
     'form_latex.rho_1_x2.dx_fallback_one': 'dt \\wedge dx',
-    'form_latex.rho_1_x2.function': '\\left(u^{3} - \\frac{5}{7} x + 1\\right) ',
+    'form_latex.rho_1_x2.function': 'u^{3} - \\frac{5}{7} x + 1',
     'form_latex.rho_1_x2.half_rho': '\\left(-\\frac{1}{2}\\right) \\eta',
     'form_latex.rho_1_x2.lower_degree': '\\left(-\\frac{1}{2}\\right) dt + \\left(u_{x}\\right) dx + \\left(t u_{x}\\right) dt \\wedge \\omega^{u}',
     'form_latex.rho_1_x2.minus_rho': '-\\eta',
     'form_latex.rho_1_x2.minus_volume': '-\\eta',
-    'form_latex.rho_1_x2.mixed': '\\left(u\\right)  + \\left(x\\right) \\eta + dx \\wedge \\omega^{u} + \\left(2\\right) \\omega^{u} \\wedge \\omega^{u}_{xx}',
+    'form_latex.rho_1_x2.mixed': 'u + \\left(x\\right) \\eta + dx \\wedge \\omega^{u} + \\left(2\\right) \\omega^{u} \\wedge \\omega^{u}_{xx}',
     'form_latex.rho_1_x2.not_divisible': '\\left(x^{2} + 2\\right) dt \\wedge dx',
     'form_latex.rho_1_x2.poly_volume': '\\left(u^{2} u_{x} + \\frac{1}{2} t\\right) \\eta',
     'form_latex.rho_1_x2.rational_volume': '\\left(-\\frac{3}{4}\\right) \\eta',
@@ -177,18 +177,18 @@ EXPECTED = {
     'form_latex.rho_1_x2.rho_times_u': '\\left(u\\right) \\eta',
     'form_latex.rho_1_x2.volume': '\\eta',
     'form_latex.rho_1_x2.zero': '0',
-    'form_latex.rho_1_x2.zero_word': '- + -\\omega^{u}_{xx}',
+    'form_latex.rho_1_x2.zero_word': '-1 + -\\omega^{u}_{xx}',
     'form_latex.rho_2_tx.contact_fallback': '\\left(x u - 1\\right) dt \\wedge dx \\wedge \\omega^{u}_{t}',
     'form_latex.rho_2_tx.contact_rho_u2': '\\eta + \\left(u^{2}\\right) \\omega^{u} \\wedge \\eta',
     'form_latex.rho_2_tx.contact_volume': '\\left(u\\right) \\omega^{u} \\wedge \\eta + \\left(-\\frac{2}{3}\\right) \\omega^{u}_{xx} \\wedge \\eta',
     'form_latex.rho_2_tx.dx_fallback': '\\left(u + x\\right) dt \\wedge dx',
     'form_latex.rho_2_tx.dx_fallback_one': 'dt \\wedge dx',
-    'form_latex.rho_2_tx.function': '\\left(u^{3} - \\frac{5}{7} x + 1\\right) ',
+    'form_latex.rho_2_tx.function': 'u^{3} - \\frac{5}{7} x + 1',
     'form_latex.rho_2_tx.half_rho': '\\left(-\\frac{1}{2}\\right) \\eta',
     'form_latex.rho_2_tx.lower_degree': '\\left(-\\frac{1}{2}\\right) dt + \\left(u_{x}\\right) dx + \\left(t u_{x}\\right) dt \\wedge \\omega^{u}',
     'form_latex.rho_2_tx.minus_rho': '-\\eta',
     'form_latex.rho_2_tx.minus_volume': '-\\eta',
-    'form_latex.rho_2_tx.mixed': '\\left(u\\right)  + \\left(x\\right) \\eta + dx \\wedge \\omega^{u} + \\left(2\\right) \\omega^{u} \\wedge \\omega^{u}_{xx}',
+    'form_latex.rho_2_tx.mixed': 'u + \\left(x\\right) \\eta + dx \\wedge \\omega^{u} + \\left(2\\right) \\omega^{u} \\wedge \\omega^{u}_{xx}',
     'form_latex.rho_2_tx.not_divisible': '\\left(t x + 3\\right) dt \\wedge dx',
     'form_latex.rho_2_tx.poly_volume': '\\left(u^{2} u_{x} + \\frac{1}{2} t\\right) \\eta',
     'form_latex.rho_2_tx.rational_volume': '\\left(-\\frac{3}{4}\\right) \\eta',
@@ -196,45 +196,45 @@ EXPECTED = {
     'form_latex.rho_2_tx.rho_times_u': '\\left(u\\right) \\eta',
     'form_latex.rho_2_tx.volume': '\\eta',
     'form_latex.rho_2_tx.zero': '0',
-    'form_latex.rho_2_tx.zero_word': '- + -\\omega^{u}_{xx}',
+    'form_latex.rho_2_tx.zero_word': '-1 + -\\omega^{u}_{xx}',
     'form_text.greek.contact': 'w(alpha_xieta)^eta',
     'form_text.greek.contact_fallback': '(eta alpha - 1) w(alpha_xi)^eta',
     'form_text.greek.contact_volume': '(alpha) w(alpha)^eta + (-2/3) w(alpha_etaeta)^eta',
     'form_text.greek.dx_fallback': '(alpha + eta) eta',
     'form_text.greek.dx_fallback_one': 'eta',
-    'form_text.greek.function': '(alpha^3 - 5/7 eta + 1) ',
+    'form_text.greek.function': 'alpha^3 - 5/7 eta + 1',
     'form_text.greek.lower_degree': '(-1/2) dxi + (alpha_eta) deta + (xi alpha_eta) dxi^w(alpha)',
     'form_text.greek.minus_volume': '-eta',
-    'form_text.greek.mixed': '(alpha)  + (eta) eta + deta^w(alpha) + (2) w(alpha)^w(alpha_etaeta)',
+    'form_text.greek.mixed': 'alpha + (eta) eta + deta^w(alpha) + (2) w(alpha)^w(alpha_etaeta)',
     'form_text.greek.poly_volume': '(alpha^2 alpha_eta + 1/2 xi) eta',
     'form_text.greek.rational_volume': '(-3/4) eta',
     'form_text.greek.volume': 'eta',
     'form_text.greek.zero': '0',
-    'form_text.greek.zero_word': '- + -w(alpha_etaeta)',
+    'form_text.greek.zero_word': '-1 + -w(alpha_etaeta)',
     'form_text.plain.contact_fallback': '(x u - 1) w(u_t)^eta',
     'form_text.plain.contact_volume': '(u) w(u)^eta + (-2/3) w(u_xx)^eta',
     'form_text.plain.dx_fallback': '(u + x) eta',
     'form_text.plain.dx_fallback_one': 'eta',
-    'form_text.plain.function': '(u^3 - 5/7 x + 1) ',
+    'form_text.plain.function': 'u^3 - 5/7 x + 1',
     'form_text.plain.lower_degree': '(-1/2) dt + (u_x) dx + (t u_x) dt^w(u)',
     'form_text.plain.minus_volume': '-eta',
-    'form_text.plain.mixed': '(u)  + (x) eta + dx^w(u) + (2) w(u)^w(u_xx)',
+    'form_text.plain.mixed': 'u + (x) eta + dx^w(u) + (2) w(u)^w(u_xx)',
     'form_text.plain.poly_volume': '(u^2 u_x + 1/2 t) eta',
     'form_text.plain.rational_volume': '(-3/4) eta',
     'form_text.plain.volume': 'eta',
     'form_text.plain.zero': '0',
-    'form_text.plain.zero_word': '- + -w(u_xx)',
+    'form_text.plain.zero_word': '-1 + -w(u_xx)',
     'form_text.rho_1_x2.contact_fallback': '(x u - 1) dt^dx^w(u_t)',
     'form_text.rho_1_x2.contact_rho_u2': 'eta + (u^2) w(u)^eta',
     'form_text.rho_1_x2.contact_volume': '(u) w(u)^eta + (-2/3) w(u_xx)^eta',
     'form_text.rho_1_x2.dx_fallback': '(u + x) dt^dx',
     'form_text.rho_1_x2.dx_fallback_one': 'dt^dx',
-    'form_text.rho_1_x2.function': '(u^3 - 5/7 x + 1) ',
+    'form_text.rho_1_x2.function': 'u^3 - 5/7 x + 1',
     'form_text.rho_1_x2.half_rho': '(-1/2) eta',
     'form_text.rho_1_x2.lower_degree': '(-1/2) dt + (u_x) dx + (t u_x) dt^w(u)',
     'form_text.rho_1_x2.minus_rho': '-eta',
     'form_text.rho_1_x2.minus_volume': '-eta',
-    'form_text.rho_1_x2.mixed': '(u)  + (x) eta + dx^w(u) + (2) w(u)^w(u_xx)',
+    'form_text.rho_1_x2.mixed': 'u + (x) eta + dx^w(u) + (2) w(u)^w(u_xx)',
     'form_text.rho_1_x2.not_divisible': '(x^2 + 2) dt^dx',
     'form_text.rho_1_x2.poly_volume': '(u^2 u_x + 1/2 t) eta',
     'form_text.rho_1_x2.rational_volume': '(-3/4) eta',
@@ -242,18 +242,18 @@ EXPECTED = {
     'form_text.rho_1_x2.rho_times_u': '(u) eta',
     'form_text.rho_1_x2.volume': 'eta',
     'form_text.rho_1_x2.zero': '0',
-    'form_text.rho_1_x2.zero_word': '- + -w(u_xx)',
+    'form_text.rho_1_x2.zero_word': '-1 + -w(u_xx)',
     'form_text.rho_2_tx.contact_fallback': '(x u - 1) dt^dx^w(u_t)',
     'form_text.rho_2_tx.contact_rho_u2': 'eta + (u^2) w(u)^eta',
     'form_text.rho_2_tx.contact_volume': '(u) w(u)^eta + (-2/3) w(u_xx)^eta',
     'form_text.rho_2_tx.dx_fallback': '(u + x) dt^dx',
     'form_text.rho_2_tx.dx_fallback_one': 'dt^dx',
-    'form_text.rho_2_tx.function': '(u^3 - 5/7 x + 1) ',
+    'form_text.rho_2_tx.function': 'u^3 - 5/7 x + 1',
     'form_text.rho_2_tx.half_rho': '(-1/2) eta',
     'form_text.rho_2_tx.lower_degree': '(-1/2) dt + (u_x) dx + (t u_x) dt^w(u)',
     'form_text.rho_2_tx.minus_rho': '-eta',
     'form_text.rho_2_tx.minus_volume': '-eta',
-    'form_text.rho_2_tx.mixed': '(u)  + (x) eta + dx^w(u) + (2) w(u)^w(u_xx)',
+    'form_text.rho_2_tx.mixed': 'u + (x) eta + dx^w(u) + (2) w(u)^w(u_xx)',
     'form_text.rho_2_tx.not_divisible': '(t x + 3) dt^dx',
     'form_text.rho_2_tx.poly_volume': '(u^2 u_x + 1/2 t) eta',
     'form_text.rho_2_tx.rational_volume': '(-3/4) eta',
@@ -261,7 +261,7 @@ EXPECTED = {
     'form_text.rho_2_tx.rho_times_u': '(u) eta',
     'form_text.rho_2_tx.volume': 'eta',
     'form_text.rho_2_tx.zero': '0',
-    'form_text.rho_2_tx.zero_word': '- + -w(u_xx)',
+    'form_text.rho_2_tx.zero_word': '-1 + -w(u_xx)',
     "latex_leaf.'symmetric hyperbolic'": '\\text{symmetric hyperbolic}',
     'latex_leaf.Fraction(-3, 4)': '-\\frac{3}{4}',
     'latex_leaf.Fraction(0, 1)': '0',
