@@ -211,3 +211,43 @@ class TestRendering:
         product = (u + x) * (u - x)
         assert product.div_exact(u + x) == u - x
         assert product.div_exact(u + 1) is None
+
+
+class TestWorkCounts:
+    """Work counts of the kernels, taken the way the benchmark's tracer takes
+    them (a wrapper on the class), so that a quadratic path cannot return
+    unnoticed."""
+
+    @staticmethod
+    def _record(monkeypatch, name, measure):
+        """Wrap `Poly.<name>` (and its aliases) and record measure(args) per call."""
+        original = vars(Poly)[name]
+        seen = []
+
+        def counted(*args):
+            seen.append(measure(*args))
+            return original(*args)
+
+        for key, value in list(vars(Poly).items()):
+            if value is original:
+                monkeypatch.setattr(Poly, key, counted)
+        return seen
+
+    def test_power_term_pairs(self, monkeypatch, chart_x_u):
+        base = chart_x_u.field(0) + chart_x_u.x(0) + 1
+        pairs = self._record(
+            monkeypatch, "__mul__",
+            lambda a, b: len(a.terms) * (len(b.terms) if isinstance(b, Poly) else 1),
+        )
+        assert len((base**31).terms) == 528
+        assert sum(pairs) <= 16368  # repeated squaring takes 48303
+
+    @pytest.mark.parametrize("density", ["1", "1 + x^2"])
+    def test_div_exact_adds_nothing(self, monkeypatch, chart_x_u, density):
+        x = chart_x_u.x(0)
+        rho = Poly.constant(1) if density == "1" else 1 + x**2
+        quotient = (chart_x_u.field(0) + x + 1) ** 12
+        numerator = quotient * rho
+        adds = self._record(monkeypatch, "__add__", lambda a, b: 1)
+        assert numerator.div_exact(rho) == quotient
+        assert adds == []  # the old division rebuilt the remainder per quotient term
