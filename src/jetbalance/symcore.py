@@ -142,7 +142,7 @@ def mono_key(m: Mono) -> tuple:
     """Sort key of the graded order: total degree first, then the exponents
     read from the highest-ranked variable downward (a larger exponent, or a
     variable the other monomial lacks, wins)."""
-    return (mono_degree(m), tuple((var_rank(var), e) for var, e in reversed(m)))
+    return (mono_degree(m), tuple([(var_rank(var), e) for var, e in reversed(m)]))
 
 
 def _canonical(mono) -> Mono:
@@ -465,8 +465,10 @@ class Poly:
         lead_mono = max(divisor.terms, key=mono_key)
         lead_coeff = divisor.terms[lead_mono]
         tail = [(m, c) for m, c in divisor.terms.items() if m != lead_mono]
-        # heap keys: the graded order over the variables present, negated so
-        # that the min-heap pops the leading monomial first
+        # heap key: the order of mono_key as an exponent vector over the
+        # variables present (degree first, then the highest-ranked variable
+        # down), negated so that the min-heap pops the leading monomial; it
+        # compares in C, where a reversed mono_key would call back into Python
         pool = sorted(self.variables() | divisor.variables(), key=var_rank, reverse=True)
         slot = {var: k for k, var in enumerate(pool, 1)}
 
