@@ -3,7 +3,9 @@
 `*`, `**`, `div_exact` and `sorted_terms` on seeded random polynomials are
 compared with `sympy.Poly` over the rationals.  The generators are the chart's
 variables in descending `var_rank`, so sympy's `grlex` order is the graded
-order the renderers print in.
+order the renderers print in.  `total_derivative` is checked by the chain rule
+on a polynomial section, and `euler_lagrange` against
+`sympy.calculus.euler.euler_equations`.
 """
 
 from __future__ import annotations
@@ -13,19 +15,21 @@ from fractions import Fraction
 
 import pytest
 
-from jetbalance import Chart, Poly
+from jetbalance import Chart, Poly, euler_lagrange
 from jetbalance.symcore import base_var, var_rank
 
 from conftest import random_poly, variable_pool
 
 sympy = pytest.importorskip("sympy")
+from sympy.calculus.euler import euler_equations  # noqa: E402
 
 CHARTS = (Chart(("x",), ("u",)), Chart(("t", "x"), ("u", "v")))
 ORDERS = (0, 1, 2)
 
 
 def _gens(chart: Chart):
-    pool = sorted(variable_pool(chart, max(ORDERS)), key=var_rank, reverse=True)
+    # one order above ORDERS: a total derivative raises the jet order
+    pool = sorted(variable_pool(chart, max(ORDERS) + 1), key=var_rank, reverse=True)
     return pool, sympy.symbols(f"g0:{len(pool)}")
 
 
@@ -104,3 +108,85 @@ def test_sorted_terms_is_grlex(chart, order, seed):
             for mono, c in p.sorted_terms()]
     expected = [t for t in _to_sympy(p, chart).terms(order="grlex") if t[1]]
     assert ours == expected
+
+
+def _section(rng: random.Random, chart: Chart, degree: int = 5):
+    """Base symbols and, per field, a seeded dense polynomial in them."""
+    xs = sympy.symbols(f"X0:{chart.n}")
+    monos = sympy.itermonomials(xs, degree)
+    fields = [sum(sympy.Rational(rng.randint(-3, 3), rng.randint(1, 3)) * m
+                  for m in sorted(monos, key=sympy.default_sort_key))
+              for _ in range(chart.m)]
+    return xs, fields
+
+
+def _on_section(p: Poly, xs, fields):
+    """p with x^mu -> X_mu and each jet variable z^i_Lambda -> the matching
+    derivative of field i."""
+    def value(var):
+        if var[0] == "b":
+            return xs[var[1]]
+        return sympy.diff(fields[var[1]], *zip(xs, var[2]))
+
+    return sympy.expand(sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(value(v) ** e for v, e in mono))
+        for mono, c in p.terms.items()
+    ))
+
+
+@pytest.mark.parametrize("chart,order,seed", _cases(24))
+def test_total_derivative_is_the_chain_rule(chart, order, seed):
+    rng = random.Random(seed)
+    p = random_poly(rng, chart, max_order=order, max_degree=3, max_terms=5)
+    xs, fields = _section(rng, chart)
+    on_section = _on_section(p, xs, fields)
+    for mu in range(chart.n):
+        assert _on_section(p.total_derivative(mu), xs, fields) == sympy.diff(on_section, xs[mu])
+
+
+def _jet_symbols(expr, funcs, xs):
+    """Each u_i(X) and derivative of it replaced by the symbol z{i}_{counts},
+    so that mixed derivatives compare whatever their variable order."""
+    def counts_of(d):
+        counts = [0] * len(xs)
+        for v, c in d.variable_count:
+            counts[xs.index(v)] += c
+        return tuple(counts)
+
+    def symbol(i, counts):
+        return sympy.Symbol(f"z{i}_" + "_".join(map(str, counts)))
+
+    expr = expr.replace(lambda e: isinstance(e, sympy.Derivative),
+                        lambda d: symbol(funcs.index(d.expr), counts_of(d)))
+    return expr.subs({f: symbol(i, (0,) * len(xs)) for i, f in enumerate(funcs)})
+
+
+@pytest.mark.parametrize("chart,order,seed", [
+    (CHARTS[k % 2], 1 + (k // 2) % 2, 2000 + k) for k in range(12)
+])
+def test_euler_lagrange_matches_sympy(chart, order, seed):
+    rng = random.Random(seed)
+    lagrangian = random_poly(rng, chart, max_order=order, max_degree=3, max_terms=4)
+    # sympy drops an equation that reduces to a constant; a quartic term per
+    # field keeps each one non-constant
+    lagrangian = lagrangian + sum((chart.field(i) ** 4 for i in range(chart.m)), Poly.zero())
+    xs = sympy.symbols(f"X0:{chart.n}")
+    funcs = [sympy.Function(f"u{i}")(*xs) for i in range(chart.m)]
+
+    def as_functions(p: Poly):
+        def value(var):
+            if var[0] == "b":
+                return xs[var[1]]
+            f = funcs[var[1]]
+            return sympy.Derivative(f, *zip(xs, var[2])) if any(var[2]) else f
+
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(value(v) ** e for v, e in mono))
+                           for mono, c in p.terms.items()))
+
+    ours = euler_lagrange(chart, lagrangian).components()
+    expected = euler_equations(as_functions(lagrangian), funcs, xs)
+    assert len(expected) == chart.m
+    for i, eq in enumerate(expected):
+        difference = _jet_symbols(as_functions(ours[i]) - eq.lhs + eq.rhs, funcs, list(xs))
+        assert sympy.expand(difference) == 0
