@@ -357,35 +357,48 @@ class Poly:
     # -- calculus ------------------------------------------------------------
 
     def partial(self, var: Var) -> "Poly":
-        """Formal partial derivative with respect to a single coordinate."""
+        """Formal partial derivative with respect to a single coordinate.
+        Lowering one exponent maps distinct monomials to distinct ones, so
+        every term is stored once."""
         out: dict[Mono, Fraction] = {}
         for mono, coeff in self.terms.items():
             for pos, (v, e) in enumerate(mono):
                 if v == var:
-                    if e == 1:
-                        new = mono[:pos] + mono[pos + 1 :]
-                    else:
-                        new = mono[:pos] + ((v, e - 1),) + mono[pos + 1 :]
-                    s = out.get(new, Fraction(0)) + coeff * e
-                    if s:
-                        out[new] = s
-                    else:
-                        out.pop(new, None)
+                    head = mono[:pos] + ((v, e - 1),) if e > 1 else mono[:pos]
+                    out[head + mono[pos + 1 :]] = coeff * e
                     break
         return Poly._raw(out)
 
     def total_derivative(self, mu: int) -> "Poly":
-        """Total derivative d_mu: the base partial plus promotion of every jet
-        variable present, z^i_Lambda -> z^i_{Lambda+1_mu}."""
-        result = self.partial(base_var(mu))
-        for var in self.variables():
-            if var[0] != "j":
-                continue
-            dp = self.partial(var)
-            if dp.is_zero:
-                continue
-            result = result + dp * Poly.variable(jet_var(var[1], mi_add(var[2], mu)))
-        return result
+        """Total derivative d_mu in one walk over each monomial's factors: a
+        factor x^mu is lowered, and a jet factor z^i_Lambda is lowered and
+        multiplied by its promotion z^i_{Lambda+1_mu}.  Each promoted factor
+        is built once per call and shared by every monomial it enters."""
+        base = base_var(mu)
+        promoted: dict[Var, Mono] = {}
+        out: dict[Mono, Fraction] = {}
+        for mono, coeff in self.terms.items():
+            for pos, (v, e) in enumerate(mono):
+                if v[0] == "j":
+                    up = promoted.get(v)
+                    if up is None:
+                        up = promoted[v] = ((jet_var(v[1], mi_add(v[2], mu)), 1),)
+                elif v == base:
+                    up = ()
+                else:
+                    continue
+                head = mono[:pos] + ((v, e - 1),) if e > 1 else mono[:pos]
+                new = mono_mul(head + mono[pos + 1 :], up)
+                prev = out.get(new)
+                if prev is None:
+                    out[new] = coeff * e
+                else:
+                    s = prev + coeff * e
+                    if s:
+                        out[new] = s
+                    else:
+                        del out[new]
+        return Poly._raw(out)
 
     def vertical_components(self) -> dict[int, "Poly"]:
         """Split into homogeneous components by vertical degree (jet-variable
