@@ -251,3 +251,21 @@ class TestWorkCounts:
         adds = self._record(monkeypatch, "__add__", lambda a, b: 1)
         assert numerator.div_exact(rho) == quotient
         assert adds == []  # the old division rebuilt the remainder per quotient term
+
+    def test_total_derivative_in_one_pass(self, monkeypatch, chart_tx_uv):
+        p = random_poly(random.Random(11), chart_tx_uv, max_order=2, max_degree=4, max_terms=8)
+        present = p.variables()
+        calls = [self._record(monkeypatch, name, lambda *args: 1)
+                 for name in ("partial", "__mul__", "__add__")]
+        derived = [p.total_derivative(mu) for mu in range(chart_tx_uv.n)]
+        # the per-variable kernel called partial for every variable present,
+        # then multiplied and added whole polynomials
+        assert calls == [[], [], []]
+        for d in derived:
+            occurrences: dict = {}  # promoted order-3 variable -> ids where it occurs
+            for mono in d.terms:
+                for var, _ in mono:
+                    if var not in present:
+                        occurrences.setdefault(var, []).append(id(var))
+            assert any(len(ids) > 1 for ids in occurrences.values())
+            assert all(len(set(ids)) == 1 for ids in occurrences.values())
