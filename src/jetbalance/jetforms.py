@@ -217,8 +217,8 @@ class Form:
                 if merged_c is None:
                     continue
                 sgn_c, cw = merged_c
-                coeff = p1 * p2 * Fraction(sign * sgn_h * sgn_c)
-                _accumulate(out, (hw, cw), coeff)
+                coeff = p1 * p2
+                _accumulate(out, (hw, cw), coeff if sign == sgn_h * sgn_c else -coeff)
         return self._raw(self.chart, out)
 
     # -- differentials ----------------------------------------------------------------------

@@ -59,7 +59,6 @@ class FunctionalForm:
         """The component polynomials (E_1, ..., E_m) of a source form (s = 1)."""
         chart = self.chart
         full_h = tuple(range(chart.n))
-        sign = Fraction(-1) ** chart.n
         comps = [Poly.zero()] * chart.m
         for (h, c), coeff in self.form.terms.items():
             if h != full_h or len(c) != 1 or any(c[0][1]):
@@ -67,7 +66,7 @@ class FunctionalForm:
                     "component extraction needs a source form: one order-0 "
                     "contact factor against the full horizontal volume"
                 )
-            comps[c[0][0]] = coeff * sign
+            comps[c[0][0]] = -coeff if chart.n % 2 else coeff
         return tuple(comps)
 
     def __add__(self, other: "FunctionalForm") -> "FunctionalForm":
@@ -83,12 +82,11 @@ def functional_from_components(chart: Chart, components) -> FunctionalForm:
     components = tuple(components)
     if len(components) != chart.m:
         raise InvalidSystemError("one component polynomial per field is required")
-    sign = Fraction(-1) ** chart.n
     full_h = tuple(range(chart.n))
     terms = {}
     for i, comp in enumerate(components):
         chart.validate_poly(comp)
-        coeff = comp * sign
+        coeff = -comp if chart.n % 2 else comp
         if not coeff.is_zero:
             terms[(full_h, ((i, chart.zero_index()),))] = coeff
     return FunctionalForm(Form(chart, terms))
