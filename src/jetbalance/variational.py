@@ -101,6 +101,14 @@ def _require_bidegree(form: Form, min_contact: int = 1) -> tuple:
     return degree
 
 
+def _total_derivative_along(piece, counts: tuple):
+    """The iterated total derivative D_counts of a Poly or a Form."""
+    for mu, reps in enumerate(counts):
+        for _ in range(reps):
+            piece = piece.total_derivative(mu)
+    return piece
+
+
 def interior_euler(form: Form) -> FunctionalForm:
     """Interior Euler operator: projects a homogeneous (n, s)-form, s >= 1,
     onto the functional forms.  The multi-index sum runs over the contact
@@ -118,10 +126,7 @@ def interior_euler(form: Form) -> FunctionalForm:
         gens.update(c)
     total = Form.zero(chart)
     for i, counts in sorted(gens):
-        piece = form.contract(jet_var(i, counts))
-        for mu, reps in enumerate(counts):
-            for _ in range(reps):
-                piece = piece.total_derivative(mu)
+        piece = _total_derivative_along(form.contract(jet_var(i, counts)), counts)
         if sum(counts) % 2:
             piece = -piece
         total = total + Form.contact(chart, i).wedge(piece)
@@ -180,10 +185,7 @@ def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:
         if var[0] != "j":
             continue
         i, counts = var[1], var[2]
-        piece = chart.rho * lagrangian.partial(var)
-        for mu, reps in enumerate(counts):
-            for _ in range(reps):
-                piece = piece.total_derivative(mu)
+        piece = _total_derivative_along(chart.rho * lagrangian.partial(var), counts)
         if sum(counts) % 2:
             piece = -piece
         comps[i] = comps[i] + piece
@@ -243,10 +245,7 @@ def higher_balance_residuals(data: HigherBalanceData) -> tuple:
         order = sum(counts)
         if order == 0:
             continue
-        piece = coeff * chart.rho
-        for mu, reps in enumerate(counts):
-            for _ in range(reps):
-                piece = piece.total_derivative(mu)
+        piece = _total_derivative_along(coeff * chart.rho, counts)
         if (order - 1) % 2:
             piece = -piece
         residuals[i] = residuals[i] + piece
