@@ -398,11 +398,11 @@ _LATEX = _Notation(
 
 
 def _render_form(form: Form, notation: _Notation, poly) -> str:
-    """The form word walker: words in degree order, each a coefficient times
-    its basis.  A top horizontal word whose coefficient the density divides
-    prints the quotient against the volume symbol in place of the dx
-    factors (eta detection); coefficients +-1 print as a sign, and a
-    function word prints as its bare coefficient."""
+    """The form word walker: words in degree order joined by their signs,
+    each a coefficient times its basis.  A top horizontal word whose
+    coefficient the density divides prints the quotient against the volume
+    symbol in place of the dx factors (eta detection); coefficients +-1
+    print as a sign, and a function word prints as its bare coefficient."""
     if form.is_zero:
         return "0"
     chart = form.chart
@@ -427,7 +427,7 @@ def _render_form(form: Form, notation: _Notation, poly) -> str:
             pieces.append(f"-{basis}")
         else:
             pieces.append(notation.coefficient.format(poly(coeff, chart), basis))
-    return " + ".join(pieces)
+    return pieces[0] + "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in pieces[1:])
 
 
 def form_text(form: Form) -> str:

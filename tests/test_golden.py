@@ -96,6 +96,14 @@ def test_latex_text_arguments_are_escaped():
             assert re.search(r"(?<!\\)_", argument) is None, (path.name, argument)
 
 
+def test_negative_words_join_with_a_minus():
+    """A form word with a negative sign joins the words before it as
+    ` - word`, never as ` + -word`."""
+    offenders = [path.name for path in sorted(GOLDEN.glob("*.txt"))
+                 if " + -" in path.read_text(encoding="utf-8")]
+    assert offenders == []
+
+
 # One job per (seed, job) pair keeps this to six interpreter starts.
 DETERMINISM_JOBS = (
     ("0", "plasticity.decompose.structured"),

@@ -145,7 +145,7 @@ EXPECTED = {
     'form_latex.greek.rational_volume': '\\left(-\\frac{3}{4}\\right) \\eta',
     'form_latex.greek.volume': '\\eta',
     'form_latex.greek.zero': '0',
-    'form_latex.greek.zero_word': '-1 + -\\omega^{\\alpha}_{\\eta\\eta}',
+    'form_latex.greek.zero_word': '-1 - \\omega^{\\alpha}_{\\eta\\eta}',
     'form_latex.plain.contact_fallback': '\\left(x u - 1\\right) \\omega^{u}_{t} \\wedge \\eta',
     'form_latex.plain.contact_volume': '\\left(u\\right) \\omega^{u} \\wedge \\eta + \\left(-\\frac{2}{3}\\right) \\omega^{u}_{xx} \\wedge \\eta',
     'form_latex.plain.dx_fallback': '\\left(u + x\\right) \\eta',
@@ -158,7 +158,7 @@ EXPECTED = {
     'form_latex.plain.rational_volume': '\\left(-\\frac{3}{4}\\right) \\eta',
     'form_latex.plain.volume': '\\eta',
     'form_latex.plain.zero': '0',
-    'form_latex.plain.zero_word': '-1 + -\\omega^{u}_{xx}',
+    'form_latex.plain.zero_word': '-1 - \\omega^{u}_{xx}',
     'form_latex.rho_1_x2.contact_fallback': '\\left(x u - 1\\right) dt \\wedge dx \\wedge \\omega^{u}_{t}',
     'form_latex.rho_1_x2.contact_rho_u2': '\\eta + \\left(u^{2}\\right) \\omega^{u} \\wedge \\eta',
     'form_latex.rho_1_x2.contact_volume': '\\left(u\\right) \\omega^{u} \\wedge \\eta + \\left(-\\frac{2}{3}\\right) \\omega^{u}_{xx} \\wedge \\eta',
@@ -177,7 +177,7 @@ EXPECTED = {
     'form_latex.rho_1_x2.rho_times_u': '\\left(u\\right) \\eta',
     'form_latex.rho_1_x2.volume': '\\eta',
     'form_latex.rho_1_x2.zero': '0',
-    'form_latex.rho_1_x2.zero_word': '-1 + -\\omega^{u}_{xx}',
+    'form_latex.rho_1_x2.zero_word': '-1 - \\omega^{u}_{xx}',
     'form_latex.rho_2_tx.contact_fallback': '\\left(x u - 1\\right) dt \\wedge dx \\wedge \\omega^{u}_{t}',
     'form_latex.rho_2_tx.contact_rho_u2': '\\eta + \\left(u^{2}\\right) \\omega^{u} \\wedge \\eta',
     'form_latex.rho_2_tx.contact_volume': '\\left(u\\right) \\omega^{u} \\wedge \\eta + \\left(-\\frac{2}{3}\\right) \\omega^{u}_{xx} \\wedge \\eta',
@@ -196,7 +196,7 @@ EXPECTED = {
     'form_latex.rho_2_tx.rho_times_u': '\\left(u\\right) \\eta',
     'form_latex.rho_2_tx.volume': '\\eta',
     'form_latex.rho_2_tx.zero': '0',
-    'form_latex.rho_2_tx.zero_word': '-1 + -\\omega^{u}_{xx}',
+    'form_latex.rho_2_tx.zero_word': '-1 - \\omega^{u}_{xx}',
     'form_text.greek.contact': 'w(alpha_xieta)^eta',
     'form_text.greek.contact_fallback': '(eta alpha - 1) w(alpha_xi)^eta',
     'form_text.greek.contact_volume': '(alpha) w(alpha)^eta + (-2/3) w(alpha_etaeta)^eta',
@@ -210,7 +210,7 @@ EXPECTED = {
     'form_text.greek.rational_volume': '(-3/4) eta',
     'form_text.greek.volume': 'eta',
     'form_text.greek.zero': '0',
-    'form_text.greek.zero_word': '-1 + -w(alpha_etaeta)',
+    'form_text.greek.zero_word': '-1 - w(alpha_etaeta)',
     'form_text.plain.contact_fallback': '(x u - 1) w(u_t)^eta',
     'form_text.plain.contact_volume': '(u) w(u)^eta + (-2/3) w(u_xx)^eta',
     'form_text.plain.dx_fallback': '(u + x) eta',
@@ -223,7 +223,7 @@ EXPECTED = {
     'form_text.plain.rational_volume': '(-3/4) eta',
     'form_text.plain.volume': 'eta',
     'form_text.plain.zero': '0',
-    'form_text.plain.zero_word': '-1 + -w(u_xx)',
+    'form_text.plain.zero_word': '-1 - w(u_xx)',
     'form_text.rho_1_x2.contact_fallback': '(x u - 1) dt^dx^w(u_t)',
     'form_text.rho_1_x2.contact_rho_u2': 'eta + (u^2) w(u)^eta',
     'form_text.rho_1_x2.contact_volume': '(u) w(u)^eta + (-2/3) w(u_xx)^eta',
@@ -242,7 +242,7 @@ EXPECTED = {
     'form_text.rho_1_x2.rho_times_u': '(u) eta',
     'form_text.rho_1_x2.volume': 'eta',
     'form_text.rho_1_x2.zero': '0',
-    'form_text.rho_1_x2.zero_word': '-1 + -w(u_xx)',
+    'form_text.rho_1_x2.zero_word': '-1 - w(u_xx)',
     'form_text.rho_2_tx.contact_fallback': '(x u - 1) dt^dx^w(u_t)',
     'form_text.rho_2_tx.contact_rho_u2': 'eta + (u^2) w(u)^eta',
     'form_text.rho_2_tx.contact_volume': '(u) w(u)^eta + (-2/3) w(u_xx)^eta',
@@ -261,7 +261,7 @@ EXPECTED = {
     'form_text.rho_2_tx.rho_times_u': '(u) eta',
     'form_text.rho_2_tx.volume': 'eta',
     'form_text.rho_2_tx.zero': '0',
-    'form_text.rho_2_tx.zero_word': '-1 + -w(u_xx)',
+    'form_text.rho_2_tx.zero_word': '-1 - w(u_xx)',
     "latex_leaf.'symmetric hyperbolic'": '\\text{symmetric hyperbolic}',
     'latex_leaf.Fraction(-3, 4)': '-\\frac{3}{4}',
     'latex_leaf.Fraction(0, 1)': '0',
