@@ -217,8 +217,7 @@ class Form:
                 if merged_c is None:
                     continue
                 sgn_c, cw = merged_c
-                coeff = p1 * p2
-                _accumulate(out, (hw, cw), coeff if sign == sgn_h * sgn_c else -coeff)
+                _accumulate(out, (hw, cw), p1 * p2 if sign == sgn_h * sgn_c else -(p1 * p2))
         return self._raw(self.chart, out)
 
     # -- differentials ----------------------------------------------------------------------

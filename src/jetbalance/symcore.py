@@ -365,15 +365,14 @@ class Poly:
             for pos, (v, e) in enumerate(mono):
                 if v == var:
                     head = mono[:pos] + ((v, e - 1),) if e > 1 else mono[:pos]
-                    out[head + mono[pos + 1 :]] = coeff * e
+                    out[head + mono[pos + 1 :]] = coeff * e if e > 1 else coeff
                     break
         return Poly._raw(out)
 
     def total_derivative(self, mu: int) -> "Poly":
-        """Total derivative d_mu in one walk over each monomial's factors: a
-        factor x^mu is lowered, and a jet factor z^i_Lambda is lowered and
-        multiplied by its promotion z^i_{Lambda+1_mu}.  Each promoted factor
-        is built once per call and shared by every monomial it enters."""
+        """Total derivative d_mu in one walk over each monomial's factors: x^mu
+        is lowered, and a jet factor z^i_Lambda is lowered and multiplied by
+        its promotion z^i_{Lambda+1_mu}, built once per call and shared."""
         base = base_var(mu)
         promoted: dict[Var, Mono] = {}
         out: dict[Mono, Fraction] = {}
@@ -387,13 +386,15 @@ class Poly:
                     up = ()
                 else:
                     continue
+                # the promoted variable ranks above v: it merges into the tail
                 head = mono[:pos] + ((v, e - 1),) if e > 1 else mono[:pos]
-                new = mono_mul(head + mono[pos + 1 :], up)
+                new = head + mono_mul(mono[pos + 1 :], up)
+                c = coeff * e if e > 1 else coeff
                 prev = out.get(new)
                 if prev is None:
-                    out[new] = coeff * e
+                    out[new] = c
                 else:
-                    s = prev + coeff * e
+                    s = prev + c
                     if s:
                         out[new] = s
                     else:
