@@ -373,7 +373,6 @@ class Poly:
         """Total derivative d_mu in one walk over each monomial's factors: x^mu
         is lowered, and a jet factor z^i_Lambda is lowered and multiplied by
         its promotion z^i_{Lambda+1_mu}, built once per call and shared."""
-        base = base_var(mu)
         promoted: dict[Var, Mono] = {}
         out: dict[Mono, Fraction] = {}
         for mono, coeff in self.terms.items():
@@ -382,7 +381,7 @@ class Poly:
                     up = promoted.get(v)
                     if up is None:
                         up = promoted[v] = ((jet_var(v[1], mi_add(v[2], mu)), 1),)
-                elif v == base:
+                elif v[1] == mu:  # the base coordinate x^mu
                     up = ()
                 else:
                     continue

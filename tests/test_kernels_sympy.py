@@ -120,6 +120,13 @@ def _section(rng: random.Random, chart: Chart, degree: int = 5):
     return xs, fields
 
 
+def _expr(p: Poly, value):
+    """p as a sympy expression, each variable replaced by value(var)."""
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(value(v) ** e for v, e in mono))
+                       for mono, c in p.terms.items()))
+
+
 def _on_section(p: Poly, xs, fields):
     """p with x^mu -> X_mu and each jet variable z^i_Lambda -> the matching
     derivative of field i."""
@@ -128,10 +135,7 @@ def _on_section(p: Poly, xs, fields):
             return xs[var[1]]
         return sympy.diff(fields[var[1]], *zip(xs, var[2]))
 
-    return sympy.expand(sum(
-        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(value(v) ** e for v, e in mono))
-        for mono, c in p.terms.items()
-    ))
+    return sympy.expand(_expr(p, value))
 
 
 @pytest.mark.parametrize("chart,order,seed", _cases(24))
@@ -173,20 +177,15 @@ def test_euler_lagrange_matches_sympy(chart, order, seed):
     xs = sympy.symbols(f"X0:{chart.n}")
     funcs = [sympy.Function(f"u{i}")(*xs) for i in range(chart.m)]
 
-    def as_functions(p: Poly):
-        def value(var):
-            if var[0] == "b":
-                return xs[var[1]]
-            f = funcs[var[1]]
-            return sympy.Derivative(f, *zip(xs, var[2])) if any(var[2]) else f
-
-        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
-                           * sympy.Mul(*(value(v) ** e for v, e in mono))
-                           for mono, c in p.terms.items()))
+    def value(var):  # x^mu -> X_mu, z^i_Lambda -> the derivative of u_i(X)
+        if var[0] == "b":
+            return xs[var[1]]
+        f = funcs[var[1]]
+        return sympy.Derivative(f, *zip(xs, var[2])) if any(var[2]) else f
 
     ours = euler_lagrange(chart, lagrangian).components()
-    expected = euler_equations(as_functions(lagrangian), funcs, xs)
+    expected = euler_equations(_expr(lagrangian, value), funcs, xs)
     assert len(expected) == chart.m
     for i, eq in enumerate(expected):
-        difference = _jet_symbols(as_functions(ours[i]) - eq.lhs + eq.rhs, funcs, list(xs))
+        difference = _jet_symbols(_expr(ours[i], value) - eq.lhs + eq.rhs, funcs, list(xs))
         assert sympy.expand(difference) == 0
