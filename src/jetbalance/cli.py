@@ -339,7 +339,7 @@ class _Parser:
                     self.fail(
                         "division is only defined by nonzero rational constants", div_tok
                     )
-                value = value * (Fraction(1) / divisor.constant_term())
+                value = value / divisor.constant_term()
             elif self._starts_factor():
                 value = value * self._factor(scope)
             else:

@@ -224,15 +224,11 @@ class Form:
 
     def d_V(self) -> "Form":
         """Vertical differential: raises contact degree by one; kills dx and
-        the basic contact generators themselves."""
+        the basic contact generators themselves.  Each coefficient is walked
+        once for the partials along all of its jet variables."""
         out: dict[Word, Poly] = {}
         for (h, c), coeff in self.terms.items():
-            for var in coeff.variables():
-                if var[0] != "j":
-                    continue
-                dp = coeff.partial(var)
-                if dp.is_zero:
-                    continue
+            for var, dp in coeff.jet_partials().items():
                 gen = (var[1], var[2])
                 parity = _merge_parity((), c, gen)
                 if parity is None:
@@ -358,7 +354,7 @@ def _latex_name(name: str) -> str:
     return f"\\{name}" if name in _GREEK else name
 
 
-def latex_rational(q: Fraction) -> str:
+def latex_rational(q: int | Fraction) -> str:
     """A rational in LaTeX: the integer itself, otherwise a signed \\frac."""
     if q.denominator == 1:
         return str(q.numerator)

@@ -14,9 +14,13 @@ derivatives per coordinate matters, so the representation is canonical).
 A monomial is a tuple of (variable, exponent) pairs with positive exponents,
 sorted by the canonical variable ranking: base coordinates first, then jet
 variables graded by derivative order, multi-index, field.  A polynomial maps
-monomials to nonzero Fraction coefficients; the zero polynomial stores no
-terms.  All coefficients are exact rationals with arbitrary-precision
-integers; no floating point enters any computation in this package.
+monomials to nonzero exact rational coefficients; the zero polynomial stores
+no terms.  Integral coefficients are Python ints and the others Fractions (the
+integer and rational ground types side by side, as in sympy.polys): every
+constructor, division and scaling stores an integral value as an int, and
+sums and products follow Python's exact mixed int/Fraction arithmetic.
+Fraction(3) == 3 with equal hashes, so equality does not see the type.  No
+floating point enters any computation in this package.
 """
 
 from __future__ import annotations
@@ -153,6 +157,14 @@ def _canonical(mono) -> Mono:
     return tuple(sorted(((var, e) for var, e in exps.items() if e), key=lambda it: var_rank(it[0])))
 
 
+def _exact(c):
+    """An integral rational as an int; any other stays a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+_ONE = {(): 1}  # the terms of the constant 1
+
+
 def _mono_div(a: Mono, b: Mono) -> Mono | None:
     """a / b as a monomial, or None if some exponent would go negative."""
     exps = dict(a)
@@ -170,7 +182,9 @@ def _mono_div(a: Mono, b: Mono) -> Mono | None:
 
 
 class Poly:
-    """Immutable sparse polynomial: monomial -> nonzero Fraction.
+    """Immutable sparse polynomial: monomial -> nonzero int or Fraction (an
+    int wherever a constructor, a division or a scaling makes the value
+    integral).
 
     Values are never mutated after construction; every operation returns a
     fresh polynomial, so instances may be shared freely across threads.
@@ -181,10 +195,10 @@ class Poly:
     def __init__(self, terms: Mapping[Mono, Fraction | int] | None = None):
         """Monomials are brought into canonical form: factors sorted by
         rank, repeated variables merged, zero exponents dropped."""
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[Mono, int | Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is int else _exact(Fraction(coeff))
                 if c:
                     mono = _canonical(mono)
                     prev = clean.get(mono)
@@ -203,7 +217,7 @@ class Poly:
     @classmethod
     def _raw(cls, terms: dict) -> "Poly":
         """Internal: adopt terms that are already canonical (sorted
-        monomials, nonzero Fraction coefficients) without a check."""
+        monomials, nonzero int or Fraction coefficients) without a check."""
         p = cls.__new__(cls)
         p.terms = terms
         return p
@@ -214,12 +228,12 @@ class Poly:
 
     @classmethod
     def constant(cls, value: Fraction | int) -> "Poly":
-        c = Fraction(value)
+        c = value if type(value) is int else _exact(Fraction(value))
         return cls._raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, var: Var) -> "Poly":
-        return cls._raw({((var, 1),): Fraction(1)})
+        return cls._raw({((var, 1),): 1})
 
     # -- basic protocol ------------------------------------------------------
 
@@ -291,7 +305,11 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Mono, Fraction] = {}
+        if o.terms == _ONE:
+            return self
+        if self.terms == _ONE:
+            return o
+        out: dict[Mono, int | Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in o.terms.items():
                 mono = mono_mul(ma, mb)
@@ -312,8 +330,14 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a polynomial by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return self._scale(Fraction(1) / other)
         return NotImplemented
+
+    def _scale(self, q: Fraction) -> "Poly":
+        """Every coefficient times the nonzero rational q."""
+        if q == 1:
+            return self
+        return Poly._raw({mono: _exact(c * q) for mono, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
         """A one-term base is raised directly; any other base is multiplied
@@ -347,8 +371,8 @@ class Poly:
         """Highest derivative order among jet variables present (0 if none)."""
         return max((mono_jet_order(m) for m in self.terms), default=0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((), 0)
 
     def sorted_terms(self) -> list:
         """Terms in descending canonical (graded) order; leading term first."""
@@ -360,7 +384,7 @@ class Poly:
         """Formal partial derivative with respect to a single coordinate.
         Lowering one exponent maps distinct monomials to distinct ones, so
         every term is stored once."""
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for mono, coeff in self.terms.items():
             for pos, (v, e) in enumerate(mono):
                 if v == var:
@@ -369,12 +393,23 @@ class Poly:
                     break
         return Poly._raw(out)
 
+    def jet_partials(self) -> dict[Var, "Poly"]:
+        """The partial derivative along every jet variable present, in one
+        walk over each monomial's factors: jet variable -> Poly."""
+        parts: dict[Var, dict] = {}
+        for mono, coeff in self.terms.items():
+            for pos, (v, e) in enumerate(mono):
+                if v[0] == "j":
+                    head = mono[:pos] + ((v, e - 1),) if e > 1 else mono[:pos]
+                    parts.setdefault(v, {})[head + mono[pos + 1 :]] = coeff * e if e > 1 else coeff
+        return {v: Poly._raw(t) for v, t in parts.items()}
+
     def total_derivative(self, mu: int) -> "Poly":
         """Total derivative d_mu in one walk over each monomial's factors: x^mu
         is lowered, and a jet factor z^i_Lambda is lowered and multiplied by
         its promotion z^i_{Lambda+1_mu}, built once per call and shared."""
         promoted: dict[Var, Mono] = {}
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for mono, coeff in self.terms.items():
             for pos, (v, e) in enumerate(mono):
                 if v[0] == "j":
@@ -403,7 +438,7 @@ class Poly:
     def vertical_components(self) -> dict[int, "Poly"]:
         """Split into homogeneous components by vertical degree (jet-variable
         exponent total); base coordinates count as degree zero."""
-        buckets: dict[int, dict[Mono, Fraction]] = {}
+        buckets: dict[int, dict[Mono, int | Fraction]] = {}
         for mono, coeff in self.terms.items():
             buckets.setdefault(mono_vertical_degree(mono), {})[mono] = coeff
         return {d: Poly._raw(t) for d, t in sorted(buckets.items())}
@@ -425,7 +460,7 @@ class Poly:
 
         Raises NonIntegrableError when some monomial has d + exponent + 1 <= 0.
         """
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for mono, coeff in self.terms.items():
             denom = mono_vertical_degree(mono) + exponent + 1
             if denom <= 0:
@@ -433,7 +468,7 @@ class Poly:
                     f"scaling integral diverges: monomial of vertical degree "
                     f"{mono_vertical_degree(mono)} with t-exponent {exponent}"
                 )
-            out[mono] = coeff * Fraction(1, denom)
+            out[mono] = _exact(coeff * Fraction(1, denom))
         return Poly._raw(out)
 
     # -- substitution ----------------------------------------------------------
@@ -474,7 +509,7 @@ class Poly:
         if divisor.is_zero:
             raise ZeroDivisionError("division of a polynomial by zero")
         if tuple(divisor.terms) == ((),):
-            return self * (1 / divisor.terms[()])
+            return self._scale(Fraction(1) / divisor.terms[()])
         lead_mono = max(divisor.terms, key=mono_key)
         lead_coeff = divisor.terms[lead_mono]
         tail = [(m, c) for m, c in divisor.terms.items() if m != lead_mono]
@@ -495,7 +530,7 @@ class Poly:
         rem = dict(self.terms)
         heap = [(heap_key(m), m) for m in rem]
         heapify(heap)
-        quot: dict[Mono, Fraction] = {}
+        quot: dict[Mono, int | Fraction] = {}
         while heap:
             mono = heappop(heap)[1]
             coeff = rem.pop(mono, None)
@@ -504,7 +539,7 @@ class Poly:
             q_mono = _mono_div(mono, lead_mono)
             if q_mono is None:
                 return None
-            q_coeff = coeff / lead_coeff
+            q_coeff = _exact(Fraction(coeff) / lead_coeff)
             quot[q_mono] = q_coeff
             for m, c in tail:
                 prod = mono_mul(q_mono, m)

@@ -17,7 +17,6 @@ Conventions, fixed once and used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .jetforms import BidegreeError, Form, _accumulate
@@ -27,7 +26,6 @@ from .symcore import (
     InvalidSystemError,
     Poly,
     jet_var,
-    mono_vertical_degree,
 )
 
 
@@ -92,15 +90,6 @@ def functional_from_components(chart: Chart, components) -> FunctionalForm:
     return FunctionalForm(Form(chart, terms))
 
 
-def _require_bidegree(form: Form, min_contact: int = 1) -> tuple:
-    degree = form.bidegree()
-    if degree is None:
-        return None
-    if degree[1] < min_contact:
-        raise BidegreeError(f"operator needs contact degree >= {min_contact}, got {degree}")
-    return degree
-
-
 def _total_derivative_along(piece, counts: tuple):
     """The iterated total derivative D_counts of a Poly or a Form."""
     for mu, reps in enumerate(counts):
@@ -130,7 +119,7 @@ def interior_euler(form: Form) -> FunctionalForm:
         if sum(counts) % 2:
             piece = -piece
         total = total + Form.contact(chart, i).wedge(piece)
-    return FunctionalForm(total * Fraction(1, s_c))
+    return FunctionalForm(Form._raw(chart, {w: c / s_c for w, c in total.terms.items()}))
 
 
 def vertical_homotopy(form: Form) -> Form:
@@ -147,17 +136,10 @@ def vertical_homotopy(form: Form) -> Form:
     chart = form.chart
     out: dict = {}
     for (h, c), coeff in form.terms.items():
+        weighted = coeff.scale_integrate(s - 1)  # each monomial times 1/(d + s)
         for q, gen in enumerate(c):
-            sign = -1 if (len(h) + q) % 2 else 1
-            word = (h, c[:q] + c[q + 1 :])
-            zvar = Poly.variable(jet_var(gen[0], gen[1]))
-            scaled = Poly._raw(
-                {
-                    mono: val * Fraction(sign, mono_vertical_degree(mono) + s)
-                    for mono, val in coeff.terms.items()
-                }
-            )
-            _accumulate(out, word, scaled * zvar)
+            piece = weighted * Poly.variable(jet_var(gen[0], gen[1]))
+            _accumulate(out, (h, c[:q] + c[q + 1 :]), -piece if (len(h) + q) % 2 else piece)
     return Form._raw(chart, out)
 
 
@@ -181,11 +163,8 @@ def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:
     the density-weighted partials, expressed against the coordinate volume."""
     chart.validate_poly(lagrangian)
     comps = [Poly.zero()] * chart.m
-    for var in sorted(lagrangian.variables()):
-        if var[0] != "j":
-            continue
-        i, counts = var[1], var[2]
-        piece = _total_derivative_along(chart.rho * lagrangian.partial(var), counts)
+    for (_, i, counts), dp in sorted(lagrangian.jet_partials().items()):
+        piece = _total_derivative_along(chart.rho * dp, counts)
         if sum(counts) % 2:
             piece = -piece
         comps[i] = comps[i] + piece

@@ -1,7 +1,8 @@
 """Differential test of the symcore kernels against sympy.
 
 `*`, `**`, `div_exact` and `sorted_terms` on seeded random polynomials are
-compared with `sympy.Poly` over the rationals.  The generators are the chart's
+compared with `sympy.Poly` over the rationals, and every coefficient met on
+the way is an int or a Fraction, never a float.  The generators are the chart's
 variables in descending `var_rank`, so sympy's `grlex` order is the graded
 order the renderers print in.  `total_derivative` is checked by the chain rule
 on a polynomial section, and `euler_lagrange` against
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from jetbalance import Chart, Poly, euler_lagrange
-from jetbalance.symcore import base_var, var_rank
+from jetbalance.symcore import base_var, jet_var, var_rank
 
 from conftest import random_poly, variable_pool
 
@@ -40,10 +41,15 @@ def _exponents(mono, pool) -> tuple:
     return tuple(exps)
 
 
+def _no_floats(p: Poly) -> Poly:
+    assert all(type(c) in (int, Fraction) for c in p.terms.values())
+    return p
+
+
 def _to_sympy(p: Poly, chart: Chart):
     pool, gens = _gens(chart)
     coeffs = {_exponents(mono, pool): sympy.Rational(c.numerator, c.denominator)
-              for mono, c in p.terms.items()}
+              for mono, c in _no_floats(p).terms.items()}
     if not coeffs:
         coeffs = {(0,) * len(pool): sympy.Integer(0)}
     return sympy.Poly.from_dict(coeffs, *gens, domain="QQ")
@@ -110,6 +116,25 @@ def test_sorted_terms_is_grlex(chart, order, seed):
     assert ours == expected
 
 
+def test_integral_coefficients_are_ints():
+    u = CHARTS[1].field(0)
+    assert all(type(c) is int for c in ((u + _X + 1) ** 12).terms.values())
+    assert [type(c) for c in u.terms.values()] == [int]
+    assert [type(c) for c in (2 * u / 2).terms.values()] == [int]
+    quarter = Poly.constant(Fraction(1, 2)) / 2
+    assert quarter.terms == {(): Fraction(1, 4)} and type(quarter.terms[()]) is Fraction
+
+
+def test_evaluate_returns_a_fraction():
+    """Report leaves are Fractions (the renderers dispatch on the type), so
+    a value at an integral point is a Fraction although the coefficients
+    are ints."""
+    u = CHARTS[1].field(0)
+    point = {base_var(1): 2, jet_var(0, (0, 0)): -1}
+    for p, value in (((u + _X + 1) ** 3, 8), (Poly.constant(3), 3), (Poly.zero(), 0)):
+        assert type(p.evaluate(point)) is Fraction and p.evaluate(point) == value
+
+
 def _section(rng: random.Random, chart: Chart, degree: int = 5):
     """Base symbols and, per field, a seeded dense polynomial in them."""
     xs = sympy.symbols(f"X0:{chart.n}")
@@ -124,7 +149,7 @@ def _expr(p: Poly, value):
     """p as a sympy expression, each variable replaced by value(var)."""
     return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*(value(v) ** e for v, e in mono))
-                       for mono, c in p.terms.items()))
+                       for mono, c in _no_floats(p).terms.items()))
 
 
 def _on_section(p: Poly, xs, fields):

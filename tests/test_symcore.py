@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from jetbalance import Chart, NonIntegrableError, Poly, poly_text
+from jetbalance import Chart, Form, NonIntegrableError, Poly, balance_residuals, poly_text
 from jetbalance.symcore import base_var, jet_var
 
-from conftest import polys, random_poly
+from conftest import polys, random_poly, random_system
 
 
 class TestArithmetic:
@@ -269,3 +269,32 @@ class TestWorkCounts:
                         occurrences.setdefault(var, []).append(id(var))
             assert any(len(ids) > 1 for ids in occurrences.values())
             assert all(len(set(ids)) == 1 for ids in occurrences.values())
+
+    def test_products_with_one_build_nothing(self, monkeypatch, chart_tx_uv):
+        """Without a density, rho = 1 multiplies every flux and source in
+        balance_residuals; each such product returns the other factor."""
+        bs = random_system(random.Random(5), chart_tx_uv)
+        mul = vars(Poly)["__mul__"]
+        built = []  # per product with the constant 1: was a new polynomial built?
+
+        def counted(a, b):
+            out = mul(a, b)
+            if Poly.constant(1) in (a, b):
+                built.append(out is not a and out is not b)
+            return out
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        monkeypatch.setattr(Poly, "__rmul__", counted)
+        balance_residuals(bs)
+        assert built and not any(built)
+
+    def test_d_V_in_one_pass(self, monkeypatch, chart_tx_uv):
+        p = random_poly(random.Random(11), chart_tx_uv, max_order=2, max_degree=4, max_terms=8)
+        partials = self._record(monkeypatch, "partial", lambda *args: 1)
+        dv = Form.function(chart_tx_uv, p).d_V()
+        # the per-variable differential called partial once for every variable
+        assert partials == []
+        monkeypatch.undo()
+        jets = [var for var in p.variables() if var[0] == "j"]
+        assert len(jets) > 1
+        assert dv.terms == {((), ((var[1], var[2]),)): p.partial(var) for var in jets}
