@@ -69,6 +69,27 @@ def _polys(chart):
     }
 
 
+def _integral_cases(kind) -> dict:
+    """Case id -> rendering, over coefficients 2, -1 and 1 made by `kind`
+    (int or Fraction): constant and non-constant polynomials, and +-1 form
+    words.  A sum of Fractions that comes out integral stays a Fraction, so
+    both types reach the renderers."""
+    [mono] = (PLAIN.field(0) ** 2 * _jet(PLAIN, 0, 0, 1)).terms
+    [t] = PLAIN.x(0).terms
+    cases = {}
+    for value in (2, -1, 1):
+        c = kind(value)
+        for name, p in (("constant", Poly._raw({(): c})), ("monomial", Poly._raw({mono: c, t: c}))):
+            cases[f"poly_text.integral.{name}_{value}"] = lambda p=p: poly_text(p, PLAIN)
+            cases[f"poly_latex.integral.{name}_{value}"] = lambda p=p: poly_latex(p, PLAIN)
+    for value in (1, -1):
+        one = Poly._raw({(): kind(value)})
+        form = Form(PLAIN, {((), ()): one, ((1,), ((0, (0, 0)),)): one, ((0, 1), ()): one})
+        cases[f"form_text.integral.words_{value}"] = lambda f=form: form_text(f)
+        cases[f"form_latex.integral.words_{value}"] = lambda f=form: form_latex(f)
+    return cases
+
+
 def build_cases() -> dict:
     """Case id -> the rendered string (computed when the test runs)."""
     cases = {}
@@ -126,6 +147,7 @@ def build_cases() -> dict:
         "F[u,t] = u; F[u,xx] = -u_x^2/3; F[v,tx] = v u_tx; Pi[u] = 2 t; Pi[v] = 0;"
     )
     cases["render_system"] = lambda: render_system(doc)
+    cases.update(_integral_cases(Fraction))
     return cases
 
 
@@ -146,6 +168,8 @@ EXPECTED = {
     'form_latex.greek.volume': '\\eta',
     'form_latex.greek.zero': '0',
     'form_latex.greek.zero_word': '-1 - \\omega^{\\alpha}_{\\eta\\eta}',
+    'form_latex.integral.words_-1': '-1 - \\eta - dx \\wedge \\omega^{u}',
+    'form_latex.integral.words_1': '1 + \\eta + dx \\wedge \\omega^{u}',
     'form_latex.plain.contact_fallback': '\\left(x u - 1\\right) \\omega^{u}_{t} \\wedge \\eta',
     'form_latex.plain.contact_volume': '\\left(u\\right) \\omega^{u} \\wedge \\eta + \\left(-\\frac{2}{3}\\right) \\omega^{u}_{xx} \\wedge \\eta',
     'form_latex.plain.dx_fallback': '\\left(u + x\\right) \\eta',
@@ -211,6 +235,8 @@ EXPECTED = {
     'form_text.greek.volume': 'eta',
     'form_text.greek.zero': '0',
     'form_text.greek.zero_word': '-1 - w(alpha_etaeta)',
+    'form_text.integral.words_-1': '-1 - eta - dx^w(u)',
+    'form_text.integral.words_1': '1 + eta + dx^w(u)',
     'form_text.plain.contact_fallback': '(x u - 1) w(u_t)^eta',
     'form_text.plain.contact_volume': '(u) w(u)^eta + (-2/3) w(u_xx)^eta',
     'form_text.plain.dx_fallback': '(u + x) eta',
@@ -276,6 +302,12 @@ EXPECTED = {
     'poly_latex.greek.powers': '\\alpha^{3} \\alpha_{\\eta\\eta} + 3 \\eta \\alpha^{2} \\alpha_{\\eta\\eta} + 3 \\eta^{2} \\alpha \\alpha_{\\eta\\eta} + \\eta^{3} \\alpha_{\\eta\\eta} - \\frac{2}{5} \\alpha_{\\eta\\eta}^{2}',
     'poly_latex.greek.rational': '\\frac{7}{3} \\xi \\eta^{3} - \\frac{1}{2} \\alpha^{2} - 1',
     'poly_latex.greek.zero': '0',
+    'poly_latex.integral.constant_-1': '-1',
+    'poly_latex.integral.constant_1': '1',
+    'poly_latex.integral.constant_2': '2',
+    'poly_latex.integral.monomial_-1': '-u^{2} u_{x} - t',
+    'poly_latex.integral.monomial_1': 'u^{2} u_{x} + t',
+    'poly_latex.integral.monomial_2': '2 u^{2} u_{x} + 2 t',
     'poly_latex.plain.leading_minus': '-u_{x} - t',
     'poly_latex.plain.minus_rational': '-\\frac{3}{4}',
     'poly_latex.plain.monic': 'u^{2} u_{x} - u_{tx}',
@@ -310,6 +342,12 @@ EXPECTED = {
     'poly_text.greek.powers': 'alpha^3 alpha_etaeta + 3 eta alpha^2 alpha_etaeta + 3 eta^2 alpha alpha_etaeta + eta^3 alpha_etaeta - 2/5 alpha_etaeta^2',
     'poly_text.greek.rational': '7/3 xi eta^3 - 1/2 alpha^2 - 1',
     'poly_text.greek.zero': '0',
+    'poly_text.integral.constant_-1': '-1',
+    'poly_text.integral.constant_1': '1',
+    'poly_text.integral.constant_2': '2',
+    'poly_text.integral.monomial_-1': '-u^2 u_x - t',
+    'poly_text.integral.monomial_1': 'u^2 u_x + t',
+    'poly_text.integral.monomial_2': '2 u^2 u_x + 2 t',
     'poly_text.plain.leading_minus': '-u_x - t',
     'poly_text.plain.minus_rational': '-3/4',
     'poly_text.plain.monic': 'u^2 u_x - u_tx',
@@ -363,3 +401,8 @@ def test_case_table_is_pinned():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_render(case):
     assert CASES[case]() == EXPECTED[case]
+
+
+def test_integral_fractions_render_like_ints():
+    as_int, as_fraction = _integral_cases(int), _integral_cases(Fraction)
+    assert {k: f() for k, f in as_fraction.items()} == {k: f() for k, f in as_int.items()}

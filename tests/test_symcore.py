@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 
 from jetbalance import Chart, Form, NonIntegrableError, Poly, balance_residuals, poly_text
-from jetbalance.symcore import base_var, jet_var
+from jetbalance import symcore
+from jetbalance.symcore import base_var, jet_var, mono_key
 
 from conftest import polys, random_poly, random_system
 
@@ -211,6 +212,80 @@ class TestRendering:
         product = (u + x) * (u - x)
         assert product.div_exact(u + x) == u - x
         assert product.div_exact(u + 1) is None
+
+
+TOP_RUNG = Chart(("t", "x", "y"), ("u", "v", "w"))  # the benchmark ladder's top chart
+
+
+def _reference_div(f: Poly, g: Poly) -> Poly | None:
+    """Long division one leading term at a time, leading terms under
+    mono_key: the quotient when g divides f, otherwise None."""
+    lead = max(g.terms, key=mono_key)
+    rem, quot = f, Poly.zero()
+    while rem:
+        mono = max(rem.terms, key=mono_key)
+        exps = dict(mono)
+        for var, e in lead:
+            exps[var] = exps.get(var, 0) - e
+        if min(exps.values(), default=0) < 0:
+            return None
+        term = Poly({tuple(exps.items()): Fraction(rem.terms[mono]) / g.terms[lead]})
+        quot, rem = quot + term, rem - term * g
+    return quot
+
+
+def _unranked_poly(rng: random.Random) -> Poly:
+    """A polynomial over jet variables of order 5 to 8 on four base
+    coordinates, which no other test builds."""
+    pool = [base_var(mu) for mu in range(4)]
+    for _ in range(12):
+        counts = [0] * 4
+        for _ in range(rng.randint(5, 8)):
+            counts[rng.randrange(4)] += 1
+        pool.append(jet_var(rng.randrange(3), counts))
+    terms = {}
+    for _ in range(10):
+        mono = tuple((rng.choice(pool), rng.randint(1, 3)) for _ in range(rng.randint(0, 4)))
+        terms[mono] = rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+    return Poly(terms)
+
+
+class TestOrderKey:
+    """`sorted_terms` and `div_exact` follow the reference order mono_key on
+    the benchmark's largest chart and on variables the rank memo has not
+    seen."""
+
+    @staticmethod
+    def _reference_sort(p: Poly) -> list:
+        return sorted(p.terms.items(), key=lambda it: mono_key(it[0]), reverse=True)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sorted_terms_top_rung(self, seed):
+        p = random_poly(random.Random(seed), TOP_RUNG, max_order=3, max_degree=5, max_terms=16)
+        assert len(p.terms) > 1
+        assert p.sorted_terms() == self._reference_sort(p)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sorted_terms_cold_ranks(self, monkeypatch, seed):
+        p = _unranked_poly(random.Random(seed))
+        monkeypatch.setattr(symcore, "_RANKS", {})
+        ours = p.sorted_terms()
+        assert ours == self._reference_sort(p)
+
+    @pytest.mark.parametrize("cold", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_div_exact_quotients(self, monkeypatch, seed, cold):
+        rng = random.Random(100 + seed)
+        q = random_poly(rng, TOP_RUNG, max_order=3, max_degree=3, max_terms=6)
+        g = random_poly(rng, TOP_RUNG, max_order=2, max_degree=2, max_terms=3) + TOP_RUNG.x(2)
+        extra = random_poly(rng, TOP_RUNG, max_order=3, max_degree=3, max_terms=2)
+        assert len(g.terms) > 1
+        cases = (q * g, q * g * g, q * g + extra, extra)
+        if cold:
+            monkeypatch.setattr(symcore, "_RANKS", {})
+        quotients = [f.div_exact(g) for f in cases]
+        assert quotients[:2] == [q, q * g]
+        assert quotients == [_reference_div(f, g) for f in cases]
 
 
 class TestWorkCounts:
