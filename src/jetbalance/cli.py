@@ -46,6 +46,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .balance import (
     BalanceSystem,
@@ -113,8 +114,7 @@ class DuplicateRelationError(ParseError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # name | int | string | sym | eof
     text: str
     line: int
@@ -261,7 +261,8 @@ class _Parser:
         self.depth = 0  # open parentheses around the current position
 
     def peek(self, ahead=0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        # next() never moves past the eof token, so only a lookahead needs the clamp
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1) if ahead else self.pos]
 
     def next(self) -> _Token:
         tok = self.peek()

@@ -372,7 +372,7 @@ def poly_latex(p: Poly, chart: Chart) -> str:
         field = _latex_name(chart.field_names[var[1]])
         return f"{field}_{{{suffix(bases, var[2])}}}" if any(var[2]) else field
 
-    return render_terms(p, name, "{}^{{{}}}", latex_rational)
+    return render_terms(p, name, "{}^{{{}}}", "\\frac{{{}}}{{{}}}")
 
 
 class _Notation(NamedTuple):

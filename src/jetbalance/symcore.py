@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 
 class EngineError(Exception):
@@ -147,6 +147,23 @@ def mono_key(m: Mono) -> tuple:
     read from the highest-ranked variable downward (a larger exponent, or a
     variable the other monomial lacks, wins)."""
     return (mono_degree(m), tuple([(var_rank(var), e) for var, e in reversed(m)]))
+
+
+def _grlex_key(variables) -> Callable[[Mono], tuple]:
+    """Key of the order of mono_key on monomials over `variables`, comparing
+    in C: minus the degree, then minus the exponents from the highest-ranked
+    variable down (grlex), so an ascending sort or a min-heap leads with the
+    leading monomial."""
+    slot = {var: k for k, var in enumerate(sorted(variables, key=var_rank, reverse=True), 1)}
+
+    def key(mono: Mono) -> tuple:
+        out = [0] * (len(slot) + 1)
+        for var, e in mono:
+            out[0] -= e
+            out[slot[var]] = -e
+        return tuple(out)
+
+    return key
 
 
 def _canonical(mono) -> Mono:
@@ -376,7 +393,9 @@ class Poly:
 
     def sorted_terms(self) -> list:
         """Terms in descending canonical (graded) order; leading term first."""
-        return sorted(self.terms.items(), key=lambda it: mono_key(it[0]), reverse=True)
+        terms = self.terms
+        key = _grlex_key(self.variables()) if len(terms) > 1 else None
+        return [(m, terms[m]) for m in sorted(terms, key=key)]
 
     # -- calculus ------------------------------------------------------------
 
@@ -510,23 +529,10 @@ class Poly:
             raise ZeroDivisionError("division of a polynomial by zero")
         if tuple(divisor.terms) == ((),):
             return self._scale(Fraction(1) / divisor.terms[()])
-        lead_mono = max(divisor.terms, key=mono_key)
+        heap_key = _grlex_key(self.variables() | divisor.variables())
+        lead_mono = min(divisor.terms, key=heap_key)
         lead_coeff = divisor.terms[lead_mono]
         tail = [(m, c) for m, c in divisor.terms.items() if m != lead_mono]
-        # heap key: the order of mono_key as an exponent vector over the
-        # variables present (degree first, then the highest-ranked variable
-        # down), negated so that the min-heap pops the leading monomial; it
-        # compares in C, where a reversed mono_key would call back into Python
-        pool = sorted(self.variables() | divisor.variables(), key=var_rank, reverse=True)
-        slot = {var: k for k, var in enumerate(pool, 1)}
-
-        def heap_key(mono: Mono) -> tuple:
-            key = [0] * (len(pool) + 1)
-            for var, e in mono:
-                key[0] -= e
-                key[slot[var]] = -e
-            return tuple(key)
-
         rem = dict(self.terms)
         heap = [(heap_key(m), m) for m in rem]
         heapify(heap)
@@ -663,22 +669,27 @@ def _generic_name(var: Var) -> str:
     return f"y{i}_d{suffix(map(str, range(len(counts))), counts)}" if any(counts) else f"y{i}"
 
 
-def render_terms(p: Poly, name, power: str = "{}^{}", magnitude=str) -> str:
+def render_terms(p: Poly, name, power: str = "{}^{}", fraction: str = "{}/{}") -> str:
     """The polynomial term walker: terms in descending graded order joined by
     their signs, each the coefficient magnitude (left out when it is 1 on a
     non-constant monomial) followed by the factors, separated by spaces.
     `name` renders a variable, `power` lays out a factor and its exponent
-    and `magnitude` renders a positive rational."""
+    and `fraction` a non-integral magnitude's numerator and denominator."""
     if p.is_zero:
         return "0"
+    terms = p.sorted_terms()
+    names = {(var, e): name(var) if e == 1 else power.format(name(var), e)  # each factor once
+             for var, e in {factor for mono, _ in terms for factor in mono}}
     pieces: list[str] = []
-    for mono, coeff in p.sorted_terms():
-        factors = [name(var) if e == 1 else power.format(name(var), e) for var, e in mono]
-        mag = abs(coeff)
-        if not mono or mag != 1:
-            factors.insert(0, magnitude(mag))
-        sign = ("-" if coeff < 0 else "") if not pieces else (" - " if coeff < 0 else " + ")
-        pieces.append(sign + " ".join(factors))
+    for mono, coeff in terms:
+        num, den = coeff.numerator, coeff.denominator
+        sign = (" - " if num < 0 else " + ") if pieces else ("-" if num < 0 else "")
+        text = " ".join(map(names.__getitem__, mono))
+        num = abs(num)
+        if den != 1 or num != 1 or not mono:
+            mag = fraction.format(num, den) if den != 1 else str(num)
+            text = f"{mag} {text}" if mono else mag
+        pieces.append(sign + text)
     return "".join(pieces)
 
 

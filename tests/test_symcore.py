@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from jetbalance import Chart, Form, NonIntegrableError, Poly, balance_residuals, poly_text
-from jetbalance import symcore
+from jetbalance import jetforms, symcore
 from jetbalance.symcore import base_var, jet_var, mono_key
 
 from conftest import polys, random_poly, random_system
@@ -373,3 +373,22 @@ class TestWorkCounts:
         jets = [var for var in p.variables() if var[0] == "j"]
         assert len(jets) > 1
         assert dv.terms == {((), ((var[1], var[2]),)): p.partial(var) for var in jets}
+
+    def test_render_names_each_factor_once(self, monkeypatch, chart_tx_uv):
+        """The renderers name each distinct (variable, exponent) factor of a
+        polynomial once, not once per occurrence."""
+        c = chart_tx_uv
+        p = (c.field(0) + c.jet(0, (0, 1)) + c.jet(1, (1, 0)) + c.x(1) + 1) ** 5
+        occurrences = [factor for mono in p.terms for factor in mono]
+        distinct = set(occurrences)
+        jet_factors = {factor for factor in distinct if factor[0][0] == "j"}
+        assert len(distinct) * 10 < len(occurrences)
+        text_names, latex_names = [], []
+        var_name, latex_name = Chart.var_name, jetforms._latex_name
+        monkeypatch.setattr(Chart, "var_name", lambda c, v: text_names.append(v) or var_name(c, v))
+        monkeypatch.setattr(jetforms, "_latex_name", lambda s: latex_names.append(s) or latex_name(s))
+        poly_text(p, chart_tx_uv)
+        jetforms.poly_latex(p, chart_tx_uv)
+        assert len(text_names) <= len(distinct)
+        # the base names are made once per call, then one per jet factor
+        assert len(latex_names) <= chart_tx_uv.n + len(jet_factors)
