@@ -150,17 +150,18 @@ def mono_key(m: Mono) -> tuple:
 
 
 def _grlex_key(variables) -> Callable[[Mono], tuple]:
-    """Key of the order of mono_key on monomials over `variables`, comparing
-    in C: minus the degree, then minus the exponents from the highest-ranked
-    variable down (grlex), so an ascending sort or a min-heap leads with the
-    leading monomial."""
-    slot = {var: k for k, var in enumerate(sorted(variables, key=var_rank, reverse=True), 1)}
+    """Key of the order of mono_key (grlex) on monomials over `variables`,
+    comparing in C: minus the degree, then minus the position and exponent
+    of each factor from the highest-ranked down (the exponent vector's
+    nonzero entries).  No key is a proper prefix of another of equal degree,
+    so an ascending sort or a min-heap puts the leading monomial first."""
+    slot = {var: -k for k, var in enumerate(sorted(variables, key=var_rank))}
 
     def key(mono: Mono) -> tuple:
-        out = [0] * (len(slot) + 1)
-        for var, e in mono:
+        out = [0]
+        for var, e in reversed(mono):
             out[0] -= e
-            out[slot[var]] = -e
+            out += (slot[var], -e)
         return tuple(out)
 
     return key
@@ -375,11 +376,7 @@ class Poly:
     # -- structure -----------------------------------------------------------
 
     def variables(self) -> set:
-        out: set = set()
-        for mono in self.terms:
-            for var, _ in mono:
-                out.add(var)
-        return out
+        return {var for mono in self.terms for var, _ in mono}
 
     def degree(self) -> int:
         return max((mono_degree(m) for m in self.terms), default=0)

@@ -269,7 +269,7 @@ class TestOrderKey:
     def test_sorted_terms_cold_ranks(self, monkeypatch, seed):
         p = _unranked_poly(random.Random(seed))
         monkeypatch.setattr(symcore, "_RANKS", {})
-        ours = p.sorted_terms()
+        ours = p.sorted_terms()  # before the reference sort refills the memo
         assert ours == self._reference_sort(p)
 
     @pytest.mark.parametrize("cold", [False, True])
@@ -385,7 +385,8 @@ class TestWorkCounts:
         assert len(distinct) * 10 < len(occurrences)
         text_names, latex_names = [], []
         var_name, latex_name = Chart.var_name, jetforms._latex_name
-        monkeypatch.setattr(Chart, "var_name", lambda c, v: text_names.append(v) or var_name(c, v))
+        monkeypatch.setattr(Chart, "var_name",
+                            lambda chart, v: text_names.append(v) or var_name(chart, v))
         monkeypatch.setattr(jetforms, "_latex_name", lambda s: latex_names.append(s) or latex_name(s))
         poly_text(p, chart_tx_uv)
         jetforms.poly_latex(p, chart_tx_uv)
