@@ -387,7 +387,8 @@ class TestWorkCounts:
         var_name, latex_name = Chart.var_name, jetforms._latex_name
         monkeypatch.setattr(Chart, "var_name",
                             lambda chart, v: text_names.append(v) or var_name(chart, v))
-        monkeypatch.setattr(jetforms, "_latex_name", lambda s: latex_names.append(s) or latex_name(s))
+        monkeypatch.setattr(jetforms, "_latex_name",
+                            lambda name: latex_names.append(name) or latex_name(name))
         poly_text(p, chart_tx_uv)
         jetforms.poly_latex(p, chart_tx_uv)
         assert len(text_names) <= len(distinct)
