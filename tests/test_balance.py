@@ -23,6 +23,7 @@ from jetbalance import (
     evaluate_on_section,
     godunov_check,
     helmholtz_check,
+    interior_euler,
     lagrangian_split,
     pairing_polynomial,
     quasi_lagrangian,
@@ -32,7 +33,7 @@ from jetbalance import (
     trivial_quasi_lagrangian,
     vertical_homotopy,
 )
-from jetbalance.symcore import jet_var
+from jetbalance.symcore import base_var, jet_var
 
 from conftest import CHARTS, random_poly, random_system
 
@@ -349,6 +350,31 @@ class TestSplittings:
         bs = BalanceSystem(chart, F, [Poly.zero(), Poly.zero()])
         _, euler_part = source_split(bs)
         assert euler_part.is_zero
+
+
+class TestIndependentRoutes:
+    """The reported Godunov part and source components agree with the
+    interior Euler route (interior_euler, source_form), which computes them
+    independently of the identities source = Godunov + EL and source
+    components = -residuals."""
+
+    @pytest.mark.parametrize("density", ["1", "1 + x^2"])
+    @pytest.mark.parametrize("max_order", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_godunov_and_source_components(self, n, max_order, density):
+        base = ("t", "x", "y")[:n] if n > 1 else ("x",)
+        x = Poly.variable(base_var(base.index("x")))
+        chart = Chart(base, ("u", "v"), None if density == "1" else 1 + x**2)
+        rng = random.Random(97 + 10 * n + max_order)
+        nontrivial = 0
+        for _ in range(5):
+            bs = random_system(rng, chart, max_order=max_order)
+            report = decompose(bs)
+            nontrivial += not report.godunov_part.is_zero
+            assert interior_euler(report.nonlagrangian_part) == report.godunov_part
+            residuals = balance_residuals(bs)
+            assert source_form(bs).components() == tuple(-r for r in residuals)
+        assert nontrivial
 
 
 class TestTriviality:

@@ -287,6 +287,23 @@ class TestOrderKey:
         assert quotients[:2] == [q, q * g]
         assert quotients == [_reference_div(f, g) for f in cases]
 
+    @pytest.mark.parametrize("lead", [1, -1, 2, Fraction(3, 2)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_div_exact_leading_coefficients(self, seed, lead):
+        """Quotients by divisors whose leading coefficient is 1, -1, 2 or
+        3/2 match the reference and hold integral coefficients as int."""
+        rng = random.Random(200 + seed)
+        q = random_poly(rng, TOP_RUNG, max_order=3, max_degree=3, max_terms=6)
+        g = random_poly(rng, TOP_RUNG, max_order=2, max_degree=2, max_terms=3) + TOP_RUNG.x(2)
+        g = g * (Fraction(lead) / g.terms[max(g.terms, key=mono_key)])
+        extra = random_poly(rng, TOP_RUNG, max_order=3, max_degree=3, max_terms=2)
+        cases = (q * g, q * g * g, q * g + extra, extra, 3 * g)
+        quotients = [f.div_exact(g) for f in cases]
+        assert quotients[:2] == [q, q * g] and quotients[4] == Poly.constant(3)
+        assert quotients == [_reference_div(f, g) for f in cases]
+        for quotient in filter(None, quotients):
+            assert all(type(c) is int or c.denominator > 1 for c in quotient.terms.values())
+
 
 class TestWorkCounts:
     """Work counts of the kernels, taken the way the benchmark's tracer takes

@@ -18,6 +18,7 @@ from jetbalance import (
     NotFunctionalError,
     Poly,
     balance_form,
+    balance_residuals,
     delta_V,
     euler_lagrange,
     functional_from_components,
@@ -25,7 +26,7 @@ from jetbalance import (
     vertical_decompose,
     vertical_homotopy,
 )
-from conftest import homogeneous_forms, random_poly
+from conftest import CHARTS, homogeneous_forms, random_poly, random_system
 
 
 class TestInteriorEuler:
@@ -195,6 +196,32 @@ class TestEulerLagrange:
             right = euler_lagrange(base, weighted.rho * lagrangian)
             assert left.form == right.form
             assert euler_lagrange(weighted, lagrangian).components() == right.components()
+
+
+class TestComponentsRoute:
+    """A functional form assembled from components equals, with the same
+    hash and components, the one the interior Euler operator projects."""
+
+    @pytest.mark.parametrize("chart", CHARTS)
+    def test_equals_the_interior_euler_route(self, chart):
+        rng = random.Random(37 + chart.n + chart.m)
+        for _ in range(5):
+            bs = random_system(rng, chart, max_order=2)
+            routed = interior_euler(balance_form(bs))
+            built = functional_from_components(chart, [-r for r in balance_residuals(bs)])
+            assert built == routed and hash(built) == hash(routed)
+            assert built.components() == routed.components()
+            lagrangian = random_poly(rng, chart, max_order=1, max_degree=3)
+            el = euler_lagrange(chart, lagrangian)
+            el_routed = interior_euler(
+                Form.function(chart, lagrangian).wedge(Form.volume(chart)).d_V()
+            )
+            assert el == el_routed and hash(el) == hash(el_routed)
+            difference = built - el
+            assert difference == routed - el_routed
+            assert difference.components() == tuple(
+                a - b for a, b in zip(routed.components(), el_routed.components())
+            )
 
 
 class TestDeltaV:
