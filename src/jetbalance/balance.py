@@ -236,12 +236,21 @@ def lagrangian_split(bs: BalanceSystem) -> tuple:
 
 
 def source_split(bs: BalanceSystem) -> tuple:
-    """Splitting at the level of functional forms:
-    (godunov_part, euler_part) with godunov_part the interior Euler image of
-    the non-Lagrangian component and euler_part the Euler-Lagrange form of
-    the scaling potential; componentwise they sum to the source form."""
-    dec = decompose(bs)
-    return dec.godunov_part, dec.euler_lagrange_form
+    """Splitting at the level of functional forms: (godunov_part, euler_part)
+    with euler_part the Euler-Lagrange form of the scaling potential and
+    godunov_part = source - euler_part, the source form being assembled from
+    its components, the negated balance residuals.  The interior Euler image
+    of the non-Lagrangian component is the same Godunov part by an
+    independent route."""
+    return _functional_split(bs, quasi_lagrangian(bs))
+
+
+def _functional_split(bs: BalanceSystem, ltilde: Poly) -> tuple:
+    """`source_split` for a scaling potential already computed."""
+    chart = bs.chart
+    source = FunctionalForm._from_components(chart, tuple(-r for r in balance_residuals(bs)))
+    euler_part = euler_lagrange(chart, ltilde)
+    return source - euler_part, euler_part
 
 
 def decompose(bs: BalanceSystem) -> DecompositionReport:
@@ -250,12 +259,13 @@ def decompose(bs: BalanceSystem) -> DecompositionReport:
     ltilde = quasi_lagrangian(bs)
     potentials, remainder = divergence_split(bs.chart, ltilde)
     lag_part, nonlag_part = lagrangian_split(bs)
+    godunov_part, euler_part = _functional_split(bs, ltilde)
     return DecompositionReport(
         quasi_lagrangian=ltilde,
         lagrangian_part=lag_part,
         nonlagrangian_part=nonlag_part,
-        euler_lagrange_form=euler_lagrange(bs.chart, ltilde),
-        godunov_part=interior_euler(nonlag_part),
+        euler_lagrange_form=euler_part,
+        godunov_part=godunov_part,
         helmholtz_closed=nonlag_part.is_zero,
         trivial_quasi_lagrangian=TrivialityResult.of(ltilde).is_trivial,
         divergence_potentials=potentials,

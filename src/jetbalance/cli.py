@@ -58,7 +58,6 @@ from .balance import (
     godunov_check,
     helmholtz_check,
     quasi_lagrangian,
-    source_form,
     symmetric_hyperbolicity,
 )
 from .jetforms import Form, form_latex, form_text, latex_rational, poly_latex
@@ -618,9 +617,10 @@ def _by_coord(chart: Chart, values) -> dict:
 
 def _equations(report: Report, at, section_text) -> None:
     bs = report.doc.to_balance_system()
+    residuals = balance_residuals(bs)
     report.sections["equations"] = {
-        "residuals": _by_field(bs.chart, balance_residuals(bs)),
-        "source_components": _by_field(bs.chart, source_form(bs).components()),
+        "residuals": _by_field(bs.chart, residuals),
+        "source_components": _by_field(bs.chart, [-r for r in residuals]),
     }
 
 

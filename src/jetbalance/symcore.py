@@ -542,7 +542,12 @@ class Poly:
             q_mono = _mono_div(mono, lead_mono)
             if q_mono is None:
                 return None
-            q_coeff = _exact(Fraction(coeff) / lead_coeff)
+            if lead_coeff == 1:
+                q_coeff = _exact(coeff)
+            elif lead_coeff == -1:
+                q_coeff = _exact(-coeff)
+            else:
+                q_coeff = _exact(Fraction(coeff) / lead_coeff)
             quot[q_mono] = q_coeff
             for m, c in tail:
                 prod = mono_mul(q_mono, m)

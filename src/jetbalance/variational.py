@@ -16,7 +16,7 @@ Conventions, fixed once and used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .jetforms import BidegreeError, Form, _accumulate
@@ -40,10 +40,26 @@ class FunctionalForm:
     """An (n, s)-form in the image of the interior Euler operator.
 
     For s = 1 the form is a source form: a sum of components E_i wedged with
-    the order-0 contact generator of field i and the coordinate volume.
+    the order-0 contact generator of field i and the coordinate volume.  A
+    source form assembled from its components keeps them in `kept`, which
+    takes no part in equality or hashing.
     """
 
     form: Form
+    kept: tuple | None = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def _from_components(cls, chart: Chart, components: tuple) -> "FunctionalForm":
+        """Internal: assemble a source form from components already known to
+        fit the chart, keeping them."""
+        full_h = tuple(range(chart.n))
+        odd = chart.n % 2
+        terms = {
+            (full_h, ((i, chart.zero_index()),)): -comp if odd else comp
+            for i, comp in enumerate(components)
+            if not comp.is_zero
+        }
+        return cls(Form._raw(chart, terms), components)
 
     @property
     def chart(self) -> Chart:
@@ -55,6 +71,8 @@ class FunctionalForm:
 
     def components(self) -> tuple:
         """The component polynomials (E_1, ..., E_m) of a source form (s = 1)."""
+        if self.kept is not None:
+            return self.kept
         chart = self.chart
         full_h = tuple(range(chart.n))
         comps = [Poly.zero()] * chart.m
@@ -71,7 +89,11 @@ class FunctionalForm:
         return FunctionalForm(self.form + other.form)
 
     def __sub__(self, other: "FunctionalForm") -> "FunctionalForm":
-        return FunctionalForm(self.form - other.form)
+        if self.kept is None or other.kept is None or self.chart != other.chart:
+            return FunctionalForm(self.form - other.form)  # raises on a chart mismatch
+        return self._from_components(
+            self.chart, tuple(a - b for a, b in zip(self.kept, other.kept))
+        )
 
 
 def functional_from_components(chart: Chart, components) -> FunctionalForm:
@@ -80,14 +102,9 @@ def functional_from_components(chart: Chart, components) -> FunctionalForm:
     components = tuple(components)
     if len(components) != chart.m:
         raise InvalidSystemError("one component polynomial per field is required")
-    full_h = tuple(range(chart.n))
-    terms = {}
-    for i, comp in enumerate(components):
+    for comp in components:
         chart.validate_poly(comp)
-        coeff = -comp if chart.n % 2 else comp
-        if not coeff.is_zero:
-            terms[(full_h, ((i, chart.zero_index()),))] = coeff
-    return FunctionalForm(Form(chart, terms))
+    return FunctionalForm._from_components(chart, components)
 
 
 def _total_derivative_along(piece, counts: tuple):
@@ -168,7 +185,7 @@ def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:
         if sum(counts) % 2:
             piece = -piece
         comps[i] = comps[i] + piece
-    return functional_from_components(chart, comps)
+    return FunctionalForm._from_components(chart, tuple(comps))
 
 
 def delta_V(functional: FunctionalForm) -> FunctionalForm:

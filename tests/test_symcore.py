@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from jetbalance import Chart, Form, NonIntegrableError, Poly, balance_residuals, poly_text
-from jetbalance import jetforms, symcore
+from jetbalance import cli, jetforms, source_form, symcore, variational
 from jetbalance.symcore import base_var, jet_var, mono_key
 
 from conftest import polys, random_poly, random_system
@@ -214,6 +216,7 @@ class TestRendering:
         assert product.div_exact(u + 1) is None
 
 
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 TOP_RUNG = Chart(("t", "x", "y"), ("u", "v", "w"))  # the benchmark ladder's top chart
 
 
@@ -411,3 +414,28 @@ class TestWorkCounts:
         assert len(text_names) <= len(distinct)
         # the base names are made once per call, then one per jet factor
         assert len(latex_names) <= chart_tx_uv.n + len(jet_factors)
+
+
+class TestReportWorkCounts:
+    """The reports take the Godunov part and the source components from the
+    residual identity: no interior Euler operator runs for them."""
+
+    @pytest.mark.parametrize("command", ["equations", "decompose"])
+    @pytest.mark.parametrize("name", ["burgers", "kdv"])
+    def test_no_interior_euler(self, monkeypatch, command, name):
+        original = variational.interior_euler
+        calls = []
+
+        def counted(form):
+            calls.append(form)
+            return original(form)
+
+        # rebound in every module that imports it by name, as the benchmark's tracer does
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("jetbalance") and vars(module).get("interior_euler") is original:
+                monkeypatch.setattr(module, "interior_euler", counted)
+        doc = cli.parse_system((SYSTEMS / f"{name}.bal").read_text(encoding="utf-8"))
+        cli.run(command, doc)
+        assert calls == []
+        source_form(doc.to_balance_system())  # the independent route is still counted
+        assert len(calls) == 1

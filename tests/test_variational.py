@@ -223,6 +223,22 @@ class TestComponentsRoute:
                 a - b for a, b in zip(routed.components(), el_routed.components())
             )
 
+    def test_components_are_kept(self):
+        chart = Chart(("t", "x", "y"), ("u", "v"))  # odd n: the form stores -E_i
+        comps = (chart.field(1) * chart.jet(0, (1, 0, 0)), Poly.zero())
+        built = functional_from_components(chart, comps)
+        assert built.components() is comps
+        assert FunctionalForm(built.form).components() == comps
+
+    def test_delta_V_rejects_non_functional_input_with_kept_components(self, chart_x_u):
+        chart = chart_x_u
+        zx = chart.jet(0, (1,))
+        not_functional = FunctionalForm(
+            (Form.contact(chart, 0, (1,)) * zx).wedge(Form.volume(chart)), (zx,)
+        )
+        with pytest.raises(NotFunctionalError):
+            delta_V(not_functional)
+
 
 class TestDeltaV:
     def test_annihilates_euler_lagrange(self):
