@@ -32,9 +32,9 @@ from .symcore import (
 )
 from .variational import (
     FunctionalForm,
+    _euler_sum,
     euler_lagrange,
     interior_euler,
-    vertical_decompose,
 )
 
 
@@ -161,30 +161,29 @@ class DecompositionReport:
 # ---------------------------------------------------------------------------
 
 
+def _entries(bs: BalanceSystem):
+    """The system data as ((i, counts), p) entries: each source at the zero
+    multi-index and each flux at its unit multi-index."""
+    zero = bs.chart.zero_index()
+    for i, row in enumerate(bs.F):
+        yield (i, zero), bs.Pi[i]
+        for mu, flux in enumerate(row):
+            yield (i, mi_add(zero, mu)), flux
+
+
 def balance_form(bs: BalanceSystem) -> Form:
     """The (n,1)-form carrying the whole system against the volume form."""
     chart = bs.chart
-    vol = Form.volume(chart)
     total = Form.zero(chart)
-    for i in range(chart.m):
-        comb = Form.contact(chart, i) * bs.Pi[i]
-        for mu in range(chart.n):
-            comb = comb + Form.contact(chart, i, mi_add(chart.zero_index(), mu)) * bs.F[i][mu]
-        total = total + comb.wedge(vol)
-    return total
+    for (i, counts), p in _entries(bs):
+        total = total + Form.contact(chart, i, counts) * p
+    return total.wedge(Form.volume(chart))
 
 
 def balance_residuals(bs: BalanceSystem) -> tuple:
-    """Density-weighted residuals R_i = sum_mu d_mu(F[i][mu] rho) - Pi[i] rho;
-    a section solves the system iff every residual vanishes on it."""
-    chart = bs.chart
-    out = []
-    for i in range(chart.m):
-        r = -(bs.Pi[i] * chart.rho)
-        for mu in range(chart.n):
-            r = r + (bs.F[i][mu] * chart.rho).total_derivative(mu)
-        out.append(r)
-    return tuple(out)
+    """Density-weighted residuals R_i = sum_mu d_mu(F[i][mu] rho) - Pi[i] rho,
+    minus the Euler sum of the data; a section solves the system iff all vanish."""
+    return _euler_sum(bs.chart, _entries(bs), negate=True)
 
 
 def source_form(bs: BalanceSystem) -> FunctionalForm:
@@ -196,12 +195,9 @@ def source_form(bs: BalanceSystem) -> FunctionalForm:
 def pairing_polynomial(bs: BalanceSystem) -> Poly:
     """The contraction of the system data with the fiber scaling field:
     sum_i y^i Pi_i + sum_{i,mu} z^i_mu F[i][mu]."""
-    chart = bs.chart
     total = Poly.zero()
-    for i in range(chart.m):
-        total = total + chart.field(i) * bs.Pi[i]
-        for mu in range(chart.n):
-            total = total + chart.jet(i, mi_add(chart.zero_index(), mu)) * bs.F[i][mu]
+    for (i, counts), p in _entries(bs):
+        total = total + Poly.variable(jet_var(i, counts)) * p
     return total
 
 
@@ -232,14 +228,22 @@ def lagrangian_split(bs: BalanceSystem) -> tuple:
     """Vertical-homotopy splitting of the contact encoding into an exact
     (Lagrangian) part and the pure non-Lagrangian complement; the parts sum
     back to the encoding exactly."""
-    return vertical_decompose(balance_form(bs))
+    return _form_split(bs, quasi_lagrangian(bs))
+
+
+def _form_split(bs: BalanceSystem, ltilde: Poly) -> tuple:
+    """`lagrangian_split` for a scaling potential already computed: h(omega) is
+    L~ eta, so the Lagrangian part is d_V(L~ eta), and the homotopy identity
+    leaves the rest of the encoding as the non-Lagrangian part h(d_V omega)."""
+    lag_part = (Form.volume(bs.chart) * ltilde).d_V()
+    return lag_part, balance_form(bs) - lag_part
 
 
 def source_split(bs: BalanceSystem) -> tuple:
     """Splitting at the level of functional forms: (godunov_part, euler_part)
     with euler_part the Euler-Lagrange form of the scaling potential and
     godunov_part = source - euler_part, the source form being assembled from
-    its components, the negated balance residuals.  The interior Euler image
+    its components, the Euler sum of the data.  The interior Euler image
     of the non-Lagrangian component is the same Godunov part by an
     independent route."""
     return _functional_split(bs, quasi_lagrangian(bs))
@@ -248,7 +252,7 @@ def source_split(bs: BalanceSystem) -> tuple:
 def _functional_split(bs: BalanceSystem, ltilde: Poly) -> tuple:
     """`source_split` for a scaling potential already computed."""
     chart = bs.chart
-    source = FunctionalForm._from_components(chart, tuple(-r for r in balance_residuals(bs)))
+    source = FunctionalForm._from_components(chart, _euler_sum(chart, _entries(bs)))
     euler_part = euler_lagrange(chart, ltilde)
     return source - euler_part, euler_part
 
@@ -258,7 +262,7 @@ def decompose(bs: BalanceSystem) -> DecompositionReport:
     and the form and functional splittings, each computed once."""
     ltilde = quasi_lagrangian(bs)
     potentials, remainder = divergence_split(bs.chart, ltilde)
-    lag_part, nonlag_part = lagrangian_split(bs)
+    lag_part, nonlag_part = _form_split(bs, ltilde)
     godunov_part, euler_part = _functional_split(bs, ltilde)
     return DecompositionReport(
         quasi_lagrangian=ltilde,

@@ -174,18 +174,25 @@ def vertical_decompose(form: Form) -> tuple:
     return exact_part, complement
 
 
-def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:
-    """Euler-Lagrange source form of a polynomial Lagrangian: component i is
-    the alternating sum over multi-indices of iterated total derivatives of
-    the density-weighted partials, expressed against the coordinate volume."""
-    chart.validate_poly(lagrangian)
+def _euler_sum(chart: Chart, entries, negate: bool = False) -> tuple:
+    """The Euler operator's alternating sum: each ((i, counts), p) entry adds
+    (-1)^|counts| D_counts(rho p) to field i.  It gives the Euler-Lagrange
+    components of jet partials and the source components of balance data;
+    `negate` gives their negation, the residuals, by flipping each sign."""
     comps = [Poly.zero()] * chart.m
-    for (_, i, counts), dp in sorted(lagrangian.jet_partials().items()):
-        piece = _total_derivative_along(chart.rho * dp, counts)
-        if sum(counts) % 2:
-            piece = -piece
-        comps[i] = comps[i] + piece
-    return FunctionalForm._from_components(chart, tuple(comps))
+    for (i, counts), p in entries:
+        piece = _total_derivative_along(chart.rho * p, counts)
+        comps[i] = comps[i] + (-piece if (sum(counts) + negate) % 2 else piece)
+    return tuple(comps)
+
+
+def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:
+    """Euler-Lagrange source form of a polynomial Lagrangian: the Euler sum of
+    its jet partials, expressed against the coordinate volume."""
+    chart.validate_poly(lagrangian)
+    partials = sorted(lagrangian.jet_partials().items())
+    comps = _euler_sum(chart, (((i, counts), dp) for (_, i, counts), dp in partials))
+    return FunctionalForm._from_components(chart, comps)
 
 
 def delta_V(functional: FunctionalForm) -> FunctionalForm:
@@ -231,20 +238,7 @@ class HigherBalanceData:
 
 
 def higher_balance_residuals(data: HigherBalanceData) -> tuple:
-    """Residuals of the higher-order balance equations: for each field, the
-    alternating-signed iterated total derivatives of the density-weighted
-    flux entries minus the density-weighted source.  With only first-order
-    entries this reduces exactly to the first-order balance residuals."""
-    chart = data.chart
-    residuals = [Poly.zero()] * chart.m
-    for (i, counts), coeff in sorted(data.coefficients.items()):
-        order = sum(counts)
-        if order == 0:
-            continue
-        piece = _total_derivative_along(coeff * chart.rho, counts)
-        if (order - 1) % 2:
-            piece = -piece
-        residuals[i] = residuals[i] + piece
-    for i in range(chart.m):
-        residuals[i] = residuals[i] - data.source(i) * chart.rho
-    return tuple(residuals)
+    """Residuals of the higher-order balance equations, minus the Euler sum of
+    the entries; with only first-order entries they are exactly the
+    first-order balance residuals."""
+    return _euler_sum(data.chart, sorted(data.coefficients.items()), negate=True)

@@ -45,6 +45,14 @@ def chart_tx_uv():
     return Chart(("t", "x"), ("u", "v"))
 
 
+def density_chart(n: int, density: str) -> Chart:
+    """Fields u, v over n = 1-3 coordinates, one of them x, with the volume
+    density 1 or 1 + x^2."""
+    base = ("t", "x", "y")[:n] if n > 1 else ("x",)
+    x = Poly.variable(base_var(base.index("x")))
+    return Chart(base, ("u", "v"), None if density == "1" else 1 + x**2)
+
+
 def multi_indices(n: int, max_order: int):
     """All length-n multi-indices with total order <= max_order."""
     out = []

@@ -31,11 +31,12 @@ from jetbalance import (
     source_split,
     symmetric_hyperbolicity,
     trivial_quasi_lagrangian,
+    vertical_decompose,
     vertical_homotopy,
 )
-from jetbalance.symcore import base_var, jet_var
+from jetbalance.symcore import jet_var
 
-from conftest import CHARTS, random_poly, random_system
+from conftest import CHARTS, density_chart, random_poly, random_system
 
 
 def plasticity() -> BalanceSystem:
@@ -352,28 +353,43 @@ class TestSplittings:
         assert euler_part.is_zero
 
 
+@pytest.mark.parametrize("density", ["1", "1 + x^2"])
+@pytest.mark.parametrize("max_order", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 class TestIndependentRoutes:
-    """The reported Godunov part and source components agree with the
-    interior Euler route (interior_euler, source_form), which computes them
-    independently of the identities source = Godunov + EL and source
-    components = -residuals."""
+    """The reported Godunov part, source components and form split agree with
+    the reference routes (interior_euler, source_form, vertical_decompose),
+    which compute them independently of the identities source = Godunov + EL,
+    source components = -residuals and h(omega) = L~ eta."""
 
-    @pytest.mark.parametrize("density", ["1", "1 + x^2"])
-    @pytest.mark.parametrize("max_order", [1, 2])
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_godunov_and_source_components(self, n, max_order, density):
-        base = ("t", "x", "y")[:n] if n > 1 else ("x",)
-        x = Poly.variable(base_var(base.index("x")))
-        chart = Chart(base, ("u", "v"), None if density == "1" else 1 + x**2)
+    @staticmethod
+    def _systems(n, max_order, density):
+        chart = density_chart(n, density)
         rng = random.Random(97 + 10 * n + max_order)
+        return chart, [random_system(rng, chart, max_order=max_order) for _ in range(5)]
+
+    def test_godunov_and_source_components(self, n, max_order, density):
+        _, systems = self._systems(n, max_order, density)
         nontrivial = 0
-        for _ in range(5):
-            bs = random_system(rng, chart, max_order=max_order)
+        for bs in systems:
             report = decompose(bs)
             nontrivial += not report.godunov_part.is_zero
             assert interior_euler(report.nonlagrangian_part) == report.godunov_part
             residuals = balance_residuals(bs)
             assert source_form(bs).components() == tuple(-r for r in residuals)
+        assert nontrivial
+
+    def test_form_split(self, n, max_order, density):
+        chart, systems = self._systems(n, max_order, density)
+        nontrivial = 0
+        for bs in systems:
+            omega = balance_form(bs)
+            report = decompose(bs)
+            nontrivial += not report.nonlagrangian_part.is_zero
+            assert vertical_homotopy(omega) == Form.volume(chart) * quasi_lagrangian(bs)
+            reference = vertical_decompose(omega)
+            assert (report.lagrangian_part, report.nonlagrangian_part) == reference
+            assert lagrangian_split(bs) == reference
         assert nontrivial
 
 

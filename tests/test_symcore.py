@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from jetbalance import Chart, Form, NonIntegrableError, Poly, balance_residuals, poly_text
+from jetbalance import Chart, Form, NonIntegrableError, Poly, balance_form, balance_residuals, poly_text
 from jetbalance import cli, jetforms, source_form, symcore, variational
 from jetbalance.symcore import base_var, jet_var, mono_key
 
@@ -418,24 +418,41 @@ class TestWorkCounts:
 
 class TestReportWorkCounts:
     """The reports take the Godunov part and the source components from the
-    residual identity: no interior Euler operator runs for them."""
+    residual identity, and the Lagrangian part from the quasi-Lagrangian: no
+    interior Euler operator and no vertical homotopy runs for them."""
 
-    @pytest.mark.parametrize("command", ["equations", "decompose"])
-    @pytest.mark.parametrize("name", ["burgers", "kdv"])
-    def test_no_interior_euler(self, monkeypatch, command, name):
-        original = variational.interior_euler
+    @staticmethod
+    def _count(monkeypatch, operator: str) -> list:
+        """Record the calls of a variational operator, rebound in every module
+        that imports it by name, as the benchmark's tracer does."""
+        original = getattr(variational, operator)
         calls = []
 
         def counted(form):
             calls.append(form)
             return original(form)
 
-        # rebound in every module that imports it by name, as the benchmark's tracer does
         for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("jetbalance") and vars(module).get("interior_euler") is original:
-                monkeypatch.setattr(module, "interior_euler", counted)
+            if module_name.startswith("jetbalance") and vars(module).get(operator) is original:
+                monkeypatch.setattr(module, operator, counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["equations", "decompose"])
+    @pytest.mark.parametrize("name", ["burgers", "kdv"])
+    def test_no_interior_euler(self, monkeypatch, command, name):
+        calls = self._count(monkeypatch, "interior_euler")
         doc = cli.parse_system((SYSTEMS / f"{name}.bal").read_text(encoding="utf-8"))
         cli.run(command, doc)
         assert calls == []
         source_form(doc.to_balance_system())  # the independent route is still counted
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["burgers", "kdv", "plasticity"])
+    def test_no_vertical_homotopy(self, monkeypatch, name):
+        calls = self._count(monkeypatch, "vertical_homotopy")
+        doc = cli.parse_system((SYSTEMS / f"{name}.bal").read_text(encoding="utf-8"))
+        cli.run("decompose", doc)
+        assert calls == []
+        omega = balance_form(doc.to_balance_system())
+        variational.vertical_decompose(omega)  # the reference route is still counted
+        assert len(calls) == 2

@@ -26,7 +26,14 @@ from jetbalance import (
     vertical_decompose,
     vertical_homotopy,
 )
-from conftest import CHARTS, homogeneous_forms, random_poly, random_system
+from conftest import (
+    CHARTS,
+    density_chart,
+    homogeneous_forms,
+    multi_indices,
+    random_poly,
+    random_system,
+)
 
 
 class TestInteriorEuler:
@@ -298,3 +305,26 @@ class TestHigherBalance:
 
         data = HigherBalanceData(chart_tx_u, {})
         assert higher_balance_residuals(data) == (Poly.zero(),)
+
+    @pytest.mark.parametrize("density", ["1", "1 + x^2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_residuals_are_negated_source_components(self, n, density):
+        """The sign convention at every entry order: the residuals are minus
+        the interior Euler components of the contact encoding
+        sum (contact(i, counts) * p) ^ eta."""
+        from jetbalance import higher_balance_residuals
+
+        chart = density_chart(n, density)
+        rng = random.Random(131 + n)
+        slots = [(i, counts) for i in range(chart.m) for counts in multi_indices(n, 3)]
+        top = [slot for slot in slots if sum(slot[1]) == 3]
+        for _ in range(4):
+            picked = rng.sample(slots, 3) + [rng.choice(top)]
+            data = HigherBalanceData(
+                chart, {slot: random_poly(rng, chart, max_degree=2, max_terms=2) for slot in picked}
+            )
+            encoding = Form.zero(chart)
+            for (i, counts), p in data.coefficients.items():
+                encoding = encoding + Form.contact(chart, i, counts) * p
+            source = interior_euler(encoding.wedge(Form.volume(chart)))
+            assert higher_balance_residuals(data) == tuple(-c for c in source.components())
