@@ -121,6 +121,9 @@ class _Token(NamedTuple):
 
 
 _SYMBOLS = set(";,=+-*/^()[]")
+_DIGITS = frozenset("0123456789")  # ASCII: str.isalpha/isdigit admit other scripts
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_NAME_CHARS = _LETTERS | _DIGITS | {"_"}
 
 
 def _tokenize(text: str) -> list:
@@ -144,17 +147,17 @@ def _tokenize(text: str) -> list:
                 i += 1
             continue
         start_col = col
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i
-            while j < size and (text[j].isalnum() or text[j] == "_"):
+            while j < size and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(_Token("name", text[i:j], line, start_col))
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < size and text[j].isdigit():
+            while j < size and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], line, start_col))
             col += j - i
@@ -285,6 +288,16 @@ class _Parser:
             return self.next()
         self.fail(f"expected a {what}", tok, expected=(what,))
 
+    def expect_int(self, what: str) -> int:
+        tok = self.peek()
+        if tok.kind != "int":
+            self.fail(f"expected {what}", tok, ("integer",))
+        self.next()
+        try:
+            return int(tok.text)
+        except ValueError:  # CPython's int-string digit limit
+            self.fail(f"integer literal of {len(tok.text)} digits is too long", tok)
+
     def expect_string(self) -> str:
         tok = self.peek()
         if tok.kind == "string":
@@ -356,18 +369,13 @@ class _Parser:
         value = self._atom(scope)
         if self.at_sym("^"):
             self.next()
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail("expected a nonnegative integer exponent", tok, ("integer",))
-            self.next()
-            value = value ** int(tok.text)
+            value = value ** self.expect_int("a nonnegative integer exponent")
         return value
 
     def _atom(self, scope) -> Poly:
         tok = self.peek()
         if tok.kind == "int":
-            self.next()
-            return Poly.constant(int(tok.text))
+            return Poly.constant(self.expect_int("a number"))
         if tok.kind == "sym" and tok.text == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels", tok)
@@ -397,17 +405,10 @@ class _Parser:
             self.fail("jet variables are not allowed in this expression", head)
         _, i = self.expect_field(scope["fields"])
         self.expect_sym(";")
-        counts = []
-        while True:
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail("expected a derivative count", tok, ("integer",))
+        counts = [self.expect_int("a derivative count")]
+        while self.at_sym(","):
             self.next()
-            counts.append(int(tok.text))
-            if self.at_sym(","):
-                self.next()
-                continue
-            break
+            counts.append(self.expect_int("a derivative count"))
         self.expect_sym(")")
         n = len(scope["base"])
         if len(counts) != n:

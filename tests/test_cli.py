@@ -336,6 +336,28 @@ class TestRobustness:
         assert main(["equations", str(nested)]) == 0
         assert "R1: -u_x" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("char", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+    def test_non_ascii_digit(self, tmp_path, capsys, char):
+        bad = tmp_path / "digit.bal"
+        bad.write_text(f"base t x;\nfields u;\nF[u,t] = u^{char};\n", encoding="utf-8")
+        assert main(["equations", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error[parse]: unexpected character {char!r} at line 3, col 12\n"
+
+    @pytest.mark.parametrize(
+        "statement, col",
+        [("F[u,t] = {} u;", 10), ("F[u,t] = u^{};", 12), ("F[u,t] = d(u; 0, {});", 18)],
+        ids=["literal", "exponent", "count"],
+    )
+    def test_integer_beyond_the_digit_limit(self, tmp_path, capsys, statement, col):
+        """CPython converts at most 4300 digits by default; a longer literal is
+        an input error, located at its first digit."""
+        bad = tmp_path / "long.bal"
+        bad.write_text("base t x;\nfields u;\n" + statement.format("1" * 5000) + "\n")
+        assert main(["equations", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error[parse]: integer literal of 5000 digits is too long at line 3, col {col}\n"
+
 
 class TestSectionFiles:
     def test_section_requires_all_fields(self):
