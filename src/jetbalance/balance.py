@@ -183,7 +183,7 @@ def balance_form(bs: BalanceSystem) -> Form:
 def balance_residuals(bs: BalanceSystem) -> tuple:
     """Density-weighted residuals R_i = sum_mu d_mu(F[i][mu] rho) - Pi[i] rho,
     minus the Euler sum of the data; a section solves the system iff all vanish."""
-    return _euler_sum(bs.chart, _entries(bs), negate=True)
+    return tuple(-c for c in _euler_sum(bs.chart, _entries(bs)))
 
 
 def source_form(bs: BalanceSystem) -> FunctionalForm:

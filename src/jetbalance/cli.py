@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -121,8 +122,8 @@ class _Token(NamedTuple):
 
 
 _SYMBOLS = set(";,=+-*/^()[]")
-_DIGITS = frozenset("0123456789")  # ASCII: str.isalpha/isdigit admit other scripts
-_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset(string.digits)  # ASCII: str.isalpha/isdigit admit other scripts
+_LETTERS = frozenset(string.ascii_letters)
 _NAME_CHARS = _LETTERS | _DIGITS | {"_"}
 
 

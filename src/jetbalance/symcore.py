@@ -568,11 +568,9 @@ class Poly:
 # charts
 # ---------------------------------------------------------------------------
 
-_NAME_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-
 
 def _valid_name(name: str) -> bool:
-    return bool(name) and name[0].isalpha() and all(ch in _NAME_OK for ch in name)
+    return name.isascii() and name.isalnum() and name[0].isalpha()
 
 
 @dataclass(frozen=True)

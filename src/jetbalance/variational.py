@@ -174,15 +174,15 @@ def vertical_decompose(form: Form) -> tuple:
     return exact_part, complement
 
 
-def _euler_sum(chart: Chart, entries, negate: bool = False) -> tuple:
+def _euler_sum(chart: Chart, entries) -> tuple:
     """The Euler operator's alternating sum: each ((i, counts), p) entry adds
     (-1)^|counts| D_counts(rho p) to field i.  It gives the Euler-Lagrange
-    components of jet partials and the source components of balance data;
-    `negate` gives their negation, the residuals, by flipping each sign."""
+    components of jet partials and the source components of balance data,
+    whose negation is the residuals."""
     comps = [Poly.zero()] * chart.m
     for (i, counts), p in entries:
         piece = _total_derivative_along(chart.rho * p, counts)
-        comps[i] = comps[i] + (-piece if (sum(counts) + negate) % 2 else piece)
+        comps[i] = comps[i] + (-piece if sum(counts) % 2 else piece)
     return tuple(comps)
 
 
@@ -241,4 +241,4 @@ def higher_balance_residuals(data: HigherBalanceData) -> tuple:
     """Residuals of the higher-order balance equations, minus the Euler sum of
     the entries; with only first-order entries they are exactly the
     first-order balance residuals."""
-    return _euler_sum(data.chart, sorted(data.coefficients.items()), negate=True)
+    return tuple(-c for c in _euler_sum(data.chart, sorted(data.coefficients.items())))
