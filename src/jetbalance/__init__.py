@@ -45,7 +45,6 @@ from .symcore import (
 )
 from .variational import (
     FunctionalForm,
-    HigherBalanceData,
     NotFunctionalError,
     delta_V,
     euler_lagrange,
@@ -67,7 +66,6 @@ __all__ = [
     "FunctionalForm",
     "GodunovReport",
     "HelmholtzResult",
-    "HigherBalanceData",
     "HyperbolicityReport",
     "InvalidSystemError",
     "NonIntegrableError",

@@ -6,18 +6,21 @@ system's contact encoding is the (n,1)-form
 
     sum_i ( sum_mu F[i][mu] w(z^i_mu) + Pi[i] w(y^i) ) ^ eta,
 
-whose interior Euler image reproduces the equations.  Every residual and
-source component is reported density-multiplied: with volume density rho the
-equation for field i reads  d_mu(F[i][mu] rho) = Pi[i] rho,  which equals rho
-times the classical statement with logarithmic-derivative terms, but stays
-inside exact polynomial arithmetic.
+whose interior Euler image reproduces the equations.  The data is one map
+from contact generators (i, multi-index) to coefficients, each source at the
+zero multi-index; entries at higher multi-indices extend the same encoding to
+higher-order flux data.  Every residual and source component is reported
+density-multiplied: with volume density rho the equation for field i reads
+d_mu(F[i][mu] rho) = Pi[i] rho,  which equals rho times the classical
+statement with logarithmic-derivative terms, but stays inside exact
+polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .jetforms import Form
 from .symcore import (
@@ -34,6 +37,7 @@ from .variational import (
     FunctionalForm,
     _euler_sum,
     euler_lagrange,
+    higher_balance_residuals,
     interior_euler,
 )
 
@@ -52,13 +56,16 @@ class OrderTooHighError(EngineError):
 
 
 class BalanceSystem:
-    """Chart plus flux matrix F[i][mu] and sources Pi[i]; order is the
-    maximal jet order over all constitutive polynomials."""
+    """Chart plus the system data, one map `entries` from contact generators
+    (field, multi-index) to nonzero polynomials: each source Pi[i] at the
+    zero multi-index and each flux F[i][mu] at the unit multi-index along mu;
+    entries at higher multi-indices carry higher-order flux data.  An entry
+    at multi-index order k >= 1 counts jet order + k - 1 towards `order`, so
+    first-order data keeps the maximal jet order of its polynomials."""
 
-    __slots__ = ("chart", "F", "Pi", "order")
+    __slots__ = ("chart", "entries", "order")
 
     def __init__(self, chart: Chart, F: Sequence, Pi: Sequence, declared_order: int | None = None):
-        self.chart = chart
         F = tuple(tuple(row) for row in F)
         Pi = tuple(Pi)
         if len(F) != chart.m or any(len(row) != chart.n for row in F):
@@ -67,35 +74,71 @@ class BalanceSystem:
             )
         if len(Pi) != chart.m:
             raise InvalidSystemError(f"one source polynomial per field is required (m={chart.m})")
-        for row in F:
-            for p in row:
-                chart.validate_poly(p)
-        for p in Pi:
-            chart.validate_poly(p)
-        self.F = F
-        self.Pi = Pi
-        order = max(
-            [p.jet_order() for row in F for p in row] + [p.jet_order() for p in Pi],
-            default=0,
-        )
-        if declared_order is not None and declared_order < order:
+        zero = chart.zero_index()
+        entries = {}
+        for i, row in enumerate(F):
+            entries[(i, zero)] = Pi[i]
+            for mu, flux in enumerate(row):
+                entries[(i, mi_add(zero, mu))] = flux
+        self._fill(chart, entries)
+        if declared_order is not None and declared_order < self.order:
             raise InvalidSystemError(
-                f"declared order {declared_order} is below the data's jet order {order}"
+                f"declared order {declared_order} is below the data's jet order {self.order}"
             )
-        self.order = order
+
+    @classmethod
+    def from_entries(cls, chart: Chart, entries: Mapping) -> "BalanceSystem":
+        """A system of any order from its (field, multi-index) -> polynomial
+        map; zero entries are dropped."""
+        bs = cls.__new__(cls)
+        bs._fill(chart, entries)
+        return bs
 
     @classmethod
     def from_lagrangian(cls, chart: Chart, lagrangian: Poly) -> "BalanceSystem":
-        """The gradient system of a first-order Lagrangian: fluxes are the
-        derivative partials, sources the field partials."""
+        """The gradient system of a first-order Lagrangian: each entry is the
+        partial along its generator's jet variable, so the fluxes are the
+        derivative partials and the sources the field partials."""
         if lagrangian.jet_order() > 1:
             raise InvalidSystemError("Lagrangian-generated systems need jet order <= 1")
-        F = [
-            [lagrangian.partial(jet_var(i, mi_add(chart.zero_index(), mu))) for mu in range(chart.n)]
-            for i in range(chart.m)
-        ]
-        Pi = [lagrangian.partial(jet_var(i, chart.zero_index())) for i in range(chart.m)]
-        return cls(chart, F, Pi)
+        partials = lagrangian.jet_partials().items()
+        return cls.from_entries(chart, {(i, counts): p for (_, i, counts), p in partials})
+
+    def _fill(self, chart: Chart, entries: Mapping) -> None:
+        clean = {}
+        for (i, counts), p in entries.items():
+            counts = tuple(counts)
+            chart._check_field(i)
+            if len(counts) != chart.n or any(c < 0 for c in counts):
+                raise InvalidSystemError(
+                    f"multi-index {counts} does not fit a chart with n={chart.n}"
+                )
+            chart.validate_poly(p)
+            if not p.is_zero:
+                clean[(i, counts)] = p
+        self.chart = chart
+        self.entries = clean
+        self.order = max(
+            (p.jet_order() + max(sum(counts) - 1, 0) for (_, counts), p in clean.items()),
+            default=0,
+        )
+
+    def flux(self, i: int, mu: int) -> Poly:
+        return self.entries.get((i, mi_add(self.chart.zero_index(), mu)), Poly.zero())
+
+    def source(self, i: int) -> Poly:
+        return self.entries.get((i, self.chart.zero_index()), Poly.zero())
+
+    @property
+    def F(self) -> tuple:
+        """The first-order flux matrix F[i][mu], read from the entries."""
+        chart = self.chart
+        return tuple(tuple(self.flux(i, mu) for mu in range(chart.n)) for i in range(chart.m))
+
+    @property
+    def Pi(self) -> tuple:
+        """The sources Pi[i], read from the entries."""
+        return tuple(self.source(i) for i in range(self.chart.m))
 
 
 # ---------------------------------------------------------------------------
@@ -161,29 +204,20 @@ class DecompositionReport:
 # ---------------------------------------------------------------------------
 
 
-def _entries(bs: BalanceSystem):
-    """The system data as ((i, counts), p) entries: each source at the zero
-    multi-index and each flux at its unit multi-index."""
-    zero = bs.chart.zero_index()
-    for i, row in enumerate(bs.F):
-        yield (i, zero), bs.Pi[i]
-        for mu, flux in enumerate(row):
-            yield (i, mi_add(zero, mu)), flux
-
-
 def balance_form(bs: BalanceSystem) -> Form:
     """The (n,1)-form carrying the whole system against the volume form."""
     chart = bs.chart
     total = Form.zero(chart)
-    for (i, counts), p in _entries(bs):
+    for (i, counts), p in bs.entries.items():
         total = total + Form.contact(chart, i, counts) * p
     return total.wedge(Form.volume(chart))
 
 
 def balance_residuals(bs: BalanceSystem) -> tuple:
     """Density-weighted residuals R_i = sum_mu d_mu(F[i][mu] rho) - Pi[i] rho,
-    minus the Euler sum of the data; a section solves the system iff all vanish."""
-    return tuple(-c for c in _euler_sum(bs.chart, _entries(bs)))
+    minus the Euler sum of the data; a section solves the system iff all vanish.
+    Higher-order entries enter with the same sum, see `higher_balance_residuals`."""
+    return higher_balance_residuals(bs)
 
 
 def source_form(bs: BalanceSystem) -> FunctionalForm:
@@ -193,10 +227,11 @@ def source_form(bs: BalanceSystem) -> FunctionalForm:
 
 
 def pairing_polynomial(bs: BalanceSystem) -> Poly:
-    """The contraction of the system data with the fiber scaling field:
+    """The contraction of the system data with the fiber scaling field: each
+    entry times the jet variable of its generator, so for first-order data
     sum_i y^i Pi_i + sum_{i,mu} z^i_mu F[i][mu]."""
     total = Poly.zero()
-    for (i, counts), p in _entries(bs):
+    for (i, counts), p in bs.entries.items():
         total = total + Poly.variable(jet_var(i, counts)) * p
     return total
 
@@ -252,7 +287,7 @@ def source_split(bs: BalanceSystem) -> tuple:
 def _functional_split(bs: BalanceSystem, ltilde: Poly) -> tuple:
     """`source_split` for a scaling potential already computed."""
     chart = bs.chart
-    source = FunctionalForm._from_components(chart, _euler_sum(chart, _entries(bs)))
+    source = FunctionalForm._from_components(chart, _euler_sum(chart, bs.entries.items()))
     euler_part = euler_lagrange(chart, ltilde)
     return source - euler_part, euler_part
 
@@ -291,8 +326,8 @@ def _flux_symmetric(bs: BalanceSystem) -> tuple:
         ok = True
         for i in range(chart.m):
             for k in range(i + 1, chart.m):
-                left = bs.F[i][mu].partial(jet_var(k, chart.zero_index()))
-                right = bs.F[k][mu].partial(jet_var(i, chart.zero_index()))
+                left = bs.flux(i, mu).partial(jet_var(k, chart.zero_index()))
+                right = bs.flux(k, mu).partial(jet_var(i, chart.zero_index()))
                 if left != right:
                     ok = False
                     break
@@ -306,7 +341,7 @@ def _source_pairing(bs: BalanceSystem) -> Poly:
     chart = bs.chart
     total = Poly.zero()
     for i in range(chart.m):
-        total = total + chart.field(i) * bs.Pi[i]
+        total = total + chart.field(i) * bs.source(i)
     return total
 
 
@@ -341,10 +376,10 @@ def godunov_check(bs: BalanceSystem) -> GodunovReport:
         for mu in range(chart.n):
             pairing_mu = Poly.zero()
             for i in range(chart.m):
-                pairing_mu = pairing_mu + chart.field(i) * bs.F[i][mu]
+                pairing_mu = pairing_mu + chart.field(i) * bs.flux(i, mu)
             pot = pairing_mu.scale_integrate(-1)
             for i in range(chart.m):
-                if pot.partial(jet_var(i, chart.zero_index())) != bs.F[i][mu]:
+                if pot.partial(jet_var(i, chart.zero_index())) != bs.flux(i, mu):
                     raise EngineError(
                         "potential recovery failed on a symmetric flux column"
                     )
@@ -416,9 +451,8 @@ def symmetric_hyperbolicity(bs: BalanceSystem, point: Sequence) -> Hyperbolicity
     matrices = []
     symmetric = []
     for mu in range(chart.n):
-        godunov_flux = [
-            bs.F[i][mu] - bs.F[i][mu].scale_integrate(0) for i in range(chart.m)
-        ]
+        fluxes = [bs.flux(i, mu) for i in range(chart.m)]
+        godunov_flux = [flux - flux.scale_integrate(0) for flux in fluxes]
         rows = tuple(
             tuple(godunov_flux[i].partial(jet_var(j, chart.zero_index())) for j in range(chart.m))
             for i in range(chart.m)

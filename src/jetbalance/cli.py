@@ -63,7 +63,7 @@ from .balance import (
 )
 from .jetforms import Form, form_latex, form_text, latex_rational, poly_latex
 from .symcore import Chart, EngineError, InvalidSystemError, Poly, poly_text, suffix
-from .variational import HigherBalanceData, higher_balance_residuals
+from .variational import higher_balance_residuals
 
 FORMATS = ("text", "latex", "structured")
 
@@ -107,6 +107,13 @@ class UndeclaredNameError(ParseError):
 
 class DuplicateRelationError(ParseError):
     code = "duplicate-relation"
+
+
+class NumberTooLongError(EngineError):
+    """A report number has more decimal digits than the interpreter turns into
+    text; the process-wide limit is left as it is."""
+
+    code = "number-too-long"
 
 
 # ---------------------------------------------------------------------------
@@ -195,27 +202,27 @@ def _tokenize(text: str) -> list:
 class SystemDocument:
     """A parsed, canonicalized system declaration.
 
-    Flux entries map (field index, multi-index) to nonzero polynomials;
-    sources map field index to nonzero polynomials; zero declarations are
-    dropped so that rendering and reparsing is the identity.
+    `entries` maps (field index, multi-index) to nonzero polynomials, each
+    source at the zero multi-index as in `BalanceSystem`; zero declarations
+    are dropped so that rendering and reparsing is the identity.
     """
 
     chart: Chart
-    fluxes: dict
-    sources: dict
+    entries: dict
     title: str | None = None
     notes: tuple = ()
 
     @property
+    def fluxes(self) -> dict:
+        return {key: p for key, p in self.entries.items() if any(key[1])}
+
+    @property
+    def sources(self) -> dict:
+        return {i: p for (i, counts), p in self.entries.items() if not any(counts)}
+
+    @property
     def has_higher_entries(self) -> bool:
-        return any(sum(counts) > 1 for _, counts in self.fluxes)
-
-    def flux(self, i: int, mu: int) -> Poly:
-        counts = tuple(1 if k == mu else 0 for k in range(self.chart.n))
-        return self.fluxes.get((i, counts), Poly.zero())
-
-    def source(self, i: int) -> Poly:
-        return self.sources.get(i, Poly.zero())
+        return any(sum(counts) > 1 for _, counts in self.entries)
 
     def to_balance_system(self) -> BalanceSystem:
         if self.has_higher_entries:
@@ -223,17 +230,10 @@ class SystemDocument:
                 "this document declares flux entries of order >= 2; only the "
                 "'higher' analysis applies"
             )
-        chart = self.chart
-        F = [[self.flux(i, mu) for mu in range(chart.n)] for i in range(chart.m)]
-        Pi = [self.source(i) for i in range(chart.m)]
-        return BalanceSystem(chart, F, Pi)
+        return self.to_higher_data()
 
-    def to_higher_data(self) -> HigherBalanceData:
-        coeffs = dict(self.fluxes)
-        zero = self.chart.zero_index()
-        for i, p in self.sources.items():
-            coeffs[(i, zero)] = p
-        return HigherBalanceData(self.chart, coeffs)
+    def to_higher_data(self) -> BalanceSystem:
+        return BalanceSystem.from_entries(self.chart, self.entries)
 
 
 def _segment_suffix(suffix: str, base_names) -> tuple | None:
@@ -487,8 +487,7 @@ def parse_system(text: str) -> SystemDocument:
     density = Poly.constant(1)
     title = None
     notes = []
-    fluxes = {}
-    sources = {}
+    entries = {}
     expected = tuple(repr(keyword) for keyword in _STATEMENTS)
 
     while parser.peek().kind != "eof":
@@ -519,10 +518,10 @@ def parse_system(text: str) -> SystemDocument:
                         f"cannot read {coord_tok.text!r} as a run of base coordinates",
                         coord_tok,
                     )
-                entries, key = fluxes, (i, counts)
+                key = (i, counts)
                 what = f"flux entry F[{name_tok.text},{coord_tok.text}]"
             else:
-                entries, key = sources, i
+                key = (i, (0,) * len(base_names))
                 what = f"source entry Pi[{name_tok.text}]"
             parser.expect_sym("]")
             parser.expect_sym("=")
@@ -531,16 +530,9 @@ def parse_system(text: str) -> SystemDocument:
             entries[key] = parser.expr(full_scope)
         parser.end_statement()
 
-    fluxes = {key: p for key, p in fluxes.items() if not p.is_zero}
-    sources = {key: p for key, p in sources.items() if not p.is_zero}
     chart = Chart(tuple(base_names), tuple(field_names), density)
-    for (i, counts), p in fluxes.items():
-        chart.validate_poly(p)
-        if len(counts) != chart.n:
-            raise ParseError("internal: malformed multi-index")
-    for p in sources.values():
-        chart.validate_poly(p)
-    return SystemDocument(chart, fluxes, sources, title, tuple(notes))
+    entries = BalanceSystem.from_entries(chart, entries).entries  # validated, zeros dropped
+    return SystemDocument(chart, entries, title, tuple(notes))
 
 
 def parse_section(text: str, doc: SystemDocument) -> list:
@@ -897,13 +889,13 @@ def _lines(report: Report, fmt: str):
 
 def _system_summary(doc: SystemDocument) -> dict:
     chart = doc.chart
-    polys = [*doc.fluxes.values(), *doc.sources.values()]
+    sources = doc.sources
     return {
         "title": doc.title,
         "base": list(chart.base_names),
         "fields": list(chart.field_names),
         "density": poly_text(chart.rho, chart),
-        "order": max([p.jet_order() for p in polys] + [0]),
+        "order": max([p.jet_order() for p in doc.entries.values()] + [0]),
         "fluxes": {
             chart.field_names[i]: {
                 suffix(chart.base_names, counts): poly_text(p, chart)
@@ -912,7 +904,9 @@ def _system_summary(doc: SystemDocument) -> dict:
             }
             for i in range(chart.m)
         },
-        "sources": {chart.field_names[i]: poly_text(doc.source(i), chart) for i in range(chart.m)},
+        "sources": {
+            chart.field_names[i]: poly_text(sources.get(i, Poly.zero()), chart) for i in range(chart.m)
+        },
         "notes": list(doc.notes),
     }
 
@@ -957,13 +951,16 @@ def render_latex(report: Report) -> str:
 
 
 def render(report: Report, fmt: str = "text") -> bytes:
-    if fmt == "text":
-        return render_text(report).encode("utf-8")
-    if fmt == "latex":
-        return render_latex(report).encode("utf-8")
-    if fmt == "structured":
-        return render_structured(report).encode("utf-8")
-    raise InvalidSystemError(f"unknown format {fmt!r}")
+    renderers = {"text": render_text, "latex": render_latex, "structured": render_structured}
+    if fmt not in renderers:
+        raise InvalidSystemError(f"unknown format {fmt!r}")
+    try:
+        text = renderers[fmt](report)
+    except ValueError as exc:  # CPython's int-string digit limit, met by `str` of a number
+        raise NumberTooLongError(
+            f"a report number has more than {sys.get_int_max_str_digits()} decimal digits"
+        ) from exc
+    return text.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -378,9 +378,6 @@ class Poly:
     def variables(self) -> set:
         return {var for mono in self.terms for var, _ in mono}
 
-    def degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def jet_order(self) -> int:
         """Highest derivative order among jet variables present (0 if none)."""
         return max((mono_jet_order(m) for m in self.terms), default=0)

@@ -17,7 +17,6 @@ Conventions, fixed once and used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .jetforms import BidegreeError, Form, _accumulate
 from .symcore import (
@@ -211,34 +210,8 @@ def delta_V(functional: FunctionalForm) -> FunctionalForm:
     return interior_euler(form.d_V())
 
 
-class HigherBalanceData:
-    """Coefficients of a higher-order balance structure: a finite map
-    (field, multi-index) -> polynomial, the zero multi-index entry acting as
-    the source term of that field's equation."""
-
-    __slots__ = ("chart", "coefficients")
-
-    def __init__(self, chart: Chart, coefficients: Mapping):
-        self.chart = chart
-        clean = {}
-        for (i, counts), p in coefficients.items():
-            counts = tuple(counts)
-            chart._check_field(i)
-            if len(counts) != chart.n or any(c < 0 for c in counts):
-                raise InvalidSystemError(
-                    f"multi-index {counts} does not fit a chart with n={chart.n}"
-                )
-            chart.validate_poly(p)
-            if not p.is_zero:
-                clean[(i, counts)] = p
-        self.coefficients = clean
-
-    def source(self, i: int) -> Poly:
-        return self.coefficients.get((i, self.chart.zero_index()), Poly.zero())
-
-
-def higher_balance_residuals(data: HigherBalanceData) -> tuple:
-    """Residuals of the higher-order balance equations, minus the Euler sum of
-    the entries; with only first-order entries they are exactly the
+def higher_balance_residuals(bs) -> tuple:
+    """Residuals of a `balance.BalanceSystem` of any order: minus the Euler
+    sum of its entries.  With only first-order entries they are the
     first-order balance residuals."""
-    return tuple(-c for c in _euler_sum(data.chart, sorted(data.coefficients.items())))
+    return tuple(-c for c in _euler_sum(bs.chart, bs.entries.items()))

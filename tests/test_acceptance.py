@@ -31,7 +31,6 @@ from jetbalance import (
 )
 from jetbalance.cli import parse_system, render, run
 from jetbalance.symcore import jet_var
-from jetbalance.variational import HigherBalanceData
 
 from conftest import random_form, random_poly, random_system
 
@@ -252,7 +251,7 @@ def test_criterion_09_higher_order_residual():
     chart = Chart(("x",), ("u",))
     zxx = chart.jet(0, (2,))
     z4 = chart.jet(0, (4,))
-    data = HigherBalanceData(chart, {(0, (2,)): zxx})
+    data = BalanceSystem.from_entries(chart, {(0, (2,)): zxx})
     ok = higher_balance_residuals(data) == (-z4,)
     chart2 = Chart(("t", "x"), ("u", "v"))
     rng = random.Random(109)
@@ -263,7 +262,7 @@ def test_criterion_09_higher_order_residual():
             for mu in range(2):
                 coeffs[(i, _unit(2, mu))] = bs.F[i][mu]
             coeffs[(i, (0, 0))] = bs.Pi[i]
-        data = HigherBalanceData(chart2, coeffs)
+        data = BalanceSystem.from_entries(chart2, coeffs)
         ok &= higher_balance_residuals(data) == balance_residuals(bs)
     _verdict("09 higher-order residuals", bool(ok))
 

@@ -23,6 +23,7 @@ from jetbalance import (
     evaluate_on_section,
     godunov_check,
     helmholtz_check,
+    higher_balance_residuals,
     interior_euler,
     lagrangian_split,
     pairing_polynomial,
@@ -36,7 +37,7 @@ from jetbalance import (
 )
 from jetbalance.symcore import jet_var
 
-from conftest import CHARTS, density_chart, random_poly, random_system
+from conftest import CHARTS, density_chart, multi_indices, random_poly, random_system
 
 
 def plasticity() -> BalanceSystem:
@@ -393,6 +394,44 @@ class TestIndependentRoutes:
         assert nontrivial
 
 
+@pytest.mark.parametrize("density", ["1", "1 + x^2"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+class TestAnyOrder:
+    """The one data model at any order: systems from `from_entries` with
+    entries up to multi-index order 3 keep the decomposition identities, and
+    both residual functions agree with the source form."""
+
+    @staticmethod
+    def _systems(n, density):
+        chart = density_chart(n, density)
+        rng = random.Random(151 + n)
+        slots = [(i, counts) for i in range(chart.m) for counts in multi_indices(n, 3)]
+        top = [slot for slot in slots if sum(slot[1]) == 3]
+        return [
+            BalanceSystem.from_entries(
+                chart,
+                {
+                    slot: random_poly(rng, chart, max_degree=2, max_terms=2)
+                    for slot in rng.sample(slots, 3) + [rng.choice(top)]
+                },
+            )
+            for _ in range(4)
+        ]
+
+    def test_decomposition(self, n, density):
+        for bs in self._systems(n, density):
+            report = decompose(bs)
+            reference = vertical_decompose(balance_form(bs))
+            assert (report.lagrangian_part, report.nonlagrangian_part) == reference
+            assert interior_euler(report.nonlagrangian_part) == report.godunov_part
+
+    def test_residuals(self, n, density):
+        for bs in self._systems(n, density):
+            residuals = balance_residuals(bs)
+            assert source_form(bs).components() == tuple(-r for r in residuals)
+            assert residuals == higher_balance_residuals(bs)
+
+
 class TestTriviality:
     def test_antisymmetric_sources(self, chart_tx_uv):
         chart = chart_tx_uv
@@ -622,6 +661,19 @@ class TestSystemConstruction:
             BalanceSystem(bs_chart, [[zx, Poly.zero()]], [Poly.zero()], declared_order=0)
         bs = BalanceSystem(bs_chart, [[zx, Poly.zero()]], [Poly.zero()], declared_order=2)
         assert bs.order == 1
+
+    def test_higher_order_entries(self, chart_tx_u):
+        """An entry at multi-index order k counts jet order + k - 1, so the
+        zero-order analyses refuse it; zero entries are dropped."""
+        u = chart_tx_u.field(0)
+        bs = BalanceSystem.from_entries(chart_tx_u, {(0, (2, 0)): u, (0, (0, 0)): Poly.zero()})
+        assert bs.entries == {(0, (2, 0)): u} and bs.order == 1
+        with pytest.raises(OrderTooHighError):
+            godunov_check(bs)
+        with pytest.raises(OrderTooHighError):
+            symmetric_hyperbolicity(bs, [0, 0, 1])
+        with pytest.raises(InvalidSystemError):
+            BalanceSystem.from_entries(chart_tx_u, {(0, (2,)): u})
 
     def test_decompose_report_invariants(self):
         rng = random.Random(83)

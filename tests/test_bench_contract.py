@@ -60,3 +60,17 @@ def test_benchmark_imports_resolve():
         if not hasattr(imported, "__path__") or not importlib.util.find_spec(f"{module}.{name}"):
             missing.append((file, module, name))
     assert missing == []
+
+
+def test_benchmark_checks_hold_on_bundled_systems(monkeypatch):
+    """`bench/check.py` drives the document (`has_higher_entries`,
+    `to_higher_data`, `to_balance_system`) and the residual functions at run
+    time; its `check_system` finds no problem on any bundled system."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_check", BENCH / "check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    systems = sorted((BENCH.parent / "systems").glob("*.bal"))
+    assert systems
+    for path in systems:
+        assert module.check_system(path.read_text(encoding="utf-8")) == [], path.name

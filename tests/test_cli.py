@@ -40,16 +40,18 @@ class TestParsing:
         assert chart.base_names == ("t", "x") and chart.field_names == ("u",)
         u = chart.field(0)
         zx = chart.jet(0, (0, 1))
-        assert doc.flux(0, 0) == u
-        assert doc.flux(0, 1) == -(u**2 / 2 + zx)
-        assert doc.source(0).is_zero
+        bs = doc.to_balance_system()
+        assert bs.flux(0, 0) == u
+        assert bs.flux(0, 1) == -(u**2 / 2 + zx)
+        assert bs.source(0).is_zero
 
     def test_plasticity(self):
         doc = parse_system(PLASTICITY)
         chart = doc.chart
         v = chart.field(1)
-        assert doc.flux(0, 0) == chart.field(0)
-        assert doc.source(0) == -v / 2
+        bs = doc.to_balance_system()
+        assert bs.flux(0, 0) == chart.field(0)
+        assert bs.source(0) == -v / 2
 
     def test_empty_expression_position(self):
         with pytest.raises(ParseError) as err:
@@ -251,6 +253,22 @@ class TestMain:
         code = main(["hyperbolic", str(SYSTEMS / "burgers.bal"), "--at", "0,0,1"])
         assert code == 2
         assert "order-too-high" in capsys.readouterr().err
+
+    def test_exit_two_on_too_long_coefficient(self, tmp_path, capsys):
+        """A coefficient past the int-string digit limit is a coded error."""
+        big = tmp_path / "big.bal"
+        big.write_text("base t x; fields u; F[u,t] = 2^15000 u;")
+        assert main(["equations", str(big)]) == 2
+        assert capsys.readouterr().err.startswith("error[number-too-long]")
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "structured"])
+    def test_exit_two_on_too_long_report_number(self, tmp_path, capsys, fmt):
+        """A leading minor past the int-string digit limit, in every format."""
+        system = tmp_path / "quartic.bal"
+        system.write_text("base t x; fields u; F[u,t] = u^4; F[u,x] = u;")
+        at = "0,0,1" + "0" * 3000
+        assert main(["hyperbolic", str(system), "--at", at, "--format", fmt]) == 2
+        assert capsys.readouterr().err.startswith("error[number-too-long]")
 
     def test_exit_three_on_internal_error(self, monkeypatch, capsys):
         import jetbalance.cli as cli_mod

@@ -14,7 +14,6 @@ from jetbalance import (
     Chart,
     Form,
     FunctionalForm,
-    HigherBalanceData,
     NotFunctionalError,
     Poly,
     balance_form,
@@ -279,7 +278,7 @@ class TestHigherBalance:
         chart = chart_x_u
         zxx = chart.jet(0, (2,))
         z4 = chart.jet(0, (4,))
-        data = HigherBalanceData(chart, {(0, (2,)): zxx})
+        data = BalanceSystem.from_entries(chart, {(0, (2,)): zxx})
         assert data.source(0).is_zero
         assert higher_balance_residuals(data) == (-z4,)
 
@@ -290,7 +289,7 @@ class TestHigherBalance:
         u = chart.field(0)
         zx = chart.jet(0, (0, 1))
         bs = BalanceSystem(chart, [[u, -(u**2 / 2 + zx)]], [u / 3])
-        data = HigherBalanceData(
+        data = BalanceSystem.from_entries(
             chart,
             {
                 (0, (1, 0)): bs.F[0][0],
@@ -303,7 +302,7 @@ class TestHigherBalance:
     def test_empty_data(self, chart_tx_u):
         from jetbalance import higher_balance_residuals
 
-        data = HigherBalanceData(chart_tx_u, {})
+        data = BalanceSystem.from_entries(chart_tx_u, {})
         assert higher_balance_residuals(data) == (Poly.zero(),)
 
     @pytest.mark.parametrize("density", ["1", "1 + x^2"])
@@ -320,11 +319,11 @@ class TestHigherBalance:
         top = [slot for slot in slots if sum(slot[1]) == 3]
         for _ in range(4):
             picked = rng.sample(slots, 3) + [rng.choice(top)]
-            data = HigherBalanceData(
+            data = BalanceSystem.from_entries(
                 chart, {slot: random_poly(rng, chart, max_degree=2, max_terms=2) for slot in picked}
             )
             encoding = Form.zero(chart)
-            for (i, counts), p in data.coefficients.items():
+            for (i, counts), p in data.entries.items():
                 encoding = encoding + Form.contact(chart, i, counts) * p
             source = interior_euler(encoding.wedge(Form.volume(chart)))
             assert higher_balance_residuals(data) == tuple(-c for c in source.components())
