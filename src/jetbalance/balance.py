@@ -63,7 +63,7 @@ class BalanceSystem:
     at multi-index order k >= 1 counts jet order + k - 1 towards `order`, so
     first-order data keeps the maximal jet order of its polynomials."""
 
-    __slots__ = ("chart", "entries", "order")
+    __slots__ = ("chart", "entries")
 
     def __init__(self, chart: Chart, F: Sequence, Pi: Sequence, declared_order: int | None = None):
         F = tuple(tuple(row) for row in F)
@@ -107,19 +107,17 @@ class BalanceSystem:
     def _fill(self, chart: Chart, entries: Mapping) -> None:
         clean = {}
         for (i, counts), p in entries.items():
-            counts = tuple(counts)
-            chart._check_field(i)
-            if len(counts) != chart.n or any(c < 0 for c in counts):
-                raise InvalidSystemError(
-                    f"multi-index {counts} does not fit a chart with n={chart.n}"
-                )
+            chart.jet(i, counts)  # rejects a generator outside the chart
             chart.validate_poly(p)
             if not p.is_zero:
-                clean[(i, counts)] = p
+                clean[(i, tuple(counts))] = p
         self.chart = chart
         self.entries = clean
-        self.order = max(
-            (p.jet_order() + max(sum(counts) - 1, 0) for (_, counts), p in clean.items()),
+
+    @property
+    def order(self) -> int:
+        return max(
+            (p.jet_order() + max(sum(counts) - 1, 0) for (_, counts), p in self.entries.items()),
             default=0,
         )
 
