@@ -214,7 +214,7 @@ class SystemDocument:
 
     @property
     def fluxes(self) -> dict:
-        return {key: p for key, p in self.entries.items() if any(key[1])}
+        return {(i, counts): p for (i, counts), p in self.entries.items() if any(counts)}
 
     @property
     def sources(self) -> dict:
