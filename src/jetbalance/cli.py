@@ -116,6 +116,24 @@ class NumberTooLongError(EngineError):
     code = "number-too-long"
 
 
+class EncodingError(EngineError):
+    """Input bytes that are not UTF-8."""
+
+    code = "encoding"
+
+
+def _decode(data: bytes, name: str) -> str:
+    """Strict UTF-8 text of an input, newlines translated as text-mode reading
+    does; an invalid byte raises EncodingError naming its offset."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(
+            f"{name} is not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 # ---------------------------------------------------------------------------
 # lexer
 # ---------------------------------------------------------------------------
@@ -1001,18 +1019,20 @@ def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         if args.system == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(args.system, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        section_text = None
+            with open(args.system, "rb") as handle:
+                data = handle.read()
+        section_data = None
         if getattr(args, "section", None):
-            with open(args.section, "r", encoding="utf-8") as handle:
-                section_text = handle.read()
+            with open(args.section, "rb") as handle:
+                section_data = handle.read()
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
     try:
+        text = _decode(data, "standard input" if args.system == "-" else args.system)
+        section_text = None if section_data is None else _decode(section_data, args.section)
         doc = parse_system(text)
         at = _parse_point(args.at) if getattr(args, "at", None) else None
         report = run(args.command, doc, at=at, section_text=section_text)

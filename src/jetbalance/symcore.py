@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
+from math import comb
 from typing import Callable, Iterable, Mapping
 
 
@@ -183,6 +185,77 @@ def _exact(c):
 _ONE = {(): 1}  # the terms of the constant 1
 
 
+def _add_into(out: dict, terms) -> None:
+    """Add the (monomial, coefficient) pairs `terms` into the term dict `out`
+    in place, dropping every term that cancels."""
+    for mono, c in terms:
+        prev = out.get(mono)
+        if prev is None:
+            out[mono] = c
+        else:
+            s = prev + c
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+
+
+def _affinely_independent(monos) -> bool:
+    """Whether the exponent vectors e_j of `monos` are affinely independent:
+    the rows (1, e_j) have full rank over the rationals, found by
+    fraction-free (Bareiss) elimination, whose divisions by the previous
+    pivot are exact and keep the integers the size of minors."""
+    variables = {var for mono in monos for var, _ in mono}
+    rows = []
+    for mono in monos:
+        exps = dict(mono)
+        rows.append([1] + [exps.get(var, 0) for var in variables])
+    rank, prev = 0, 1
+    for col in range(len(variables) + 1):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(a * top[col] - b * f) // prev for a, b in zip(rows[i], top)]
+        rank, prev = rank + 1, top[col]
+    return rank == len(rows)
+
+
+def _multinomial_power(terms: dict, k: int) -> dict:
+    """The terms of (sum_j c_j m_j)^k as the sum over the compositions alpha
+    of k of k!/alpha! prod_j c_j^alpha_j m_j^alpha_j, for r >= 2 base terms.
+    The exponent vectors of the m_j must be affinely independent, so that
+    distinct compositions give distinct monomials and each result term is
+    written once."""
+    variables = sorted({var for mono in terms for var, _ in mono}, key=var_rank)
+    slot = {var: i for i, var in enumerate(variables)}
+    # per base term: its exponent vector times a, and its coefficient to the a, for a = 0..k
+    factors = []
+    for mono, c in terms.items():
+        vec = [0] * len(variables)
+        for var, e in mono:
+            vec[slot[var]] = e
+        factors.append(([tuple(a * e for e in vec) for a in range(k + 1)],
+                        [c**a for a in range(k + 1)]))
+    *head, (last_vecs, last_pows) = factors
+    add = int.__add__
+    # partial sums over the head terms: (exponent vector, coefficient, k left);
+    # the last term takes what is left
+    states = [((0,) * len(variables), 1, k)]
+    for vecs, pows in head:
+        states = [(tuple(map(add, vec, vecs[a])), c * comb(left, a) * pows[a], left - a)
+                  for vec, c, left in states for a in range(left + 1)]
+    out: dict[Mono, int | Fraction] = {}
+    for vec, c, left in states:
+        exps = tuple(map(add, vec, last_vecs[left]))
+        c *= last_pows[left]
+        out[tuple(compress(zip(variables, exps), exps))] = c if type(c) is int else _exact(c)
+    return out
+
+
 def _mono_div(a: Mono, b: Mono) -> Mono | None:
     """a / b as a monomial, or None if some exponent would go negative."""
     exps = dict(a)
@@ -311,13 +384,15 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        out = dict(self.terms)
+        _add_into(out, ((mono, -c) for mono, c in o.terms.items()))
+        return Poly._raw(out)
 
     def __rsub__(self, other) -> "Poly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other) -> "Poly":
         o = self._coerce(other)
@@ -358,16 +433,31 @@ class Poly:
         return Poly._raw({mono: _exact(c * q) for mono, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
-        """A one-term base is raised directly; any other base is multiplied
-        in repeatedly, which on sparse polynomials takes fewer term pairs
-        than repeated squaring (Fateman 1974)."""
+        """Powers by the multinomial formula or by repeated products
+        (Fateman 1974 analyses both); the first power is the base itself.
+
+        A one-term base is raised directly.  A base of r >= 2 terms whose
+        exponent vectors are affinely independent (the rows (1, e_j) have
+        rank r, an exact integer test) is expanded by the multinomial
+        formula: distinct compositions of the exponent give distinct
+        monomials, so each of the C(k + r - 1, r - 1) result terms is
+        written once, with no merge and no product of polynomials.  Any
+        other base, the zero polynomial included, is multiplied in k - 1
+        times, which on sparse polynomials takes fewer term pairs than
+        repeated squaring.  On a dependent base such as 1 + x + x^2, or the
+        dense u + u^2 + ... + u^10, the compositions far outnumber the
+        result terms, so the multinomial sum would be the slower one."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         if exponent == 0:
             return Poly.constant(1)
+        if exponent == 1:
+            return self
         if len(self.terms) == 1:
             [(mono, coeff)] = self.terms.items()
             return Poly._raw({tuple((var, e * exponent) for var, e in mono): coeff**exponent})
+        if len(self.terms) >= 2 and _affinely_independent(self.terms):
+            return Poly._raw(_multinomial_power(self.terms, exponent))
         result = self
         for _ in range(exponent - 1):
             result = result * self
@@ -487,18 +577,17 @@ class Poly:
     # -- substitution ----------------------------------------------------------
 
     def substitute(self, mapping: Mapping[Var, "Poly"]) -> "Poly":
-        """Replace variables by polynomials; unmapped variables stay themselves."""
-        result = Poly.zero()
+        """Replace variables by polynomials; unmapped variables stay themselves.
+        Each term's image is added into one dict."""
+        out: dict[Mono, int | Fraction] = {}
         for mono, coeff in self.terms.items():
-            term = Poly.constant(coeff)
+            term = Poly._raw({tuple(f for f in mono if f[0] not in mapping): coeff})
             for var, e in mono:
                 repl = mapping.get(var)
-                if repl is None:
-                    term = term * Poly.variable(var) ** e
-                else:
+                if repl is not None:
                     term = term * repl**e
-            result = result + term
-        return result
+            _add_into(out, term.terms.items())
+        return Poly._raw(out)
 
     def evaluate(self, assignment: Mapping[Var, Fraction]) -> Fraction:
         """Exact value at a point; every variable present must be assigned."""

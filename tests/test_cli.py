@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import subprocess
@@ -269,6 +270,23 @@ class TestMain:
         at = "0,0,1" + "0" * 3000
         assert main(["hyperbolic", str(system), "--at", at, "--format", fmt]) == 2
         assert capsys.readouterr().err.startswith("error[number-too-long]")
+
+    NOT_UTF8 = b'base t x; fields u; title "a\xffb"; F[u,t] = u;\n'
+
+    def test_exit_two_on_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.bal"
+        bad.write_bytes(self.NOT_UTF8)
+        assert main(["equations", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error[encoding]: {bad} is not UTF-8: byte 0xff at offset 28\n")
+
+    def test_exit_two_on_stdin_not_utf8(self, monkeypatch, capsys):
+        # a terminal or C-locale stdin reads undecodable bytes as surrogates
+        stdin = io.TextIOWrapper(io.BytesIO(self.NOT_UTF8), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["equations", "-"]) == 2
+        assert capsys.readouterr().err == (
+            "error[encoding]: standard input is not UTF-8: byte 0xff at offset 28\n")
 
     def test_exit_three_on_internal_error(self, monkeypatch, capsys):
         import jetbalance.cli as cli_mod

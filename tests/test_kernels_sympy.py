@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from jetbalance import Chart, Poly, euler_lagrange
-from jetbalance.symcore import base_var, jet_var, var_rank
+from jetbalance.symcore import _affinely_independent, base_var, jet_var, var_rank
 
 from conftest import random_poly, variable_pool
 
@@ -80,6 +80,35 @@ def test_power(chart, order, seed):
 
 
 _T, _X = Poly.variable(base_var(0)), Poly.variable(base_var(1))
+_U, _V, _U_X = CHARTS[1].field(0), CHARTS[1].field(1), CHARTS[1].jet(0, (0, 1))
+# name -> (base over (t, x; u, v), are its exponent vectors affinely independent?)
+POWER_BASES = {
+    "1/2 u - 3 u_x + 2/3 x^2 + 1": (Fraction(1, 2) * _U - 3 * _U_X + Fraction(2, 3) * _X**2 + 1, True),
+    "-2/3 u v + 5 t - 1/4": (Fraction(-2, 3) * _U * _V + 5 * _T - Fraction(1, 4), True),
+    "u + u_x + x + 1": (_U + _U_X + _X + 1, True),
+    "3/4 t x^2 - u_x^3": (Fraction(3, 4) * _T * _X**2 - _U_X**3, True),
+    "1 + x + x^2": (1 + _X + _X**2, False),
+    "u + u^2 + u^3": (_U + _U**2 + _U**3, False),
+    "u x + u + x + 1": (_U * _X + _U + _X + 1, False),
+    "u x - u - x + 1": (_U * _X - _U - _X + 1, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
+def test_power_of_a_sum(name):
+    """Both expansions of `**`: the multinomial one on affinely independent
+    bases, repeated products on the others."""
+    base, independent = POWER_BASES[name]
+    assert _affinely_independent(base.terms) is independent
+    for e in (2, 3, 7):
+        assert _to_sympy(base**e, CHARTS[1]) == _to_sympy(base, CHARTS[1]) ** e
+
+
+@pytest.mark.parametrize("e", [0, 1, 5])
+def test_power_of_zero(e):
+    assert _to_sympy(Poly.zero() ** e, CHARTS[1]) == _to_sympy(Poly.zero(), CHARTS[1]) ** e
+
+
 DIVISORS = {
     "1": Poly.constant(1),
     "3/2": Poly.constant(Fraction(3, 2)),

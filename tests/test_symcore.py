@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,81 @@ class TestWorkCounts:
         )
         assert len((base**31).terms) == 528
         assert sum(pairs) <= 16368  # repeated squaring takes 48303
+
+    @staticmethod
+    def _bases(chart):
+        """Named bases over the chart (x; u): u_x is the first jet of u."""
+        u, u_x, x = chart.field(0), chart.jet(0, (1,)), chart.x(0)
+        half, third = Fraction(1, 2), Fraction(2, 3)
+        return {
+            "u + x + 1": u + x + 1,
+            "u + u_x + x + 1": u + u_x + x + 1,
+            "1/2 u - 3 u_x + 2/3 x^2 + 1": half * u - 3 * u_x + third * x**2 + 1,
+            "u x + u_x": u * x + u_x,
+            "1 + x + x^2": 1 + x + x**2,
+            "u + u^2 + u^3": u + u**2 + u**3,
+            "u x + u + x + 1": u * x + u + x + 1,
+            "u x - u - x + 1": u * x - u - x + 1,
+            "u + ... + u^10": sum((u**e for e in range(1, 11)), Poly.zero()),
+        }
+
+    @pytest.mark.parametrize("name,k", [("u + x + 1", 31), ("u + u_x + x + 1", 12),
+                                        ("1/2 u - 3 u_x + 2/3 x^2 + 1", 10), ("u x + u_x", 7)])
+    def test_independent_power_multiplies_nothing(self, monkeypatch, chart_x_u, name, k):
+        """Affinely independent exponent vectors: the multinomial expansion
+        writes each of the C(k + r - 1, r - 1) terms once, with no product."""
+        base = self._bases(chart_x_u)[name]
+        muls = self._record(monkeypatch, "__mul__", lambda *args: 1)
+        power = base**k
+        assert muls == []
+        r = len(base.terms)
+        assert len(power.terms) == comb(k + r - 1, r - 1)
+        monkeypatch.undo()
+        expected = base
+        for _ in range(k - 1):
+            expected = expected * base
+        assert power == expected
+
+    @pytest.mark.parametrize("name", ["1 + x + x^2", "u + u^2 + u^3", "u x + u + x + 1",
+                                      "u x - u - x + 1", "u + ... + u^10"])
+    def test_dependent_power_takes_products(self, monkeypatch, chart_x_u, name):
+        base = self._bases(chart_x_u)[name]
+        muls = self._record(monkeypatch, "__mul__", lambda *args: 1)
+        _ = base**6
+        assert len(muls) == 5
+
+    def test_first_power_is_the_base(self, chart_x_u):
+        for base in [Poly.zero(), chart_x_u.field(0), *self._bases(chart_x_u).values()]:
+            assert base**1 is base
+
+    def test_difference_in_one_merge(self, monkeypatch, chart_x_u):
+        a, b = self._bases(chart_x_u)["u + u_x + x + 1"] ** 3, chart_x_u.field(0) ** 2 - 7
+        negs = self._record(monkeypatch, "__neg__", lambda *args: 1)
+        differences = (a - b, b - a, 5 - a, a - Fraction(1, 2))
+        assert negs == []
+        monkeypatch.undo()
+        assert differences == (a + (-b), b + (-a), 5 + (-a), a + Fraction(-1, 2))
+
+    def test_substitute_adds_no_polynomials(self, monkeypatch, chart_x_u):
+        """Each term's image goes into one dict: the number of Poly.__add__
+        calls does not grow with the number of terms."""
+        x = chart_x_u.x(0)
+        mapping = {jet_var(0, (0,)): 2 * x**2 - x + Fraction(1, 3)}
+        counts = []
+        for size in (3, 12):
+            p = self._bases(chart_x_u)["u + u_x + x + 1"] ** size
+            adds = self._record(monkeypatch, "__add__", lambda *args: 1)
+            image = p.substitute(mapping)
+            counts.append(len(adds))
+            monkeypatch.undo()
+            expected = Poly.zero()
+            for mono, coeff in p.terms.items():
+                term = Poly.constant(coeff)
+                for var, e in mono:
+                    term = term * (mapping[var] if var in mapping else Poly.variable(var)) ** e
+                expected = expected + term
+            assert image == expected
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("density", ["1", "1 + x^2"])
     def test_div_exact_adds_nothing(self, monkeypatch, chart_x_u, density):
