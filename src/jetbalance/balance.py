@@ -28,6 +28,8 @@ from .symcore import (
     EngineError,
     InvalidSystemError,
     Poly,
+    _add_into,
+    _divide,
     base_var,
     jet_var,
     mi_add,
@@ -523,34 +525,45 @@ def divergence_split(chart: Chart, p: Poly) -> tuple:
     A monomial c * rest * v^k * w qualifies when w is a jet variable of order
     >= 1 with exponent one, v is w lowered along some coordinate mu, and the
     verified antiderivative c/(k+1) * rest * v^(k+1) reproduces it under d_mu.
+    That happens iff d_mu(rest) = 0: d_mu of a monomial is a sum of distinct
+    monomials with positive multiples, so it vanishes only when rest holds
+    no jet variable and no x^mu.  Only such a candidate is built and tried.
     """
-    potentials = [Poly.zero() for _ in range(chart.n)]
-    remainder = Poly.zero()
-    for mono, coeff in p.sorted_terms():
-        term = Poly({mono: coeff})
-        placed = False
-        jet_candidates = sorted(
-            (var for var, e in mono if var[0] == "j" and e == 1 and var_order(var) >= 1),
-            key=lambda v: (var_order(v), v[2], v[1]),
-            reverse=True,
-        )
-        for w in jet_candidates:
-            for mu in range(chart.n):
-                if w[2][mu] == 0:
-                    continue
-                lowered = w[2][:mu] + (w[2][mu] - 1,) + w[2][mu + 1 :]
-                v = jet_var(w[1], lowered)
-                exps = dict(mono)
-                exps.pop(w)
-                k = exps.pop(v, 0)
-                exps[v] = k + 1
-                candidate = Poly({tuple(exps.items()): coeff * Fraction(1, k + 1)})
-                if candidate.total_derivative(mu) == term:
-                    potentials[mu] = potentials[mu] + candidate
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            remainder = remainder + term
-    return tuple(potentials), remainder
+    potentials = [{} for _ in range(chart.n)]
+    remainder = {}
+    for mono, coeff in p.terms.items():
+        found = _single_antiderivative(chart, mono, coeff)
+        if found is None:
+            remainder[mono] = coeff
+        else:
+            mu, candidate = found
+            _add_into(potentials[mu], candidate.terms.items())
+    return tuple(map(Poly._raw, potentials)), Poly._raw(remainder)
+
+
+def _single_antiderivative(chart: Chart, mono: tuple, coeff) -> tuple | None:
+    """The first (mu, candidate) of `divergence_split` whose d_mu gives back
+    coeff * mono, or None.  Candidates are tried from the highest-ranked w
+    down and, for each w, along mu ascending."""
+    jets = [var for var, _ in mono if var[0] == "j"]
+    if len(jets) > 2:  # rest holds a jet variable whatever w and v are
+        return None
+    rest = mono[: len(mono) - len(jets)]  # the base factors, which rank first
+    candidates = sorted(
+        (var for var, e in mono if var[0] == "j" and e == 1 and var_order(var) >= 1),
+        key=lambda v: (var_order(v), v[2], v[1]),
+        reverse=True,
+    )
+    for w in candidates:
+        for mu in range(chart.n):
+            if w[2][mu] == 0:
+                continue
+            lowered = w[2][:mu] + (w[2][mu] - 1,) + w[2][mu + 1 :]
+            v = jet_var(w[1], lowered)
+            if any(var not in (w, v) for var in jets) or any(var[1] == mu for var, _ in rest):
+                continue  # d_mu(rest) != 0
+            k = dict(mono).get(v, 0)
+            candidate = Poly._raw({rest + ((v, k + 1),): _divide(coeff, k + 1)})
+            if candidate.total_derivative(mu).terms == {mono: coeff}:
+                return mu, candidate
+    return None

@@ -62,7 +62,7 @@ from .balance import (
     symmetric_hyperbolicity,
 )
 from .jetforms import Form, form_latex, form_text, latex_rational, poly_latex
-from .symcore import Chart, EngineError, InvalidSystemError, Poly, poly_text, suffix
+from .symcore import Chart, EngineError, InvalidSystemError, Poly, _add_into, poly_text, suffix
 from .variational import higher_balance_residuals
 
 FORMATS = ("text", "latex", "structured")
@@ -343,12 +343,14 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def expr(self, scope) -> Poly:
-        value = self._product(scope)
+        """A sum of products, added into one dict, so that an N-term
+        literal parses in time linear in N."""
+        out = dict(self._product(scope).terms)
         while self.peek().kind == "sym" and self.peek().text in "+-":
             op = self.next().text
-            rhs = self._product(scope)
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            terms = self._product(scope).terms.items()
+            _add_into(out, terms if op == "+" else ((mono, -c) for mono, c in terms))
+        return Poly._raw(out)
 
     _FACTOR_START = {"name", "int"}
 

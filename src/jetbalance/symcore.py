@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Mapping
 
 
@@ -182,6 +182,14 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _divide(c, d: int):
+    """c / d for a nonzero int d, divided once: an int when the quotient is
+    integral, otherwise a Fraction."""
+    if type(c) is int:
+        return c // d if c % d == 0 else Fraction(c, d)
+    return _exact(c / d)
+
+
 _ONE = {(): 1}  # the terms of the constant 1
 
 
@@ -229,15 +237,19 @@ def _multinomial_power(terms: dict, k: int) -> dict:
     of k of k!/alpha! prod_j c_j^alpha_j m_j^alpha_j, for r >= 2 base terms.
     The exponent vectors of the m_j must be affinely independent, so that
     distinct compositions give distinct monomials and each result term is
-    written once."""
+    written once.  Rational base coefficients are cleared once: the base
+    times the lcm D of their denominators is expanded in ints, and each
+    result coefficient is divided once by D^k."""
     variables = sorted({var for mono in terms for var, _ in mono}, key=var_rank)
     slot = {var: i for i, var in enumerate(variables)}
-    # per base term: its exponent vector times a, and its coefficient to the a, for a = 0..k
+    denominator = lcm(*(c.denominator for c in terms.values()))
+    # per base term: its exponent vector times a, and its cleared coefficient to the a, for a = 0..k
     factors = []
     for mono, c in terms.items():
         vec = [0] * len(variables)
         for var, e in mono:
             vec[slot[var]] = e
+        c = c.numerator * (denominator // c.denominator)
         factors.append(([tuple(a * e for e in vec) for a in range(k + 1)],
                         [c**a for a in range(k + 1)]))
     *head, (last_vecs, last_pows) = factors
@@ -248,11 +260,12 @@ def _multinomial_power(terms: dict, k: int) -> dict:
     for vecs, pows in head:
         states = [(tuple(map(add, vec, vecs[a])), c * comb(left, a) * pows[a], left - a)
                   for vec, c, left in states for a in range(left + 1)]
+    scale = denominator**k
     out: dict[Mono, int | Fraction] = {}
     for vec, c, left in states:
         exps = tuple(map(add, vec, last_vecs[left]))
         c *= last_pows[left]
-        out[tuple(compress(zip(variables, exps), exps))] = c if type(c) is int else _exact(c)
+        out[tuple(compress(zip(variables, exps), exps))] = c if scale == 1 else _divide(c, scale)
     return out
 
 
@@ -571,7 +584,7 @@ class Poly:
                     f"scaling integral diverges: monomial of vertical degree "
                     f"{mono_vertical_degree(mono)} with t-exponent {exponent}"
                 )
-            out[mono] = _exact(coeff * Fraction(1, denom))
+            out[mono] = _divide(coeff, denom)
         return Poly._raw(out)
 
     # -- substitution ----------------------------------------------------------

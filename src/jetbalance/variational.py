@@ -16,7 +16,7 @@ Conventions, fixed once and used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 
 from .jetforms import BidegreeError, Form, _accumulate
 from .symcore import (
@@ -24,6 +24,7 @@ from .symcore import (
     EngineError,
     InvalidSystemError,
     Poly,
+    _add_into,
     jet_var,
 )
 
@@ -34,48 +35,64 @@ class NotFunctionalError(EngineError):
     code = "not-functional"
 
 
-@dataclass(frozen=True)
 class FunctionalForm:
     """An (n, s)-form in the image of the interior Euler operator.
 
     For s = 1 the form is a source form: a sum of components E_i wedged with
     the order-0 contact generator of field i and the coordinate volume.  A
-    source form assembled from its components keeps them in `kept`, which
-    takes no part in equality or hashing.
+    source form built from its components holds them and builds its form
+    words only when `.form` is read; two forms on one chart that both hold
+    components compare, add and subtract by them.  `FunctionalForm(form,
+    kept)` wraps a form, with its components if they are known.
     """
 
-    form: Form
-    kept: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("chart", "_form", "_components")
+
+    def __init__(self, form: Form, kept: tuple | None = None):
+        self.chart = form.chart
+        self._form = form
+        self._components = kept
 
     @classmethod
     def _from_components(cls, chart: Chart, components: tuple) -> "FunctionalForm":
-        """Internal: assemble a source form from components already known to
-        fit the chart, keeping them."""
-        full_h = tuple(range(chart.n))
-        odd = chart.n % 2
-        terms = {
-            (full_h, ((i, chart.zero_index()),)): -comp if odd else comp
-            for i, comp in enumerate(components)
-            if not comp.is_zero
-        }
-        return cls(Form._raw(chart, terms), components)
+        """Internal: the source form of components already known to fit the
+        chart, holding them and no form words."""
+        f = cls.__new__(cls)
+        f.chart = chart
+        f._form = None
+        f._components = components
+        return f
 
     @property
-    def chart(self) -> Chart:
-        return self.form.chart
+    def form(self) -> Form:
+        """The form words, built from the components on first use."""
+        if self._form is None:
+            self._form = self._words()
+        return self._form
+
+    def _words(self) -> Form:
+        chart = self.chart
+        full_h, zero, odd = tuple(range(chart.n)), chart.zero_index(), chart.n % 2
+        return Form._raw(chart, {
+            (full_h, ((i, zero),)): -comp if odd else comp
+            for i, comp in enumerate(self._components)
+            if not comp.is_zero
+        })
 
     @property
     def is_zero(self) -> bool:
-        return self.form.is_zero
+        if self._form is None:
+            return all(comp.is_zero for comp in self._components)
+        return self._form.is_zero
 
     def components(self) -> tuple:
         """The component polynomials (E_1, ..., E_m) of a source form (s = 1)."""
-        if self.kept is not None:
-            return self.kept
+        if self._components is not None:
+            return self._components
         chart = self.chart
         full_h = tuple(range(chart.n))
         comps = [Poly.zero()] * chart.m
-        for (h, c), coeff in self.form.terms.items():
+        for (h, c), coeff in self._form.terms.items():
             if h != full_h or len(c) != 1 or any(c[0][1]):
                 raise NotFunctionalError(
                     "component extraction needs a source form: one order-0 "
@@ -84,15 +101,35 @@ class FunctionalForm:
             comps[c[0][0]] = -coeff if chart.n % 2 else coeff
         return tuple(comps)
 
+    def _by_components(self, other: "FunctionalForm") -> bool:
+        return (self._components is not None and other._components is not None
+                and self.chart == other.chart)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FunctionalForm):
+            return NotImplemented
+        if self._by_components(other):
+            return self._components == other._components
+        return self.form == other.form
+
+    def __hash__(self) -> int:
+        return hash(self.form)
+
+    def __repr__(self) -> str:
+        return f"FunctionalForm({self.form!r})"
+
+    def _combine(self, other: "FunctionalForm", op) -> "FunctionalForm":
+        if self._by_components(other):
+            return self._from_components(
+                self.chart, tuple(map(op, self._components, other._components))
+            )
+        return FunctionalForm(op(self.form, other.form))  # raises on a chart mismatch
+
     def __add__(self, other: "FunctionalForm") -> "FunctionalForm":
-        return FunctionalForm(self.form + other.form)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "FunctionalForm") -> "FunctionalForm":
-        if self.kept is None or other.kept is None or self.chart != other.chart:
-            return FunctionalForm(self.form - other.form)  # raises on a chart mismatch
-        return self._from_components(
-            self.chart, tuple(a - b for a, b in zip(self.kept, other.kept))
-        )
+        return self._combine(other, operator.sub)
 
 
 def functional_from_components(chart: Chart, components) -> FunctionalForm:
@@ -178,11 +215,11 @@ def _euler_sum(chart: Chart, entries) -> tuple:
     (-1)^|counts| D_counts(rho p) to field i.  It gives the Euler-Lagrange
     components of jet partials and the source components of balance data,
     whose negation is the residuals."""
-    comps = [Poly.zero()] * chart.m
+    comps = [{} for _ in range(chart.m)]
     for (i, counts), p in entries:
-        piece = _total_derivative_along(chart.rho * p, counts)
-        comps[i] = comps[i] + (-piece if sum(counts) % 2 else piece)
-    return tuple(comps)
+        terms = _total_derivative_along(chart.rho * p, counts).terms.items()
+        _add_into(comps[i], ((mono, -c) for mono, c in terms) if sum(counts) % 2 else terms)
+    return tuple(map(Poly._raw, comps))
 
 
 def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:

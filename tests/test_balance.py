@@ -638,6 +638,86 @@ class TestDivergenceSplit:
             assert total == p
 
 
+def _reference_split(chart: Chart, p: Poly) -> tuple:
+    """The greedy loop `divergence_split` ran before it tested the necessary
+    condition: every candidate is built and tried, and the sums grow one
+    term at a time."""
+    potentials = [Poly.zero() for _ in range(chart.n)]
+    remainder = Poly.zero()
+    for mono, coeff in p.sorted_terms():
+        term = Poly({mono: coeff})
+        placed = False
+        jet_candidates = sorted(
+            (var for var, e in mono if var[0] == "j" and e == 1 and sum(var[2]) >= 1),
+            key=lambda v: (sum(v[2]), v[2], v[1]),
+            reverse=True,
+        )
+        for w in jet_candidates:
+            for mu in range(chart.n):
+                if w[2][mu] == 0:
+                    continue
+                lowered = w[2][:mu] + (w[2][mu] - 1,) + w[2][mu + 1 :]
+                v = jet_var(w[1], lowered)
+                exps = dict(mono)
+                exps.pop(w)
+                k = exps.pop(v, 0)
+                exps[v] = k + 1
+                candidate = Poly({tuple(exps.items()): coeff * Fraction(1, k + 1)})
+                if candidate.total_derivative(mu) == term:
+                    potentials[mu] = potentials[mu] + candidate
+                    placed = True
+                    break
+            if placed:
+                break
+        if not placed:
+            remainder = remainder + term
+    return tuple(potentials), remainder
+
+
+class TestDivergenceSplitReference:
+    """`divergence_split` builds only the candidates that pass the necessary
+    condition d_mu(rest) = 0, and places every term where the greedy loop
+    that tries them all places it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_reference_loop(self, n):
+        chart = density_chart(n, "1")
+        rng = random.Random(211 + n)
+        polys = [random_poly(rng, chart, max_order=3, max_degree=4, max_terms=6) for _ in range(60)]
+        polys += [quasi_lagrangian(random_system(rng, chart, max_order=2)) for _ in range(10)]
+        placed = 0
+        for p in polys:
+            potentials, remainder = divergence_split(chart, p)
+            assert (potentials, remainder) == _reference_split(chart, p)
+            placed += len(p.terms) - len(remainder.terms)
+        assert placed >= 20
+
+    def test_one_trial_per_placed_term(self, monkeypatch):
+        chart = Chart(("t", "x"), ("u",))
+        u, u_t, u_x = chart.field(0), chart.jet(0, (1, 0)), chart.jet(0, (0, 1))
+        t, x = chart.x(0), chart.x(1)
+        bs = BalanceSystem(chart, [[(u + u_t + x + 1) ** 5, (u + u_x + t + 1) ** 5]], [u * x])
+        ltilde = quasi_lagrangian(bs)
+        assert len(ltilde.terms) >= 100
+        calls = {"total_derivative": 0, "__add__": 0}
+        for name in calls:
+            original = vars(Poly)[name]
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for key, value in list(vars(Poly).items()):
+                if value is original:
+                    monkeypatch.setattr(Poly, key, counted)
+        potentials, remainder = divergence_split(chart, ltilde)
+        placed = len(ltilde.terms) - len(remainder.terms)
+        assert placed >= 10
+        assert calls == {"total_derivative": placed, "__add__": 0}
+        monkeypatch.undo()
+        assert (potentials, remainder) == _reference_split(chart, ltilde)
+
+
 class TestFiltrationTwoSpatial:
     def test_lagrangian_part_is_laplacian(self):
         chart = Chart(("t", "x", "y"), ("u",))

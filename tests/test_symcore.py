@@ -150,6 +150,29 @@ class TestScaleIntegrate:
         with pytest.raises(NonIntegrableError):
             (u + 1).scale_integrate(-1)
 
+    @pytest.mark.parametrize("exponent", [-1, 0, 2])
+    def test_divides_once(self, exponent):
+        """Each coefficient is divided once by its weight d: the value is
+        c * (1/d), and an integral one is stored as an int."""
+        rng = random.Random(61 + exponent)
+        jets = [jet_var(0, (0, 0)), jet_var(1, (0, 0)), jet_var(0, (0, 1)), jet_var(1, (1, 0))]
+        terms = {}
+        for _ in range(200):
+            factors = rng.sample(jets, rng.randint(1, 3)) + [base_var(1)] * rng.randint(0, 1)
+            mono = tuple((var, rng.randint(1, 3)) for var in factors)
+            num = rng.randint(-40, 40)
+            coeff = rng.choice([num, Fraction(num, rng.randint(1, 6))])
+            if coeff:
+                terms[mono] = coeff
+        p = Poly(terms)
+        assert {type(c) for c in p.terms.values()} == {int, Fraction}
+        scaled = p.scale_integrate(exponent)
+        for mono, c in p.terms.items():
+            d = symcore.mono_vertical_degree(mono) + exponent + 1
+            expected = c * Fraction(1, d)
+            assert scaled.terms[mono] == expected
+            assert type(scaled.terms[mono]) is (int if expected.denominator == 1 else Fraction)
+
     def test_against_quadrature(self):
         scipy = pytest.importorskip("scipy.integrate")
         rng = random.Random(11)
@@ -412,6 +435,59 @@ class TestWorkCounts:
                 expected = expected + term
             assert image == expected
         assert counts[0] == counts[1]
+
+    def test_rational_power_divides_each_term_once(self, monkeypatch, chart_x_u):
+        """A base with rational coefficients is expanded over the integers and
+        each result coefficient divided once; integral results are ints."""
+        u, u_x, x = chart_x_u.field(0), chart_x_u.jet(0, (1,)), chart_x_u.x(0)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        for base in (half * u - 3 * u_x + 2 * third * x**2 + 1, 3 * half * u + half * x,
+                     Fraction(5, 4) * u_x - half * third):
+            power = base**6
+            expected = base
+            for _ in range(5):
+                expected = expected * base
+            assert power == expected
+            for c in power.terms.values():
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+
+    def test_parser_sums_in_one_dict(self, monkeypatch):
+        """A literal sum is added into one dict: the number of Poly.__add__
+        and Poly.__sub__ calls does not grow with the number of terms."""
+        counts = []
+        for size in (20, 400):
+            text = "".join(f"{' - ' if k % 3 else ' + '}{k + 1} u^{k % 5 + 1} x^{k // 5}"
+                           for k in range(size))
+            adds = self._record(monkeypatch, "__add__", lambda *args: 1)
+            subs = self._record(monkeypatch, "__sub__", lambda *args: 1)
+            doc = cli.parse_system(f"base t x; fields u; F[u,t] = {text};")
+            counts.append((len(adds), len(subs)))
+            monkeypatch.undo()
+            x, u = Poly.variable(base_var(1)), Poly.variable(jet_var(0, (0, 0)))
+            expected = Poly.zero()
+            for k in range(size):
+                term = (k + 1) * u ** (k % 5 + 1) * x ** (k // 5)
+                expected = expected - term if k % 3 else expected + term
+            assert doc.to_balance_system().flux(0, 0) == expected
+        assert counts[0] == counts[1]
+
+    def test_euler_sum_negates_nothing(self, monkeypatch):
+        """Each signed piece of the Euler sum is added into one dict per
+        field: no negated copy is built."""
+        chart = Chart(("t", "x", "y"), ("u", "v"))
+        bs = random_system(random.Random(13), chart, max_order=2)
+        negs = self._record(monkeypatch, "__neg__", lambda *args: 1)
+        comps = variational._euler_sum(chart, bs.entries.items())
+        assert negs == []
+        monkeypatch.undo()
+        expected = [Poly.zero()] * chart.m
+        for (i, counts), p in bs.entries.items():
+            piece = p
+            for mu, reps in enumerate(counts):
+                for _ in range(reps):
+                    piece = piece.total_derivative(mu)
+            expected[i] = expected[i] + (-piece if sum(counts) % 2 else piece)
+        assert comps == tuple(expected)
 
     @pytest.mark.parametrize("density", ["1", "1 + x^2"])
     def test_div_exact_adds_nothing(self, monkeypatch, chart_x_u, density):

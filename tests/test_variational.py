@@ -18,6 +18,7 @@ from jetbalance import (
     Poly,
     balance_form,
     balance_residuals,
+    decompose,
     delta_V,
     euler_lagrange,
     functional_from_components,
@@ -244,6 +245,36 @@ class TestComponentsRoute:
         )
         with pytest.raises(NotFunctionalError):
             delta_V(not_functional)
+
+
+class TestSourceFormsHoldComponents:
+    """Source forms built from components hold them and build their form
+    words only when `.form` is read."""
+
+    def test_decompose_builds_no_form_words(self, monkeypatch):
+        chart = Chart(("t", "x", "y"), ("u", "v"))  # odd n: the words store -E_i
+        bs = random_system(random.Random(41), chart)
+        words = []
+        build = FunctionalForm._words
+        monkeypatch.setattr(FunctionalForm, "_words",
+                            lambda self: words.append(self) or build(self))
+        report = decompose(bs)
+        assert words == []
+        assert not report.godunov_part.is_zero
+        godunov = report.godunov_part.form
+        assert report.godunov_part.form is godunov and len(words) == 1
+        assert interior_euler(report.nonlagrangian_part) == report.godunov_part
+        assert godunov == interior_euler(report.nonlagrangian_part).form
+
+    def test_difference_holds_components(self):
+        chart = Chart(("t", "x", "y"), ("u", "v"))
+        rng = random.Random(43)
+        a = functional_from_components(chart, [random_poly(rng, chart) for _ in range(2)])
+        b = functional_from_components(chart, [random_poly(rng, chart) for _ in range(2)])
+        for combined, op in ((a - b, Poly.__sub__), (a + b, Poly.__add__)):
+            assert combined.components() == tuple(map(op, a.components(), b.components()))
+            assert combined == FunctionalForm(combined.form)
+            assert combined.form == (a.form - b.form if op is Poly.__sub__ else a.form + b.form)
 
 
 class TestDeltaV:
