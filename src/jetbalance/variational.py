@@ -43,7 +43,7 @@ class FunctionalForm:
     source form built from its components holds them and builds its form
     words only when `.form` is read; two forms on one chart that both hold
     components compare, add and subtract by them.  `FunctionalForm(form,
-    kept)` wraps a form, with its components if they are known.
+    kept)` wraps a form; `kept`, when given, must be its components.
     """
 
     __slots__ = ("chart", "_form", "_components")
