@@ -45,16 +45,9 @@ from .variational import (
 
 
 class OrderTooHighError(EngineError):
-    """An analysis defined for zero-order systems received higher-order data.
-
-    Carries the formally computed report when one is available.
-    """
+    """An analysis defined for zero-order systems received higher-order data."""
 
     code = "order-too-high"
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class BalanceSystem:
@@ -67,7 +60,7 @@ class BalanceSystem:
 
     __slots__ = ("chart", "entries")
 
-    def __init__(self, chart: Chart, F: Sequence, Pi: Sequence, declared_order: int | None = None):
+    def __init__(self, chart: Chart, F: Sequence, Pi: Sequence):
         F = tuple(tuple(row) for row in F)
         Pi = tuple(Pi)
         if len(F) != chart.m or any(len(row) != chart.n for row in F):
@@ -83,10 +76,6 @@ class BalanceSystem:
             for mu, flux in enumerate(row):
                 entries[(i, mi_add(zero, mu))] = flux
         self._fill(chart, entries)
-        if declared_order is not None and declared_order < self.order:
-            raise InvalidSystemError(
-                f"declared order {declared_order} is below the data's jet order {self.order}"
-            )
 
     @classmethod
     def from_entries(cls, chart: Chart, entries: Mapping) -> "BalanceSystem":
@@ -317,32 +306,24 @@ def decompose(bs: BalanceSystem) -> DecompositionReport:
 # ---------------------------------------------------------------------------
 
 
-def _flux_symmetric(bs: BalanceSystem) -> tuple:
-    """Per coordinate: is the field Jacobian of the flux column symmetric?
-    Computed formally on the field variables regardless of jet order."""
-    chart = bs.chart
-    out = []
-    for mu in range(chart.n):
-        ok = True
-        for i in range(chart.m):
-            for k in range(i + 1, chart.m):
-                left = bs.flux(i, mu).partial(jet_var(k, chart.zero_index()))
-                right = bs.flux(k, mu).partial(jet_var(i, chart.zero_index()))
-                if left != right:
-                    ok = False
-                    break
-            if not ok:
-                break
-        out.append(ok)
-    return tuple(out)
+def _symmetric(m: int, entry) -> bool:
+    """Is the m x m matrix with entries entry(i, k) symmetric?  Compares the
+    off-diagonal pairs in turn and stops at the first mismatch, so no
+    diagonal entry and no entry past a mismatch is computed."""
+    return all(entry(i, k) == entry(k, i) for i in range(m) for k in range(i + 1, m))
 
 
-def _source_pairing(bs: BalanceSystem) -> Poly:
+def _field_pairing(bs: BalanceSystem, counts: tuple) -> Poly:
+    """sum_i y^i times the entry of field i at multi-index `counts`, added in
+    one term dict: the source pairing at the zero multi-index, the pairing
+    of a flux column at a unit one."""
     chart = bs.chart
-    total = Poly.zero()
+    total: dict = {}
     for i in range(chart.m):
-        total = total + chart.field(i) * bs.source(i)
-    return total
+        entry = bs.entries.get((i, counts))
+        if entry is not None:
+            _add_into(total, (chart.field(i) * entry).terms.items())
+    return Poly._raw(total)
 
 
 def godunov_check(bs: BalanceSystem) -> GodunovReport:
@@ -350,60 +331,37 @@ def godunov_check(bs: BalanceSystem) -> GodunovReport:
     of potentials (symmetric field Jacobians), and the source pairing
     y^k Pi_k must be constant, which for polynomials forces it to vanish.
 
-    Raises OrderTooHighError on systems of order >= 1; the exception carries
-    the formally computed report with a false verdict.
+    On a system of order >= 1 the symmetry and the pairing are computed
+    formally on the field variables; the report is then not zero-order, has
+    no potentials and a false verdict.
     """
     chart = bs.chart
-    symmetric = _flux_symmetric(bs)
-    pairing = _source_pairing(bs)
+    zero = chart.zero_index()
+    fields = [jet_var(i, zero) for i in range(chart.m)]
+    symmetric = tuple(
+        _symmetric(chart.m, lambda i, k: bs.flux(i, mu).partial(fields[k]))
+        for mu in range(chart.n)
+    )
+    pairing = _field_pairing(bs, zero)
     pairing_constant = Fraction(0) if pairing.is_zero else None
-    if bs.order >= 1:
-        report = GodunovReport(
-            is_zero_order=False,
-            flux_symmetric=symmetric,
-            potentials=None,
-            source_pairing=pairing,
-            pairing_constant=pairing_constant,
-            verdict=False,
-        )
-        raise OrderTooHighError(
-            f"Godunov classification is defined for zero-order systems; this one has order {bs.order}",
-            report=report,
-        )
+    zero_order = bs.order == 0
     potentials = None
-    if all(symmetric):
+    if zero_order and all(symmetric):
         pots = []
         for mu in range(chart.n):
-            pairing_mu = Poly.zero()
-            for i in range(chart.m):
-                pairing_mu = pairing_mu + chart.field(i) * bs.flux(i, mu)
-            pot = pairing_mu.scale_integrate(-1)
-            for i in range(chart.m):
-                if pot.partial(jet_var(i, chart.zero_index())) != bs.flux(i, mu):
-                    raise EngineError(
-                        "potential recovery failed on a symmetric flux column"
-                    )
+            pot = _field_pairing(bs, mi_add(zero, mu)).scale_integrate(-1)
+            if any(pot.partial(y) != bs.flux(i, mu) for i, y in enumerate(fields)):
+                raise EngineError("potential recovery failed on a symmetric flux column")
             pots.append(pot)
         potentials = tuple(pots)
-    verdict = all(symmetric) and pairing_constant is not None
     return GodunovReport(
-        is_zero_order=True,
+        is_zero_order=zero_order,
         flux_symmetric=symmetric,
         potentials=potentials,
         source_pairing=pairing,
         pairing_constant=pairing_constant,
-        verdict=verdict,
+        verdict=zero_order and all(symmetric) and pairing_constant is not None,
     )
-
-
-def _leading_minors(rows: list) -> list:
-    """Leading principal minors of a square Fraction matrix, exactly."""
-    size = len(rows)
-    minors = []
-    for k in range(1, size + 1):
-        sub = [row[:k] for row in rows[:k]]
-        minors.append(_det(sub))
-    return minors
 
 
 def _det(rows: list) -> Fraction:
@@ -449,18 +407,14 @@ def symmetric_hyperbolicity(bs: BalanceSystem, point: Sequence) -> Hyperbolicity
             f"evaluation point needs {chart.n + chart.m} rational coordinates (base then fields)"
         )
     matrices = []
-    symmetric = []
     for mu in range(chart.n):
         fluxes = [bs.flux(i, mu) for i in range(chart.m)]
         godunov_flux = [flux - flux.scale_integrate(0) for flux in fluxes]
-        rows = tuple(
+        matrices.append(tuple(
             tuple(godunov_flux[i].partial(jet_var(j, chart.zero_index())) for j in range(chart.m))
             for i in range(chart.m)
-        )
-        matrices.append(rows)
-        symmetric.append(
-            all(rows[i][j] == rows[j][i] for i in range(chart.m) for j in range(i + 1, chart.m))
-        )
+        ))
+    symmetric = tuple(_symmetric(chart.m, lambda i, j: rows[i][j]) for rows in matrices)
     assignment = {base_var(mu): point[mu] for mu in range(chart.n)}
     assignment.update(
         {jet_var(i, chart.zero_index()): point[chart.n + i] for i in range(chart.m)}
@@ -469,14 +423,14 @@ def symmetric_hyperbolicity(bs: BalanceSystem, point: Sequence) -> Hyperbolicity
         [matrices[0][i][j].evaluate(assignment) for j in range(chart.m)]
         for i in range(chart.m)
     ]
-    minors = _leading_minors(time_matrix)
+    minors = tuple(_det([row[:k] for row in time_matrix[:k]]) for k in range(1, chart.m + 1))
     singular = any(v == 0 for v in minors)
     verdict = all(symmetric) and all(v > 0 for v in minors)
     return HyperbolicityReport(
         matrices=tuple(matrices),
-        symmetric=tuple(symmetric),
+        symmetric=symmetric,
         point=point,
-        leading_minors=tuple(minors),
+        leading_minors=minors,
         singular=singular,
         verdict=verdict,
     )

@@ -653,10 +653,7 @@ def _check(report: Report, at, section_text) -> None:
         "is_trivial": TrivialityResult.of(ltilde).is_trivial,
     }
     report.footnotes.extend(SPLITTING_FOOTNOTES)
-    try:
-        god, note = godunov_check(bs), None
-    except OrderTooHighError as exc:
-        god, note = exc.report, str(exc)
+    god = godunov_check(bs)
     section = report.sections["godunov"] = {
         "applicable": god.is_zero_order,
         "flux_symmetric": _by_coord(chart, god.flux_symmetric),
@@ -665,8 +662,10 @@ def _check(report: Report, at, section_text) -> None:
         "pairing_constant": god.pairing_constant,
         "verdict": god.verdict,
     }
-    if note:
-        section["note"] = note
+    if not god.is_zero_order:
+        section["note"] = (
+            f"Godunov classification is defined for zero-order systems; this one has order {bs.order}"
+        )
 
 
 def _decompose(report: Report, at, section_text) -> None:

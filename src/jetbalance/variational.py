@@ -42,16 +42,16 @@ class FunctionalForm:
     the order-0 contact generator of field i and the coordinate volume.  A
     source form built from its components holds them and builds its form
     words only when `.form` is read; two forms on one chart that both hold
-    components compare, add and subtract by them.  `FunctionalForm(form,
-    kept)` wraps a form; `kept`, when given, must be its components.
+    components compare, add and subtract by them.  `FunctionalForm(form)`
+    wraps form words and reads its components off them when asked.
     """
 
     __slots__ = ("chart", "_form", "_components")
 
-    def __init__(self, form: Form, kept: tuple | None = None):
+    def __init__(self, form: Form):
         self.chart = form.chart
         self._form = form
-        self._components = kept
+        self._components = None
 
     @classmethod
     def _from_components(cls, chart: Chart, components: tuple) -> "FunctionalForm":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,9 +36,12 @@ from jetbalance import (
     vertical_decompose,
     vertical_homotopy,
 )
+from jetbalance.cli import parse_system
 from jetbalance.symcore import jet_var
 
 from conftest import CHARTS, density_chart, multi_indices, random_poly, random_system
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 
 def plasticity() -> BalanceSystem:
@@ -498,12 +502,50 @@ class TestGodunov:
         assert report.potentials is None
 
     def test_order_too_high(self):
-        with pytest.raises(OrderTooHighError) as err:
-            godunov_check(burgers())
-        report = err.value.report
-        assert report is not None
+        report = godunov_check(burgers())
         assert not report.verdict and not report.is_zero_order
+        assert report.potentials is None
         assert report.flux_symmetric == (True, True)  # single field, formally symmetric
+
+    @staticmethod
+    def _reference_symmetry(bs: BalanceSystem) -> tuple:
+        """Per coordinate: does every entry (i, k) of the field Jacobian of
+        the flux column equal the entry (k, i)?"""
+        chart = bs.chart
+        fields = [jet_var(i, chart.zero_index()) for i in range(chart.m)]
+        return tuple(
+            all(
+                bs.flux(i, mu).partial(fields[k]) == bs.flux(k, mu).partial(fields[i])
+                for i in range(chart.m)
+                for k in range(chart.m)
+            )
+            for mu in range(chart.n)
+        )
+
+    def test_report_at_order_one_and_above(self):
+        """The report is returned at every order, with the flux symmetry of a
+        full pairwise comparison: every bundled system with first-order data
+        (burgers, filtration and kdv have order >= 1) and a system with a
+        second-order entry."""
+        systems = []
+        for path in sorted(SYSTEMS.glob("*.bal")):
+            doc = parse_system(path.read_text())
+            if not doc.has_higher_entries:
+                systems.append(doc.to_balance_system())
+        chart = Chart(("t", "x"), ("u", "v"))
+        u, v = chart.field(0), chart.field(1)
+        systems.append(BalanceSystem.from_entries(
+            chart, {(0, (0, 1)): v, (1, (0, 1)): u * v, (1, (0, 2)): u, (0, (0, 0)): v},
+        ))
+        higher = 0
+        for bs in systems:
+            report = godunov_check(bs)
+            assert report.flux_symmetric == self._reference_symmetry(bs)
+            assert report.is_zero_order == (bs.order == 0)
+            if bs.order >= 1:
+                higher += 1
+                assert not report.verdict and report.potentials is None
+        assert higher == 4
 
 
 class TestHyperbolicity:
@@ -735,22 +777,15 @@ class TestSystemConstruction:
         with pytest.raises(InvalidSystemError):
             BalanceSystem(chart_tx_uv, [[Poly.zero()]], [Poly.zero(), Poly.zero()])
 
-    def test_declared_order_must_cover_data(self):
-        bs_chart = Chart(("t", "x"), ("u",))
-        zx = bs_chart.jet(0, (0, 1))
-        with pytest.raises(InvalidSystemError):
-            BalanceSystem(bs_chart, [[zx, Poly.zero()]], [Poly.zero()], declared_order=0)
-        bs = BalanceSystem(bs_chart, [[zx, Poly.zero()]], [Poly.zero()], declared_order=2)
-        assert bs.order == 1
-
     def test_higher_order_entries(self, chart_tx_u):
         """An entry at multi-index order k counts jet order + k - 1, so the
-        zero-order analyses refuse it; zero entries are dropped."""
+        Godunov report is not zero-order and the hyperbolicity test refuses
+        it; zero entries are dropped."""
         u = chart_tx_u.field(0)
         bs = BalanceSystem.from_entries(chart_tx_u, {(0, (2, 0)): u, (0, (0, 0)): Poly.zero()})
         assert bs.entries == {(0, (2, 0)): u} and bs.order == 1
-        with pytest.raises(OrderTooHighError):
-            godunov_check(bs)
+        report = godunov_check(bs)
+        assert not report.is_zero_order and not report.verdict and report.potentials is None
         with pytest.raises(OrderTooHighError):
             symmetric_hyperbolicity(bs, [0, 0, 1])
         with pytest.raises(InvalidSystemError):

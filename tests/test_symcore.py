@@ -11,7 +11,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from jetbalance import Chart, Form, NonIntegrableError, Poly, balance_form, balance_residuals, poly_text
+from jetbalance import (
+    BalanceSystem,
+    Chart,
+    Form,
+    NonIntegrableError,
+    Poly,
+    balance_form,
+    balance_residuals,
+    godunov_check,
+    poly_text,
+)
 from jetbalance import cli, jetforms, source_form, symcore, variational
 from jetbalance.symcore import base_var, jet_var, mono_key
 
@@ -450,6 +460,16 @@ class TestWorkCounts:
             assert power == expected
             for c in power.terms.values():
                 assert type(c) is (int if c.denominator == 1 else Fraction)
+
+    def test_one_field_godunov_check_takes_no_partial(self, monkeypatch, chart_x_u):
+        """One field has no off-diagonal Jacobian pair, and order 1 asks for
+        no potentials, so the Godunov classification differentiates nothing."""
+        base = self._bases(chart_x_u)["u + u_x + x + 1"]
+        bs = BalanceSystem(chart_x_u, [[base**12]], [chart_x_u.field(0)])
+        partials = self._record(monkeypatch, "partial", lambda *args: 1)
+        report = godunov_check(bs)
+        assert partials == []
+        assert report.flux_symmetric == (True,) and not report.is_zero_order
 
     def test_parser_sums_in_one_dict(self, monkeypatch):
         """A literal sum is added into one dict: the number of Poly.__add__

@@ -238,12 +238,16 @@ class TestComponentsRoute:
         assert built.components() is comps
         assert FunctionalForm(built.form).components() == comps
 
-    def test_delta_V_rejects_non_functional_input_with_kept_components(self, chart_x_u):
+    def test_non_functional_form_has_no_components(self, chart_x_u):
+        """A wrapped form reads its components off its words, so a form that
+        is not a source form has none, and delta_V rejects it."""
         chart = chart_x_u
         zx = chart.jet(0, (1,))
         not_functional = FunctionalForm(
-            (Form.contact(chart, 0, (1,)) * zx).wedge(Form.volume(chart)), (zx,)
+            (Form.contact(chart, 0, (1,)) * zx).wedge(Form.volume(chart))
         )
+        with pytest.raises(NotFunctionalError):
+            not_functional.components()
         with pytest.raises(NotFunctionalError):
             delta_V(not_functional)
 
