@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .jetforms import Form
+from .jetforms import Form, _accumulate
 from .symcore import (
     Chart,
     EngineError,
@@ -33,6 +33,7 @@ from .symcore import (
     base_var,
     jet_var,
     mi_add,
+    mono_mul,
     var_order,
 )
 from .variational import (
@@ -196,10 +197,10 @@ class DecompositionReport:
 def balance_form(bs: BalanceSystem) -> Form:
     """The (n,1)-form carrying the whole system against the volume form."""
     chart = bs.chart
-    total = Form.zero(chart)
+    words: dict = {}
     for (i, counts), p in bs.entries.items():
-        total = total + Form.contact(chart, i, counts) * p
-    return total.wedge(Form.volume(chart))
+        _accumulate(words, ((), ((i, counts),)), p)
+    return Form._raw(chart, words).wedge(Form.volume(chart))
 
 
 def balance_residuals(bs: BalanceSystem) -> tuple:
@@ -218,11 +219,17 @@ def source_form(bs: BalanceSystem) -> FunctionalForm:
 def pairing_polynomial(bs: BalanceSystem) -> Poly:
     """The contraction of the system data with the fiber scaling field: each
     entry times the jet variable of its generator, so for first-order data
-    sum_i y^i Pi_i + sum_{i,mu} z^i_mu F[i][mu]."""
-    total = Poly.zero()
+    sum_i y^i Pi_i + sum_{i,mu} z^i_mu F[i][mu], added in one term dict."""
+    total: dict = {}
     for (i, counts), p in bs.entries.items():
-        total = total + Poly.variable(jet_var(i, counts)) * p
-    return total
+        _add_into(total, _shifted(jet_var(i, counts), p))
+    return Poly._raw(total)
+
+
+def _shifted(var, p: Poly) -> list:
+    """The terms of var * p: each monomial of p times var."""
+    factor = ((var, 1),)
+    return [(mono_mul(factor, mono), c) for mono, c in p.terms.items()]
 
 
 def quasi_lagrangian(bs: BalanceSystem) -> Poly:
@@ -318,11 +325,12 @@ def _field_pairing(bs: BalanceSystem, counts: tuple) -> Poly:
     one term dict: the source pairing at the zero multi-index, the pairing
     of a flux column at a unit one."""
     chart = bs.chart
+    zero = chart.zero_index()
     total: dict = {}
     for i in range(chart.m):
         entry = bs.entries.get((i, counts))
         if entry is not None:
-            _add_into(total, (chart.field(i) * entry).terms.items())
+            _add_into(total, _shifted(jet_var(i, zero), entry))
     return Poly._raw(total)
 
 

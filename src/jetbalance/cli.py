@@ -61,8 +61,10 @@ from .balance import (
     quasi_lagrangian,
     symmetric_hyperbolicity,
 )
-from .jetforms import Form, form_latex, form_text, latex_rational, poly_latex
-from .symcore import Chart, EngineError, InvalidSystemError, Poly, _add_into, poly_text, suffix
+from .jetforms import Form, form_latex, form_text, latex_rational, latex_table, poly_latex
+from .symcore import (
+    Chart, EngineError, InvalidSystemError, Poly, TermTable, _add_into, poly_text, suffix,
+)
 from .variational import higher_balance_residuals
 
 FORMATS = ("text", "latex", "structured")
@@ -584,19 +586,21 @@ def parse_section(text: str, doc: SystemDocument) -> list:
 def render_system(doc: SystemDocument) -> str:
     """Canonical text of a document; parsing it back yields an equal document."""
     chart = doc.chart
+    table = TermTable(chart.var_name)
     lines = [f"base {' '.join(chart.base_names)};", f"fields {' '.join(chart.field_names)};"]
     if chart.rho != Poly.constant(1):
-        lines.append(f"density {poly_text(chart.rho, chart)};")
+        lines.append(f"density {poly_text(chart.rho, chart, table)};")
     if doc.title is not None:
         lines.append(f'title "{doc.title}";')
     for note in doc.notes:
         lines.append(f'note "{note}";')
     for (i, counts), p in sorted(doc.fluxes.items()):
         lines.append(
-            f"F[{chart.field_names[i]},{suffix(chart.base_names, counts)}] = {poly_text(p, chart)};"
+            f"F[{chart.field_names[i]},{suffix(chart.base_names, counts)}] = "
+            f"{poly_text(p, chart, table)};"
         )
     for i, p in sorted(doc.sources.items()):
-        lines.append(f"Pi[{chart.field_names[i]}] = {poly_text(p, chart)};")
+        lines.append(f"Pi[{chart.field_names[i]}] = {poly_text(p, chart, table)};")
     return "\n".join(lines) + "\n"
 
 
@@ -755,11 +759,13 @@ def run(command: str, doc: SystemDocument, at=None, section_text: str | None = N
 # ---------------------------------------------------------------------------
 
 
-def _text_leaf(value, chart: Chart) -> str:
+# A leaf renders one report value; `table` is the render's term table
+# (a one-off table when it is None).
+def _text_leaf(value, chart: Chart, table: TermTable | None = None) -> str:
     if isinstance(value, Poly):
-        return poly_text(value, chart)
+        return poly_text(value, chart, table)
     if isinstance(value, Form):
-        return form_text(value)
+        return form_text(value, table)
     if isinstance(value, bool):
         return "true" if value else "false"
     return "none" if value is None else str(value)
@@ -776,28 +782,29 @@ def _latex_text(text: str) -> str:
     return f"\\text{{{text.translate(_TEXT_ESCAPES)}}}"
 
 
-def _latex_leaf(value, chart: Chart) -> str:
+def _latex_leaf(value, chart: Chart, table: TermTable | None = None) -> str:
     if isinstance(value, Poly):
-        return poly_latex(value, chart)
+        return poly_latex(value, chart, table)
     if isinstance(value, Form):
-        return form_latex(value)
+        return form_latex(value, table)
     if isinstance(value, Fraction):
         return latex_rational(value)
     return _latex_text(_text_leaf(value, chart))
 
 
-def _structured_leaf(value, chart: Chart):
-    return _text_leaf(value, chart) if isinstance(value, (Poly, Form, Fraction)) else value
+def _structured_leaf(value, chart: Chart, table: TermTable | None = None):
+    return _text_leaf(value, chart, table) if isinstance(value, (Poly, Form, Fraction)) else value
 
 
 _LEAVES = {"text": _text_leaf, "latex": _latex_leaf, "structured": _structured_leaf}
 
 
-def _walk(report: Report, fmt: str):
+def _walk(report: Report, fmt: str, table: TermTable):
     """The one walk over `report.sections`: yields each section's name, its
     content and, lazily, its labelled entries (kind, path, value) with every
-    leaf formatted for `fmt`.  Kind is scalar, list, matrix (a list of rows
-    inside a nested dict) or error; path is (key,) or (key, inner key)."""
+    leaf formatted for `fmt` through the render's term table.  Kind is
+    scalar, list, matrix (a list of rows inside a nested dict) or error;
+    path is (key,) or (key, inner key)."""
     chart = report.doc.chart
     leaf = _LEAVES[fmt]
 
@@ -808,13 +815,14 @@ def _walk(report: Report, fmt: str):
             elif isinstance(value, dict):
                 for sub, inner in value.items():
                     if isinstance(inner, list):
-                        yield "matrix", (key, sub), [[leaf(c, chart) for c in row] for row in inner]
+                        rows = [[leaf(c, chart, table) for c in row] for row in inner]
+                        yield "matrix", (key, sub), rows
                     else:
-                        yield "scalar", (key, sub), leaf(inner, chart)
+                        yield "scalar", (key, sub), leaf(inner, chart, table)
             elif isinstance(value, (list, tuple)):
-                yield "list", (key,), [leaf(v, chart) for v in value]
+                yield "list", (key,), [leaf(v, chart, table) for v in value]
             else:
-                yield "scalar", (key,), leaf(value, chart)
+                yield "scalar", (key,), leaf(value, chart, table)
 
     for name, content in report.sections.items():
         yield name, content, entries(content)
@@ -824,9 +832,9 @@ def _equation_lines(template: str, leaf):
     """Override for the equations section: residual k as R<k>, then source
     component k as S<k>."""
 
-    def lines(content: dict, chart: Chart) -> list:
+    def lines(content: dict, chart: Chart, table: TermTable) -> list:
         return [
-            template.format(letter, k, leaf(value, chart))
+            template.format(letter, k, leaf(value, chart, table))
             for letter, key in (("R", "residuals"), ("S", "source_components"))
             for k, value in enumerate(content[key].values(), 1)
         ]
@@ -834,21 +842,25 @@ def _equation_lines(template: str, leaf):
     return lines
 
 
-def _latex_quasi_lagrangian(content: dict, chart: Chart) -> list:
+def _latex_quasi_lagrangian(content: dict, chart: Chart, table: TermTable) -> list:
     """LaTeX override for the quasi-Lagrangian section: L~, its divergence
     presentation when the section carries one, and the triviality verdict."""
-    lines = [f"\\[ \\tilde{{L}} = {_latex_leaf(content['value'], chart)} \\]"]
+
+    def leaf(value):
+        return _latex_leaf(value, chart, table)
+
+    lines = [f"\\[ \\tilde{{L}} = {leaf(content['value'])} \\]"]
     if "divergence_potentials" in content:
         parts = [
-            f"d_{{{_latex_leaf(chart.x(mu), chart)}}}\\left({_latex_leaf(pot, chart)}\\right)"
+            f"d_{{{leaf(chart.x(mu))}}}\\left({leaf(pot)}\\right)"
             for mu, pot in enumerate(content["divergence_potentials"].values())
             if not pot.is_zero
         ]
         if not content["non_divergence_part"].is_zero:
-            parts.append(_latex_leaf(content["non_divergence_part"], chart))
+            parts.append(leaf(content["non_divergence_part"]))
         if parts:
             lines.append("\\[ \\tilde{L} = " + " + ".join(parts).replace(" + -", " - ") + " \\]")
-    lines.append(f"\\[ \\text{{trivial: }} {_latex_leaf(content['is_trivial'], chart)} \\]")
+    lines.append(f"\\[ \\text{{trivial: }} {leaf(content['is_trivial'])} \\]")
     return lines
 
 
@@ -886,13 +898,13 @@ _SECTION_OVERRIDES = {
 }
 
 
-def _lines(report: Report, fmt: str):
+def _lines(report: Report, fmt: str, table: TermTable):
     """(section name, lines) for the text or LaTeX format."""
     templates, row_sep, cell_sep, label_layout = _TEMPLATES[fmt]
-    for name, content, entries in _walk(report, fmt):
+    for name, content, entries in _walk(report, fmt, table):
         override = _SECTION_OVERRIDES.get((fmt, name))
         if override is not None:
-            yield name, override(content, report.doc.chart)
+            yield name, override(content, report.doc.chart, table)
             continue
         lines = []
         for kind, path, value in entries:
@@ -906,39 +918,42 @@ def _lines(report: Report, fmt: str):
         yield name, lines
 
 
-def _system_summary(doc: SystemDocument) -> dict:
+def _system_summary(doc: SystemDocument, table: TermTable) -> dict:
     chart = doc.chart
     sources = doc.sources
     return {
         "title": doc.title,
         "base": list(chart.base_names),
         "fields": list(chart.field_names),
-        "density": poly_text(chart.rho, chart),
+        "density": poly_text(chart.rho, chart, table),
         "order": max([p.jet_order() for p in doc.entries.values()] + [0]),
         "fluxes": {
             chart.field_names[i]: {
-                suffix(chart.base_names, counts): poly_text(p, chart)
+                suffix(chart.base_names, counts): poly_text(p, chart, table)
                 for (j, counts), p in sorted(doc.fluxes.items())
                 if j == i
             }
             for i in range(chart.m)
         },
         "sources": {
-            chart.field_names[i]: poly_text(sources.get(i, Poly.zero()), chart) for i in range(chart.m)
+            chart.field_names[i]: poly_text(sources.get(i, Poly.zero()), chart, table)
+            for i in range(chart.m)
         },
         "notes": list(doc.notes),
     }
 
 
+# Each renderer makes one term table for its report and drops it on return.
 def render_structured(report: Report) -> str:
+    table = TermTable(report.doc.chart.var_name)
     analyses = {}
-    for name, _, entries in _walk(report, "structured"):
+    for name, _, entries in _walk(report, "structured", table):
         section = analyses[name] = {}
         for _, path, value in entries:
             node = section if len(path) == 1 else section.setdefault(path[0], {})
             node[path[-1]] = value
     payload = {
-        "system": _system_summary(report.doc),
+        "system": _system_summary(report.doc, table),
         "analyses": analyses,
         "footnotes": list(report.footnotes),
     }
@@ -947,14 +962,15 @@ def render_structured(report: Report) -> str:
 
 def render_text(report: Report) -> str:
     chart = report.doc.chart
+    table = TermTable(chart.var_name)
     lines = [
         f"system: {report.doc.title or '(untitled)'}",
         f"base: {' '.join(chart.base_names)}",
         f"fields: {' '.join(chart.field_names)}",
-        f"density: {poly_text(chart.rho, chart)}",
+        f"density: {poly_text(chart.rho, chart, table)}",
         "",
     ]
-    for name, section in _lines(report, "text"):
+    for name, section in _lines(report, "text", table):
         lines += [f"== {name} ==", *section, ""]
     if report.footnotes:
         lines += ["footnotes:", *(f"  - {note}" for note in report.footnotes), ""]
@@ -963,7 +979,7 @@ def render_text(report: Report) -> str:
 
 def render_latex(report: Report) -> str:
     lines = [f"% system: {report.doc.title or '(untitled)'}"]
-    for name, section in _lines(report, "latex"):
+    for name, section in _lines(report, "latex", latex_table(report.doc.chart)):
         lines += [f"% {name}", *section]
     lines += [f"% footnote: {note}" for note in report.footnotes]
     return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .symcore import Chart, ChartMismatchError, EngineError, Poly, Var, mi_add
-from .symcore import poly_text, render_terms, suffix
+from .symcore import TermTable, poly_text, render_terms, suffix
 
 ContactGen = tuple  # (field index, counts)
 Word = tuple  # (hwedge tuple, cwedge tuple)
@@ -362,8 +362,9 @@ def latex_rational(q: int | Fraction) -> str:
     return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
-def poly_latex(p: Poly, chart: Chart) -> str:
-    """LaTeX fragment for a polynomial, jet variables as subscripted fields."""
+def latex_table(chart: Chart) -> TermTable:
+    """A term table that names variables in LaTeX, jet variables as
+    subscripted fields."""
     bases = [_latex_name(b) for b in chart.base_names]
 
     def name(var: Var) -> str:
@@ -372,7 +373,13 @@ def poly_latex(p: Poly, chart: Chart) -> str:
         field = _latex_name(chart.field_names[var[1]])
         return f"{field}_{{{suffix(bases, var[2])}}}" if any(var[2]) else field
 
-    return render_terms(p, name, "{}^{{{}}}", "\\frac{{{}}}{{{}}}")
+    return TermTable(name, "{}^{{{}}}", "\\frac{{{}}}{{{}}}")
+
+
+def poly_latex(p: Poly, chart: Chart, table: TermTable | None = None) -> str:
+    """LaTeX fragment for a polynomial; `table` as for `poly_text`, made by
+    `latex_table`."""
+    return render_terms(p, latex_table(chart) if table is None else table)
 
 
 class _Notation(NamedTuple):
@@ -392,7 +399,7 @@ _LATEX = _Notation(
 )
 
 
-def _render_form(form: Form, notation: _Notation, poly) -> str:
+def _render_form(form: Form, notation: _Notation, poly, table: TermTable) -> str:
     """The form word walker: words in degree order joined by their signs,
     each a coefficient times its basis.  A top horizontal word whose
     coefficient the density divides prints the quotient against the volume
@@ -415,21 +422,26 @@ def _render_form(form: Form, notation: _Notation, poly) -> str:
             factors.append(notation.contact.format(notation.name(chart.field_names[i]), sub))
         basis = notation.wedge.join(factors + volume)
         if not basis:  # a (0,0) word: the function itself
-            pieces.append(poly(coeff, chart))
+            pieces.append(poly(coeff, chart, table))
         elif coeff == 1:
             pieces.append(basis)
         elif coeff == -1:
             pieces.append(f"-{basis}")
         else:
-            pieces.append(notation.coefficient.format(poly(coeff, chart), basis))
+            pieces.append(notation.coefficient.format(poly(coeff, chart, table), basis))
     return pieces[0] + "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in pieces[1:])
 
 
-def form_text(form: Form) -> str:
+def form_text(form: Form, table: TermTable | None = None) -> str:
     """Canonical text rendering of a form; top horizontal factors divisible by
-    the density print symbolically as eta."""
-    return _render_form(form, _TEXT, poly_text)
+    the density print symbolically as eta.  `table` as for `poly_text`."""
+    if table is None:
+        table = TermTable(form.chart.var_name)
+    return _render_form(form, _TEXT, poly_text, table)
 
 
-def form_latex(form: Form) -> str:
-    return _render_form(form, _LATEX, poly_latex)
+def form_latex(form: Form, table: TermTable | None = None) -> str:
+    """LaTeX rendering of a form; `table` as for `poly_latex`."""
+    if table is None:
+        table = latex_table(form.chart)
+    return _render_form(form, _LATEX, poly_latex, table)

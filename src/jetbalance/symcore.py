@@ -30,6 +30,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import comb, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 
@@ -145,10 +146,18 @@ def mono_jet_order(m: Mono) -> int:
 
 
 def mono_key(m: Mono) -> tuple:
-    """Sort key of the graded order: total degree first, then the exponents
-    read from the highest-ranked variable downward (a larger exponent, or a
-    variable the other monomial lacks, wins)."""
-    return (mono_degree(m), tuple([(var_rank(var), e) for var, e in reversed(m)]))
+    """Sort key of the graded order: total degree first, then the rank and
+    exponent of each factor read from the highest-ranked variable downward
+    (a larger exponent, or a variable the other monomial lacks, wins).  The
+    ranks are `var_rank`'s, so keys of any two monomials compare, and no key
+    is a proper prefix of another of equal degree: a descending sort puts
+    the leading monomial first."""
+    ranks = _RANKS
+    out = [0]
+    for var, e in reversed(m):
+        out[0] += e
+        out += (ranks.get(var) or var_rank(var), e)
+    return tuple(out)
 
 
 def _grlex_key(variables) -> Callable[[Mono], tuple]:
@@ -156,7 +165,7 @@ def _grlex_key(variables) -> Callable[[Mono], tuple]:
     comparing in C: minus the degree, then minus the position and exponent
     of each factor from the highest-ranked down (the exponent vector's
     nonzero entries).  No key is a proper prefix of another of equal degree,
-    so an ascending sort or a min-heap puts the leading monomial first."""
+    so a min-heap puts the leading monomial first."""
     slot = {var: -k for k, var in enumerate(sorted(variables, key=var_rank))}
 
     def key(mono: Mono) -> tuple:
@@ -491,8 +500,7 @@ class Poly:
     def sorted_terms(self) -> list:
         """Terms in descending canonical (graded) order; leading term first."""
         terms = self.terms
-        key = _grlex_key(self.variables()) if len(terms) > 1 else None
-        return [(m, terms[m]) for m in sorted(terms, key=key)]
+        return [(m, terms[m]) for m in sorted(terms, key=mono_key, reverse=True)]
 
     # -- calculus ------------------------------------------------------------
 
@@ -768,31 +776,71 @@ def _generic_name(var: Var) -> str:
     return f"y{i}_d{suffix(map(str, range(len(counts))), counts)}" if any(counts) else f"y{i}"
 
 
-def render_terms(p: Poly, name, power: str = "{}^{}", fraction: str = "{}/{}") -> str:
+class TermTable:
+    """The sort keys and texts of the monomials of one render.
+
+    Each variable is named once, and each distinct monomial gets its sort key
+    (`mono_key`) and its factor text once, however many polynomials of the
+    render hold it.  `name` renders a variable, `power` lays out a factor
+    and its exponent and `fraction` a non-integral magnitude's numerator and
+    denominator.  A table serves one render: its caller makes it, hands it
+    to every leaf renderer and drops it, so nothing outlives the render and
+    two renders share nothing."""
+
+    __slots__ = ("name", "power", "fraction", "names", "monos")
+
+    def __init__(self, name: Callable[[Var], str] | None = None, power: str = "{}^{}",
+                 fraction: str = "{}/{}"):
+        self.name = _generic_name if name is None else name
+        self.power = power
+        self.fraction = fraction
+        self.names: dict[Var, str] = {}  # variable -> its name
+        self.monos: dict[Mono, tuple] = {}  # monomial -> (sort key, factor text)
+
+    def enter(self, mono: Mono) -> tuple:
+        """Key and text a monomial the table does not hold yet."""
+        names, power, parts = self.names, self.power, []
+        for var, e in mono:
+            name = names.get(var)
+            if name is None:
+                name = names[var] = self.name(var)
+            parts.append(name if e == 1 else power.format(name, e))
+        entry = self.monos[mono] = (mono_key(mono), " ".join(parts))
+        return entry
+
+
+_row_key = itemgetter(0)
+
+
+def render_terms(p: Poly, table: TermTable) -> str:
     """The polynomial term walker: terms in descending graded order joined by
     their signs, each the coefficient magnitude (left out when it is 1 on a
-    non-constant monomial) followed by the factors, separated by spaces.
-    `name` renders a variable, `power` lays out a factor and its exponent
-    and `fraction` a non-integral magnitude's numerator and denominator."""
+    non-constant monomial) followed by the factors, as laid out by `table`."""
     if p.is_zero:
         return "0"
-    terms = p.sorted_terms()
-    names = {(var, e): name(var) if e == 1 else power.format(name(var), e)  # each factor once
-             for var, e in {factor for mono, _ in terms for factor in mono}}
+    monos, enter, fraction = table.monos, table.enter, table.fraction
+    rows = []
+    for mono, coeff in p.terms.items():
+        key, text = monos.get(mono) or enter(mono)
+        rows.append((key, text, coeff))
+    rows.sort(key=_row_key, reverse=True)
     pieces: list[str] = []
-    for mono, coeff in terms:
+    for _, text, coeff in rows:
         num, den = coeff.numerator, coeff.denominator
         sign = (" - " if num < 0 else " + ") if pieces else ("-" if num < 0 else "")
-        text = " ".join(map(names.__getitem__, mono))
         num = abs(num)
-        if den != 1 or num != 1 or not mono:
+        if den != 1 or num != 1 or not text:
             mag = fraction.format(num, den) if den != 1 else str(num)
-            text = f"{mag} {text}" if mono else mag
+            text = f"{mag} {text}" if text else mag
         pieces.append(sign + text)
     return "".join(pieces)
 
 
-def poly_text(p: Poly, chart: Chart | None = None) -> str:
+def poly_text(p: Poly, chart: Chart | None = None, table: TermTable | None = None) -> str:
     """Canonical text rendering: terms in descending graded order, rationals
-    as p/q, factors separated by spaces (juxtaposition parses as product)."""
-    return render_terms(p, chart.var_name if chart is not None else _generic_name)
+    as p/q, factors separated by spaces (juxtaposition parses as product).
+    A `table` made for a render is shared by all its polynomials; without
+    one, the chart's names (or generic ones) fill a one-off table."""
+    if table is None:
+        table = TermTable(chart.var_name if chart is not None else None)
+    return render_terms(p, table)

@@ -7,13 +7,16 @@ import json
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from jetbalance import Chart, poly_text
+from jetbalance import Chart, EngineError, Form, Poly, form_text, poly_text
+from jetbalance.symcore import suffix
 from jetbalance.cli import (
     DuplicateRelationError,
+    NumberTooLongError,
     ParseError,
     UndeclaredNameError,
     _latex_leaf,
@@ -26,6 +29,8 @@ from jetbalance.cli import (
 )
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FORMATS = ("text", "latex", "structured")
 
 BURGERS = "base t x; fields u; F[u,t]=u; F[u,x]=-(u^2/2+u_x); Pi[u]=0"
 PLASTICITY = (
@@ -221,6 +226,103 @@ class TestRendering:
     def test_footnotes_attached_on_decompose(self):
         report = run("decompose", parse_system(BURGERS))
         assert len(report.footnotes) == 2
+
+
+class TestRenderIsolation:
+    """Each render keys and names its monomials in a term table of its own:
+    reports of different charts, rendered in turn or at once, give the bytes
+    of the golden reports, which were each rendered alone."""
+
+    PAIR = ("burgers", "plasticity")  # charts (t x; u) and (xi eta; u v)
+
+    @staticmethod
+    def _golden(name: str, command: str, fmt: str) -> bytes:
+        record = (GOLDEN / f"{name}.{command}.{fmt}.txt").read_text(encoding="utf-8")
+        return record.split("--- stdout\n", 1)[1].encode("utf-8")
+
+    def _reports(self, command: str) -> dict:
+        return {
+            name: run(command, parse_system((SYSTEMS / f"{name}.bal").read_text(encoding="utf-8")))
+            for name in self.PAIR
+        }
+
+    @pytest.mark.parametrize("command", ["equations", "decompose"])
+    def test_alternating_charts_render_as_alone(self, command):
+        reports = self._reports(command)
+        for _ in range(2):
+            for fmt in FORMATS:
+                for name in self.PAIR:
+                    assert render(reports[name], fmt) == self._golden(name, command, fmt)
+
+    def test_threads_render_as_alone(self):
+        """Two threads per report render it in every format at once."""
+        reports = self._reports("decompose")
+        names = self.PAIR * 2
+        results: list = [[] for _ in names]
+
+        def work(name, out):
+            for _ in range(2):
+                for fmt in FORMATS:
+                    out.append((fmt, render(reports[name], fmt)))
+
+        threads = [threading.Thread(target=work, args=args) for args in zip(names, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for name, out in zip(names, results):
+            assert [fmt for fmt, _ in out] == list(FORMATS) * 2  # no render raised
+            for fmt, payload in out:
+                assert payload == self._golden(name, "decompose", fmt)
+
+    @pytest.mark.parametrize("path", sorted(SYSTEMS.glob("*.bal")), ids=lambda p: p.stem)
+    def test_standalone_text_matches_the_structured_report(self, path):
+        """Every polynomial and form of a report, rendered alone, reads as it
+        does in the structured report, where it shares the render's table."""
+        doc = parse_system(path.read_text(encoding="utf-8"))
+        chart = doc.chart
+        compared = 0
+        for command in ("equations", "check", "decompose", "higher"):
+            try:
+                report = run(command, doc)
+            except EngineError:
+                continue
+            payload = json.loads(render(report, "structured"))
+            for (i, counts), p in doc.fluxes.items():
+                flux = payload["system"]["fluxes"][chart.field_names[i]]
+                assert flux[suffix(chart.base_names, counts)] == poly_text(p, chart)
+            for section, content in report.sections.items():
+                rendered = payload["analyses"][section]
+                for key, value in content.items():
+                    pairs = [(value, rendered[key])]
+                    if isinstance(value, dict):
+                        pairs = [(v, rendered[key][sub]) for sub, v in value.items()]
+                    elif isinstance(value, (list, tuple)):
+                        pairs = list(zip(value, rendered[key]))
+                    for v, text in pairs:
+                        if isinstance(v, Poly):
+                            assert text == poly_text(v, chart)
+                            compared += 1
+                        elif isinstance(v, Form):
+                            assert text == form_text(v)
+                            compared += 1
+        assert compared
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_number_too_long_leaves_no_table_behind(self, fmt):
+        """A report coefficient past the int-string digit limit stops the
+        render with `number-too-long`; the next render is unaffected."""
+        big = run("equations", parse_system("base t x; fields u; F[u,t] = 2^15000 u;"))
+        with pytest.raises(NumberTooLongError):
+            render(big, fmt)
+        report = self._reports("equations")["burgers"]
+        assert render(report, fmt) == self._golden("burgers", "equations", fmt)
 
 
 class TestMain:

@@ -21,6 +21,7 @@ from jetbalance import (
     balance_residuals,
     godunov_check,
     poly_text,
+    quasi_lagrangian,
 )
 from jetbalance import cli, jetforms, source_form, symcore, variational
 from jetbalance.symcore import base_var, jet_var, mono_key
@@ -509,6 +510,27 @@ class TestWorkCounts:
             expected[i] = expected[i] + (-piece if sum(counts) % 2 else piece)
         assert comps == tuple(expected)
 
+    def test_pairing_and_encoding_in_one_dict(self, monkeypatch):
+        """The pairing polynomial adds each entry's shifted terms into one
+        term dict, and the encoding its words into one form dict: on three
+        fields neither adds a polynomial or a form."""
+        chart = Chart(("t", "x"), ("u", "v", "w"))
+        bs = random_system(random.Random(17), chart)
+        adds = self._record(monkeypatch, "__add__", lambda *args: 1)
+        form_adds = []
+        form_add = vars(Form)["__add__"]
+        monkeypatch.setattr(Form, "__add__", lambda a, b: form_adds.append(1) or form_add(a, b))
+        ltilde = quasi_lagrangian(bs)
+        omega = balance_form(bs)
+        assert adds == [] and form_adds == []
+        monkeypatch.undo()
+        pairing, words = Poly.zero(), Form.zero(chart)
+        for (i, counts), p in bs.entries.items():
+            pairing = pairing + Poly.variable(jet_var(i, counts)) * p
+            words = words + Form.contact(chart, i, counts) * p
+        assert ltilde == pairing.scale_integrate(-1)
+        assert omega == words.wedge(Form.volume(chart))
+
     @pytest.mark.parametrize("density", ["1", "1 + x^2"])
     def test_div_exact_adds_nothing(self, monkeypatch, chart_x_u, density):
         x = chart_x_u.x(0)
@@ -618,6 +640,39 @@ class TestReportWorkCounts:
         assert calls == []
         source_form(doc.to_balance_system())  # the independent route is still counted
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "structured"])
+    @pytest.mark.parametrize("command", ["equations", "decompose"])
+    @pytest.mark.parametrize("name", ["burgers", "hyperelastic", "plasticity"])
+    def test_render_keys_and_names_once(self, monkeypatch, name, command, fmt):
+        """One render names each distinct variable of its report once and
+        keys each distinct monomial once, however many of the report's
+        polynomials hold them."""
+        doc = cli.parse_system((SYSTEMS / f"{name}.bal").read_text(encoding="utf-8"))
+        report = cli.run(command, doc)
+        rendered, keyed, named, chart_named = [], [], [], []
+        walker, key, var_name = symcore.render_terms, symcore.mono_key, Chart.var_name
+        for module in (symcore, jetforms):
+            monkeypatch.setattr(module, "render_terms",
+                                lambda p, *args: rendered.append(p) or walker(p, *args))
+        monkeypatch.setattr(symcore, "mono_key", lambda m: keyed.append(m) or key(m))
+        monkeypatch.setattr(Chart, "var_name",
+                            lambda chart, v: chart_named.append(v) or var_name(chart, v))
+        init = symcore.TermTable.__init__
+
+        def counting_init(table, *args, **kwargs):
+            init(table, *args, **kwargs)
+            name = table.name
+            table.name = lambda v: named.append(v) or name(v)
+
+        monkeypatch.setattr(symcore.TermTable, "__init__", counting_init)
+        cli.render(report, fmt)
+        monos = [mono for p in rendered for mono in p.terms]
+        variables = {var for mono in monos for var, _ in mono}
+        assert len(set(monos)) < len(monos)  # the polynomials share monomials
+        assert sorted(map(repr, keyed)) == sorted(map(repr, set(monos)))
+        assert sorted(map(repr, named)) == sorted(map(repr, variables))
+        assert len(chart_named) == (0 if fmt == "latex" else len(variables))
 
     @pytest.mark.parametrize("name", ["burgers", "kdv", "plasticity"])
     def test_no_vertical_homotopy(self, monkeypatch, name):
