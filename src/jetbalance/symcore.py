@@ -132,10 +132,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(out) + a[i:] + b[j:]
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def mono_vertical_degree(m: Mono) -> int:
     """Total exponent over jet variables; base coordinates do not count."""
     return sum(e for var, e in m if var[0] == "j")
