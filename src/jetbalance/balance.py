@@ -22,13 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .jetforms import Form, _accumulate
+from .jetforms import Form
 from .symcore import (
     Chart,
     EngineError,
     InvalidSystemError,
     Poly,
     _add_into,
+    _bareiss,
     _divide,
     base_var,
     jet_var,
@@ -197,9 +198,7 @@ class DecompositionReport:
 def balance_form(bs: BalanceSystem) -> Form:
     """The (n,1)-form carrying the whole system against the volume form."""
     chart = bs.chart
-    words: dict = {}
-    for (i, counts), p in bs.entries.items():
-        _accumulate(words, ((), ((i, counts),)), p)
+    words = {((), (gen,)): p for gen, p in bs.entries.items()}  # one word per entry
     return Form._raw(chart, words).wedge(Form.volume(chart))
 
 
@@ -372,28 +371,6 @@ def godunov_check(bs: BalanceSystem) -> GodunovReport:
     )
 
 
-def _det(rows: list) -> Fraction:
-    """Determinant by fraction-preserving Gaussian elimination with pivoting."""
-    size = len(rows)
-    mat = [list(map(Fraction, row)) for row in rows]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for r in range(col + 1, size):
-            factor = mat[r][col] * inv
-            if factor:
-                for c in range(col, size):
-                    mat[r][c] -= factor * mat[col][c]
-    return det
-
-
 def symmetric_hyperbolicity(bs: BalanceSystem, point: Sequence) -> HyperbolicityReport:
     """Friedrichs test for the pure non-Lagrangian component of a zero-order
     system: the Godunov fluxes are the original fluxes minus the derivative
@@ -431,7 +408,9 @@ def symmetric_hyperbolicity(bs: BalanceSystem, point: Sequence) -> Hyperbolicity
         [matrices[0][i][j].evaluate(assignment) for j in range(chart.m)]
         for i in range(chart.m)
     ]
-    minors = tuple(_det([row[:k] for row in time_matrix[:k]]) for k in range(1, chart.m + 1))
+    # Fractions, so that a structured report prints every minor, 0 included, as text
+    minors = tuple(Fraction(_bareiss([row[:k] for row in time_matrix[:k]])[1])
+                   for k in range(1, chart.m + 1))
     singular = any(v == 0 for v in minors)
     verdict = all(symmetric) and all(v > 0 for v in minors)
     return HyperbolicityReport(

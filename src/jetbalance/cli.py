@@ -21,13 +21,14 @@ System files are semicolon-separated statements:
 
 * ``base`` and ``fields`` declare coordinate and field names (letters then
   letters/digits; the underscore is reserved for jet tokens).
-* ``density`` (optional) sets a nonzero polynomial volume density in the
-  base coordinates; default 1.
+* ``density`` (optional, at most once) sets a nonzero polynomial volume
+  density in the base coordinates; default 1.
 * ``F[field, coords] = expr`` declares a flux entry.  ``coords`` is a run of
   base-coordinate names read as a multiset, so ``F[u,xx]`` is a second-order
   entry; entries of order one form an ordinary balance system.
 * ``Pi[field] = expr`` declares a source.
-* ``title "..."`` and ``note "..."`` attach metadata.
+* ``title "..."`` (at most once) and ``note "..."`` (any number) attach
+  metadata.
 
 Expressions use integers, rationals p/q, ``+ - * ^`` with the usual
 precedence, parentheses, and juxtaposition as multiplication; division is
@@ -510,6 +511,7 @@ def parse_system(text: str) -> SystemDocument:
     title = None
     notes = []
     entries = {}
+    once = set()  # the density and title statements seen
     expected = tuple(repr(keyword) for keyword in _STATEMENTS)
 
     while parser.peek().kind != "eof":
@@ -520,6 +522,10 @@ def parse_system(text: str) -> SystemDocument:
         if keyword not in _STATEMENTS:
             parser.fail(f"unknown statement {keyword!r}", tok, expected)
         parser.next()
+        if keyword in once:
+            raise DuplicateRelationError(f"duplicate {keyword} statement", tok.line, tok.col)
+        if keyword in ("density", "title"):
+            once.add(keyword)
         if keyword == "density":
             density = parser.expr(base_scope)
             if density.is_zero:
@@ -1061,8 +1067,12 @@ def main(argv=None) -> int:
         print(f"error[internal]: {exc!r}", file=sys.stderr)
         return 3
     if args.output:
-        with open(args.output, "wb") as handle:
-            handle.write(payload)
+        try:
+            with open(args.output, "wb") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error[io]: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload.decode("utf-8"))
     for name, content in report.sections.items():

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
-from .symcore import Chart, ChartMismatchError, EngineError, Poly, Var, mi_add
+from .symcore import Chart, ChartMismatchError, EngineError, Poly, Var, _add_into, mi_add
 from .symcore import TermTable, poly_text, render_terms, suffix
 
 ContactGen = tuple  # (field index, counts)
@@ -37,14 +37,6 @@ class BidegreeError(EngineError):
     code = "bidegree"
 
 
-def _merge_parity(before: tuple, after: tuple, item) -> int | None:
-    """Inversions incurred by sorting before + (item,) + after, the two outer
-    tuples already being strictly increasing; None when item repeats."""
-    if item in before or item in after:
-        return None
-    return sum(1 for g in before if g > item) + sum(1 for g in after if g < item)
-
-
 class Form:
     """Immutable bigraded exterior form over a fixed chart."""
 
@@ -52,19 +44,9 @@ class Form:
 
     def __init__(self, chart: Chart, terms: Mapping[Word, Poly] | None = None):
         self.chart = chart
-        clean: dict[Word, Poly] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff.is_zero:
-                    continue
-                self._validate_word(chart, word)
-                prev = clean.get(word)
-                total = coeff if prev is None else prev + coeff
-                if total.is_zero:
-                    clean.pop(word, None)
-                else:
-                    clean[word] = total
-        self.terms = clean
+        self.terms = {word: coeff for word, coeff in (terms or {}).items() if coeff}
+        for word in self.terms:
+            self._validate_word(chart, word)
 
     @staticmethod
     def _validate_word(chart: Chart, word: Word) -> None:
@@ -141,13 +123,7 @@ class Form:
             return NotImplemented
         self._require_same_chart(other)
         out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            total = out.get(word)
-            total = coeff if total is None else total + coeff
-            if total.is_zero:
-                out.pop(word, None)
-            else:
-                out[word] = total
+        _add_into(out, other.terms.items())
         return self._raw(self.chart, out)
 
     def __neg__(self) -> "Form":
@@ -156,7 +132,10 @@ class Form:
     def __sub__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
             return NotImplemented
-        return self + (-other)
+        self._require_same_chart(other)
+        out = dict(self.terms)
+        _add_into(out, ((word, -coeff) for word, coeff in other.terms.items()))
+        return self._raw(self.chart, out)
 
     def __mul__(self, other) -> "Form":
         """Coefficient-wise multiplication by a polynomial or rational scalar."""
@@ -179,6 +158,13 @@ class Form:
         f.chart = chart
         f.terms = terms
         return f
+
+    @classmethod
+    def _sum(cls, chart: Chart, terms) -> "Form":
+        """Internal: the exact sum of (word, nonzero coefficient) pairs."""
+        out: dict[Word, Poly] = {}
+        _add_into(out, terms)
+        return cls._raw(chart, out)
 
     # -- bidegree bookkeeping --------------------------------------------------------
 
@@ -205,7 +191,7 @@ class Form:
 
     def wedge(self, other: "Form") -> "Form":
         self._require_same_chart(other)
-        out: dict[Word, Poly] = {}
+        terms = []
         for (h1, c1), p1 in self.terms.items():
             for (h2, c2), p2 in other.terms.items():
                 sign = -1 if (len(c1) * len(h2)) % 2 else 1
@@ -217,8 +203,8 @@ class Form:
                 if merged_c is None:
                     continue
                 sgn_c, cw = merged_c
-                _accumulate(out, (hw, cw), p1 * p2 if sign == sgn_h * sgn_c else -(p1 * p2))
-        return self._raw(self.chart, out)
+                terms.append(((hw, cw), p1 * p2 if sign == sgn_h * sgn_c else -(p1 * p2)))
+        return self._sum(self.chart, terms)
 
     # -- differentials ----------------------------------------------------------------------
 
@@ -226,47 +212,43 @@ class Form:
         """Vertical differential: raises contact degree by one; kills dx and
         the basic contact generators themselves.  Each coefficient is walked
         once for the partials along all of its jet variables."""
-        out: dict[Word, Poly] = {}
+        terms = []
         for (h, c), coeff in self.terms.items():
+            flip = (-1) ** len(h)  # the new generator moves past the dx factors
             for var, dp in coeff.jet_partials().items():
-                gen = (var[1], var[2])
-                parity = _merge_parity((), c, gen)
-                if parity is None:
-                    continue
-                parity += len(h)
-                word = (h, tuple(sorted(c + (gen,))))
-                _accumulate(out, word, dp if parity % 2 == 0 else -dp)
-        return self._raw(self.chart, out)
+                merged = _merge_tuples(((var[1], var[2]),), c)
+                if merged is not None:
+                    sign, cw = merged
+                    terms.append(((h, cw), dp if sign == flip else -dp))
+        return self._sum(self.chart, terms)
 
     def total_derivative(self, mu: int) -> "Form":
         """d_mu as a derivation on forms: total derivative of coefficients,
         dx^nu -> 0, contact generator (i, counts) -> (i, counts + 1_mu)."""
         self.chart._check_base(mu)
-        out: dict[Word, Poly] = {}
+        terms = []
         for (h, c), coeff in self.terms.items():
-            _accumulate(out, (h, c), coeff.total_derivative(mu))
-            for q, gen in enumerate(c):
-                promoted = (gen[0], mi_add(gen[1], mu))
-                rest_before, rest_after = c[:q], c[q + 1 :]
-                parity = _merge_parity(rest_before, rest_after, promoted)
-                if parity is None:
-                    continue
-                word = (h, tuple(sorted(rest_before + rest_after + (promoted,))))
-                _accumulate(out, word, coeff if parity % 2 == 0 else -coeff)
-        return self._raw(self.chart, out)
+            derived = coeff.total_derivative(mu)
+            if derived:
+                terms.append(((h, c), derived))
+            for q, (i, counts) in enumerate(c):
+                # generator q leaves its place (sign (-1)^q), its promotion merges back in
+                merged = _merge_tuples(((i, mi_add(counts, mu)),), c[:q] + c[q + 1 :])
+                if merged is not None:
+                    sign, cw = merged
+                    terms.append(((h, cw), coeff if sign == (-1) ** q else -coeff))
+        return self._sum(self.chart, terms)
 
     def d_H(self) -> "Form":
         """Horizontal differential: sum over mu of dx^mu wedge d_mu."""
-        out: dict[Word, Poly] = {}
+        terms = []
         for mu in range(self.chart.n):
-            derived = self.total_derivative(mu)
-            for (h, c), coeff in derived.terms.items():
-                if mu in h:
-                    continue
-                parity = sum(1 for hh in h if hh < mu)
-                word = (tuple(sorted(h + (mu,))), c)
-                _accumulate(out, word, coeff if parity % 2 == 0 else -coeff)
-        return self._raw(self.chart, out)
+            for (h, c), coeff in self.total_derivative(mu).terms.items():
+                merged = _merge_tuples((mu,), h)
+                if merged is not None:
+                    sign, hw = merged
+                    terms.append(((hw, c), coeff if sign == 1 else -coeff))
+        return self._sum(self.chart, terms)
 
     def d(self) -> "Form":
         """Full exterior derivative, split as d_H + d_V."""
@@ -279,15 +261,13 @@ class Form:
         if var[0] != "j":
             raise InvalidWord("contraction is defined against jet variables only")
         gen = (var[1], var[2])
-        out: dict[Word, Poly] = {}
+        out: dict[Word, Poly] = {}  # removing gen from distinct words leaves distinct words
         for (h, c), coeff in self.terms.items():
             try:
                 q = c.index(gen)
             except ValueError:
                 continue
-            parity = len(h) + q
-            word = (h, c[:q] + c[q + 1 :])
-            _accumulate(out, word, coeff if parity % 2 == 0 else -coeff)
+            out[(h, c[:q] + c[q + 1 :])] = -coeff if (len(h) + q) % 2 else coeff
         return self._raw(self.chart, out)
 
 
@@ -298,7 +278,9 @@ class InvalidWord(EngineError):
 def _merge_tuples(a: tuple, b: tuple):
     """Merge strictly increasing tuples, tracking the permutation sign.
 
-    Returns (sign, merged) or None when the tuples share an item.
+    Returns (sign, merged) or None when the tuples share an item.  This is
+    every signed insertion of the form algebra: the wedge of two words, and
+    one new or promoted factor merged into a word.
     """
     if not a:
         return 1, b
@@ -321,17 +303,6 @@ def _merge_tuples(a: tuple, b: tuple):
     out.extend(a[ia:])
     out.extend(b[ib:])
     return sign, tuple(out)
-
-
-def _accumulate(out: dict, word: Word, coeff: Poly) -> None:
-    if coeff.is_zero:
-        return
-    prev = out.get(word)
-    total = coeff if prev is None else prev + coeff
-    if total.is_zero:
-        out.pop(word, None)
-    else:
-        out[word] = total
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import comb, lcm
-from operator import itemgetter
+from operator import floordiv, itemgetter, truediv
 from typing import Callable, Iterable, Mapping
 
 
@@ -198,43 +198,57 @@ def _divide(c, d: int):
 _ONE = {(): 1}  # the terms of the constant 1
 
 
-def _add_into(out: dict, terms) -> None:
-    """Add the (monomial, coefficient) pairs `terms` into the term dict `out`
-    in place, dropping every term that cancels."""
-    for mono, c in terms:
-        prev = out.get(mono)
+def _add_into(out: dict, items) -> None:
+    """Add the (key, value) pairs `items` into the dict `out` in place,
+    dropping every entry that cancels.  Every value passed in is nonzero.
+    This is the one exact sum of the package: it serves term dicts
+    (monomial -> int or Fraction) and form word dicts (word -> Poly)."""
+    for key, c in items:
+        prev = out.get(key)
         if prev is None:
-            out[mono] = c
+            out[key] = c
         else:
             s = prev + c
             if s:
-                out[mono] = s
+                out[key] = s
             else:
-                del out[mono]
+                del out[key]
+
+
+def _bareiss(rows: list) -> tuple:
+    """(rank, determinant) of a matrix of ints or of Fractions by
+    fraction-free (Bareiss 1968) elimination with row pivoting: each step
+    divides by the previous pivot, exactly, so the entries stay minors of
+    the matrix.  Int rows divide with //, others with /; the determinant
+    is 0 unless the matrix is square of full rank."""
+    rows = [list(row) for row in rows]
+    cols = len(rows[0]) if rows else 0
+    div = floordiv if all(type(a) is int for row in rows for a in row) else truediv
+    rank, prev, sign = 0, 1, 1
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [div(a * top[col] - b * f, prev) for a, b in zip(rows[i], top)]
+        rank, prev = rank + 1, top[col]
+    return rank, sign * prev if rank == len(rows) == cols else 0
 
 
 def _affinely_independent(monos) -> bool:
     """Whether the exponent vectors e_j of `monos` are affinely independent:
-    the rows (1, e_j) have full rank over the rationals, found by
-    fraction-free (Bareiss) elimination, whose divisions by the previous
-    pivot are exact and keep the integers the size of minors."""
+    the rows (1, e_j) have full rank over the rationals."""
     variables = {var for mono in monos for var, _ in mono}
     rows = []
     for mono in monos:
         exps = dict(mono)
         rows.append([1] + [exps.get(var, 0) for var in variables])
-    rank, prev = 0, 1
-    for col in range(len(variables) + 1):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            rows[i] = [(a * top[col] - b * f) // prev for a, b in zip(rows[i], top)]
-        rank, prev = rank + 1, top[col]
-    return rank == len(rows)
+    return _bareiss(rows)[0] == len(rows)
 
 
 def _multinomial_power(terms: dict, k: int) -> dict:
@@ -304,22 +318,11 @@ class Poly:
     def __init__(self, terms: Mapping[Mono, Fraction | int] | None = None):
         """Monomials are brought into canonical form: factors sorted by
         rank, repeated variables merged, zero exponents dropped."""
-        clean: dict[Mono, int | Fraction] = {}
+        self.terms: dict[Mono, int | Fraction] = {}
         if terms:
-            for mono, coeff in terms.items():
-                c = coeff if type(coeff) is int else _exact(Fraction(coeff))
-                if c:
-                    mono = _canonical(mono)
-                    prev = clean.get(mono)
-                    if prev is None:
-                        clean[mono] = c
-                    else:
-                        s = prev + c
-                        if s:
-                            clean[mono] = s
-                        else:
-                            del clean[mono]
-        self.terms = clean
+            exact = ((mono, c if type(c) is int else _exact(Fraction(c)))
+                     for mono, c in terms.items())
+            _add_into(self.terms, ((_canonical(mono), c) for mono, c in exact if c))
 
     # -- constructors ------------------------------------------------------
 
@@ -381,16 +384,7 @@ class Poly:
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for mono, c in o.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = c
-            else:
-                s = prev + c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
+        _add_into(out, o.terms.items())
         return Poly._raw(out)
 
     __radd__ = __add__
@@ -420,19 +414,16 @@ class Poly:
             return self
         if self.terms == _ONE:
             return o
+        if len(self.terms) <= 1:
+            self, o = o, self
         out: dict[Mono, int | Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in o.terms.items():
-                mono = mono_mul(ma, mb)
-                prev = out.get(mono)
-                if prev is None:
-                    out[mono] = ca * cb
-                else:
-                    s = prev + ca * cb
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
+        if len(o.terms) == 1:  # times a monomial: distinct monomials stay distinct
+            [(mb, cb)] = o.terms.items()
+            for ma, ca in self.terms.items():
+                out[mono_mul(ma, mb)] = ca * cb
+        elif o.terms:
+            left, right = self.terms.items(), o.terms.items()
+            _add_into(out, ((mono_mul(ma, mb), ca * cb) for ma, ca in left for mb, cb in right))
         return Poly._raw(out)
 
     __rmul__ = __mul__
@@ -527,32 +518,27 @@ class Poly:
     def total_derivative(self, mu: int) -> "Poly":
         """Total derivative d_mu in one walk over each monomial's factors: x^mu
         is lowered, and a jet factor z^i_Lambda is lowered and multiplied by
-        its promotion z^i_{Lambda+1_mu}, built once per call and shared."""
+        its promotion z^i_{Lambda+1_mu}, built once per call and shared.  The
+        terms are generated into the sum, so no list of them is held."""
         promoted: dict[Var, Mono] = {}
-        out: dict[Mono, int | Fraction] = {}
-        for mono, coeff in self.terms.items():
-            for pos, (v, e) in enumerate(mono):
-                if v[0] == "j":
-                    up = promoted.get(v)
-                    if up is None:
-                        up = promoted[v] = ((jet_var(v[1], mi_add(v[2], mu)), 1),)
-                elif v[1] == mu:  # the base coordinate x^mu
-                    up = ()
-                else:
-                    continue
-                # the promoted variable ranks above v: it merges into the tail
-                head = mono[:pos] + ((v, e - 1),) if e > 1 else mono[:pos]
-                new = head + mono_mul(mono[pos + 1 :], up)
-                c = coeff * e if e > 1 else coeff
-                prev = out.get(new)
-                if prev is None:
-                    out[new] = c
-                else:
-                    s = prev + c
-                    if s:
-                        out[new] = s
+
+        def derived():
+            for mono, coeff in self.terms.items():
+                for pos, (v, e) in enumerate(mono):
+                    if v[0] == "j":
+                        up = promoted.get(v)
+                        if up is None:
+                            up = promoted[v] = ((jet_var(v[1], mi_add(v[2], mu)), 1),)
+                    elif v[1] == mu:  # the base coordinate x^mu
+                        up = ()
                     else:
-                        del out[new]
+                        continue
+                    # the promoted variable ranks above v: it merges into the tail
+                    head = mono[:pos] + ((v, e - 1),) if e > 1 else mono[:pos]
+                    yield head + mono_mul(mono[pos + 1 :], up), coeff * e if e > 1 else coeff
+
+        out: dict[Mono, int | Fraction] = {}
+        _add_into(out, derived())
         return Poly._raw(out)
 
     def vertical_components(self) -> dict[int, "Poly"]:
@@ -652,6 +638,7 @@ class Poly:
             else:
                 q_coeff = _exact(Fraction(coeff) / lead_coeff)
             quot[q_mono] = q_coeff
+            # not `_add_into`: a new remainder monomial must also go on the heap
             for m, c in tail:
                 prod = mono_mul(q_mono, m)
                 prev = rem.get(prod)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 
-from .jetforms import BidegreeError, Form, _accumulate
+from .jetforms import BidegreeError, Form
 from .symcore import (
     Chart,
     EngineError,
@@ -166,13 +166,12 @@ def interior_euler(form: Form) -> FunctionalForm:
     gens = set()
     for _, c in form.terms:
         gens.update(c)
-    total = Form.zero(chart)
+    total: dict = {}
     for i, counts in sorted(gens):
         piece = _total_derivative_along(form.contract(jet_var(i, counts)), counts)
-        if sum(counts) % 2:
-            piece = -piece
-        total = total + Form.contact(chart, i).wedge(piece)
-    return FunctionalForm(Form._raw(chart, {w: c / s_c for w, c in total.terms.items()}))
+        terms = Form.contact(chart, i).wedge(piece).terms.items()
+        _add_into(total, ((w, -c) for w, c in terms) if sum(counts) % 2 else terms)
+    return FunctionalForm(Form._raw(chart, {w: c / s_c for w, c in total.items()}))
 
 
 def vertical_homotopy(form: Form) -> Form:
@@ -186,14 +185,13 @@ def vertical_homotopy(form: Form) -> Form:
     _, s = form.bidegree()
     if s < 1:
         raise BidegreeError("vertical homotopy needs contact degree >= 1")
-    chart = form.chart
-    out: dict = {}
+    terms = []
     for (h, c), coeff in form.terms.items():
         weighted = coeff.scale_integrate(s - 1)  # each monomial times 1/(d + s)
         for q, gen in enumerate(c):
             piece = weighted * Poly.variable(jet_var(gen[0], gen[1]))
-            _accumulate(out, (h, c[:q] + c[q + 1 :]), -piece if (len(h) + q) % 2 else piece)
-    return Form._raw(chart, out)
+            terms.append(((h, c[:q] + c[q + 1 :]), -piece if (len(h) + q) % 2 else piece))
+    return Form._sum(form.chart, terms)
 
 
 def vertical_decompose(form: Form) -> tuple:

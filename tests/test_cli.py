@@ -73,6 +73,19 @@ class TestParsing:
         with pytest.raises(DuplicateRelationError):
             parse_system("base t x; fields u; F[u,t]=u; F[u,t]=2*u")
 
+    @pytest.mark.parametrize("twice", ["density 1 + x^2; density 1;", 'title "a"; title "b";'])
+    def test_density_and_title_once(self, twice):
+        """A second density or title is an error located at the second
+        statement, not silently taken in place of the first."""
+        with pytest.raises(DuplicateRelationError) as err:
+            parse_system(f"base x; fields u;\n{twice}\nF[u,x]=u")
+        second = twice.rindex(twice.split()[0])
+        assert (err.value.line, err.value.col) == (2, second + 1)
+
+    def test_notes_repeat(self):
+        doc = parse_system('base x; fields u; note "a"; note "b"; F[u,x]=u')
+        assert doc.notes == ("a", "b")
+
     def test_multiletter_coordinate_suffix(self):
         doc = parse_system("base xi eta; fields u v; F[u,xi]=u_xieta; Pi[u]=0")
         assert doc.fluxes[(0, (1, 0))] == doc.chart.jet(0, (1, 1))
@@ -351,6 +364,21 @@ class TestMain:
 
     def test_exit_two_on_missing_file(self, capsys):
         assert main(["equations", "/nonexistent/system.bal"]) == 2
+
+    def test_exit_two_on_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.txt"
+        assert main(["equations", str(SYSTEMS / "burgers.bal"), "--output", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]: ") and "Traceback" not in err
+        assert not target.exists()
+
+    def test_exit_two_on_duplicate_density(self, tmp_path, capsys):
+        twice = tmp_path / "twice.bal"
+        twice.write_text("base x; fields u; density 1 + x^2; density 1; F[u,x] = u;")
+        assert main(["equations", str(twice)]) == 2
+        assert capsys.readouterr().err == (
+            "error[duplicate-relation]: duplicate density statement at line 1, col 36\n"
+        )
 
     def test_exit_two_on_inapplicable_hyperbolic(self, capsys):
         code = main(["hyperbolic", str(SYSTEMS / "burgers.bal"), "--at", "0,0,1"])

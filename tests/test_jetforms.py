@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 
 from jetbalance import BidegreeError, Chart, Form, Poly, form_text
-from jetbalance.symcore import base_var, jet_var
+from jetbalance.symcore import base_var, jet_var, mi_add
 
-from conftest import homogeneous_forms, polys, random_form
+from conftest import homogeneous_forms, multi_indices, polys, random_form, random_poly
 
 
 class TestWedge:
@@ -114,6 +115,102 @@ class TestTotalDerivativeForm:
         term = Form.contact(chart, 0).wedge(Form.volume(chart))
         expected = Form.contact(chart, 0, (1, 0)).wedge(Form.volume(chart))
         assert term.total_derivative(0) == expected
+
+
+def _factors(word) -> list:
+    """A word as its factor list: (0, mu) for dx^mu, (1, generator) for a
+    contact factor, so that sorting puts it in word order."""
+    h, c = word
+    return [(0, mu) for mu in h] + [(1, gen) for gen in c]
+
+
+def _sorted_form(chart: Chart, pieces) -> Form:
+    """The sum of (factor list, coefficient) pieces, each factor list sorted
+    with the sign (-1)^(inversions); a list with a repeated factor is zero."""
+    out: dict = {}
+    for factors, coeff in pieces:
+        if len(set(factors)) < len(factors) or coeff.is_zero:
+            continue
+        inversions = sum(1 for a, b in itertools.combinations(factors, 2) if a > b)
+        ordered = sorted(factors)
+        word = (tuple(g for k, g in ordered if k == 0), tuple(g for k, g in ordered if k == 1))
+        out[word] = out.get(word, Poly.zero()) + (-coeff if inversions % 2 else coeff)
+    return Form(chart, out)
+
+
+def _derived_pieces(form: Form, mu: int) -> list:
+    """d_mu of each word as factor lists: the coefficient's total derivative
+    on the word, and each contact factor promoted in place."""
+    pieces = []
+    for word, coeff in form.terms.items():
+        factors = _factors(word)
+        pieces.append((factors, coeff.total_derivative(mu)))
+        for q, (kind, gen) in enumerate(factors):
+            if kind == 1:
+                promoted = (1, (gen[0], mi_add(gen[1], mu)))
+                pieces.append((factors[:q] + [promoted] + factors[q + 1 :], coeff))
+    return pieces
+
+
+class TestSignsAgainstInversionCount:
+    """Every signed insertion of the form algebra against a reference that
+    writes the factors in the order the operator produces them, sorts them
+    and counts inversions."""
+
+    @staticmethod
+    def _forms(seed: int):
+        """Random forms on n = 1, 2, 3 coordinates whose words hold up to
+        three contact generators of order <= 2."""
+        rng = random.Random(seed)
+        chart = Chart(("t", "x", "y")[: rng.randint(1, 3)], ("u", "v"))
+        gens = [(i, counts) for i in range(chart.m) for counts in multi_indices(chart.n, 2)]
+
+        def form():
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                h = tuple(sorted(rng.sample(range(chart.n), rng.randint(0, chart.n))))
+                c = tuple(sorted(rng.sample(gens, rng.randint(0, 3))))
+                terms[(h, c)] = random_poly(rng, chart, max_order=2, max_degree=2, max_terms=2)
+            return Form(chart, terms)
+
+        return chart, form(), form()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_wedge(self, seed):
+        chart, a, b = self._forms(seed)
+        pieces = [(_factors(wa) + _factors(wb), ca * cb)
+                  for wa, ca in a.terms.items() for wb, cb in b.terms.items()]
+        assert a.wedge(b) == _sorted_form(chart, pieces)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_d_V(self, seed):
+        chart, form, _ = self._forms(seed)
+        pieces = [([(1, (var[1], var[2]))] + _factors(word), coeff.partial(var))
+                  for word, coeff in form.terms.items()
+                  for var in coeff.variables() if var[0] == "j"]
+        assert form.d_V() == _sorted_form(chart, pieces)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_total_derivative_and_d_H(self, seed):
+        chart, form, _ = self._forms(seed)
+        for mu in range(chart.n):
+            assert form.total_derivative(mu) == _sorted_form(chart, _derived_pieces(form, mu))
+        pieces = [([(0, mu)] + factors, coeff)
+                  for mu in range(chart.n) for factors, coeff in _derived_pieces(form, mu)]
+        assert form.d_H() == _sorted_form(chart, pieces)
+
+    def test_promotion_crosses_and_collides(self, chart_tx_u):
+        """w(u) ^ w(u_x): along t the promoted u_t passes u_x (sign -1); along
+        x the promoted u_x collides with its neighbour (the term vanishes)."""
+        chart, one = chart_tx_u, Poly.constant(1)
+        form = Form(chart, {((), ((0, (0, 0)), (0, (0, 1)))): one})
+        assert form.total_derivative(0) == Form(chart, {
+            ((), ((0, (0, 1)), (0, (1, 0)))): -one,
+            ((), ((0, (0, 0)), (0, (1, 1)))): one,
+        })
+        assert form.total_derivative(1) == Form(chart, {((), ((0, (0, 0)), (0, (0, 2)))): one})
+        for mu in range(chart.n):
+            assert form.total_derivative(mu) == _sorted_form(chart, _derived_pieces(form, mu))
 
 
 class TestContract:

@@ -1,7 +1,8 @@
 """Differential test of the symcore kernels against sympy.
 
 `*`, `**`, `div_exact` and `sorted_terms` on seeded random polynomials are
-compared with `sympy.Poly` over the rationals, and every coefficient met on
+compared with `sympy.Poly` over the rationals, and `_bareiss` with sympy's
+rank and determinant, and every coefficient met on
 the way is an int or a Fraction, never a float.  The generators are the chart's
 variables in descending `var_rank`, so sympy's `grlex` order is the graded
 order the renderers print in.  `total_derivative` is checked by the chain rule
@@ -17,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from jetbalance import Chart, Poly, euler_lagrange
-from jetbalance.symcore import _affinely_independent, base_var, jet_var, var_rank
+from jetbalance.symcore import _affinely_independent, _bareiss, base_var, jet_var, var_rank
 
 from conftest import random_poly, variable_pool
 
@@ -102,6 +103,21 @@ def test_power_of_a_sum(name):
     assert _affinely_independent(base.terms) is independent
     for e in (2, 3, 7):
         assert _to_sympy(base**e, CHARTS[1]) == _to_sympy(base, CHARTS[1]) ** e
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_bareiss_rank_and_determinant(seed):
+    """Int matrices (odd seeds) and Fraction ones; entries in -2..2 make zero
+    pivots, row swaps and singular matrices common."""
+    rng = random.Random(seed)
+    size, cols = rng.randint(1, 4), rng.randint(1, 4)
+    rows = [[rng.randint(-2, 2) if seed % 2 else Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+             for _ in range(cols)] for _ in range(size)]
+    matrix = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in row]
+                           for row in rows])
+    rank, det = _bareiss(rows)
+    assert rank == matrix.rank()
+    assert sympy.Rational(det.numerator, det.denominator) == (matrix.det() if size == cols else 0)
 
 
 @pytest.mark.parametrize("e", [0, 1, 5])

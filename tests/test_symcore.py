@@ -531,6 +531,20 @@ class TestWorkCounts:
         assert ltilde == pairing.scale_integrate(-1)
         assert omega == words.wedge(Form.volume(chart))
 
+    def test_interior_euler_adds_no_forms(self, monkeypatch):
+        """The interior Euler operator sums its per-generator pieces into one
+        word dict: on three fields it adds no form."""
+        chart = Chart(("t", "x"), ("u", "v", "w"))
+        bs = random_system(random.Random(19), chart)
+        omega = balance_form(bs)
+        form_adds = []
+        form_add = vars(Form)["__add__"]
+        monkeypatch.setattr(Form, "__add__", lambda a, b: form_adds.append(1) or form_add(a, b))
+        source = variational.interior_euler(omega)
+        assert form_adds == []
+        monkeypatch.undo()
+        assert source.components() == tuple(-r for r in balance_residuals(bs))
+
     @pytest.mark.parametrize("density", ["1", "1 + x^2"])
     def test_div_exact_adds_nothing(self, monkeypatch, chart_x_u, density):
         x = chart_x_u.x(0)
