@@ -221,7 +221,7 @@ def _bareiss(rows: list) -> tuple:
     divides by the previous pivot, exactly, so the entries stay minors of
     the matrix.  Int rows divide with //, others with /; the determinant
     is 0 unless the matrix is square of full rank."""
-    rows = [list(row) for row in rows]
+    rows = list(rows)  # reorders and replaces rows of this copy, never edits a row
     cols = len(rows[0]) if rows else 0
     div = floordiv if all(type(a) is int for row in rows for a in row) else truediv
     rank, prev, sign = 0, 1, 1
