@@ -20,6 +20,7 @@ from jetbalance.cli import (
     ParseError,
     UndeclaredNameError,
     _latex_leaf,
+    _parse_point,
     main,
     parse_section,
     parse_system,
@@ -137,6 +138,12 @@ class TestRoundTrip:
                     lines.append(f"Pi[{chart.field_names[i]}] = {poly_text(bs.Pi[i], chart)};")
             doc = parse_system("\n".join(lines))
             assert parse_system(render_system(doc)) == doc
+
+    def test_notes_and_title(self):
+        doc = parse_system('base x; fields u; note "b c"; title "t"; note "a"; F[u,x]=u')
+        text = render_system(doc)
+        assert text == 'base x;\nfields u;\ntitle "t";\nnote "b c";\nnote "a";\nF[u,x] = u;\n'
+        assert parse_system(text) == doc
 
 
 class TestCommands:
@@ -523,6 +530,100 @@ class TestRobustness:
         assert main(["equations", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err == f"error[parse]: integer literal of 5000 digits is too long at line 3, col {col}\n"
+
+
+def _section_of_burgers(text: str):
+    return lambda: parse_section(text, parse_system(BURGERS))
+
+
+# name -> (call, code, message, line, col): front-end errors and where they point
+FRONT_END_ERRORS = {
+    "string-at-newline": (
+        lambda: parse_system('base x; fields u;\ntitle "ab\n";'),
+        "parse", "unterminated string", 2, 7,
+    ),
+    "string-at-eof": (
+        lambda: parse_system('base x; fields u;\ntitle "ab'), "parse", "unterminated string", 2, 7,
+    ),
+    "empty-suffix": (
+        lambda: parse_system("base t x; fields u; F[u,]=u"),
+        "parse", "expected a coordinate suffix", 1, 25,
+    ),
+    "unknown-suffix": (
+        lambda: parse_system("base t x; fields u; F[u,q]=u"),
+        "parse", "cannot read 'q' as a run of base coordinates", 1, 25,
+    ),
+    "flux-field": (
+        lambda: parse_system("base t x; fields u; F[w,t]=u"),
+        "undeclared-name", "undeclared field 'w'", 1, 23,
+    ),
+    "source-field": (
+        lambda: parse_system("base t x; fields u; Pi[w]=0"),
+        "undeclared-name", "undeclared field 'w'", 1, 24,
+    ),
+    "section-field": (
+        _section_of_burgers("u = 1;\nw = 2;"), "undeclared-name", "undeclared field 'w'", 2, 1,
+    ),
+    "missing-semicolon": (
+        lambda: parse_system('base t x; fields u; title "a" F[u,t]=u'), "parse", "expected ';'", 1, 31,
+    ),
+    "jet-in-density": (
+        lambda: parse_system("base t x; fields u; density d(u; 1);"),
+        "parse", "jet variables are not allowed in this expression", 1, 29,
+    ),
+    "jet-double-underscore": (
+        lambda: parse_system("base t x; fields u; F[u,t]=u__x"),
+        "parse", "malformed jet token 'u__x'", 1, 28,
+    ),
+    "jet-empty-suffix": (
+        lambda: parse_system("base t x; fields u; F[u,t]=u_"),
+        "parse", "malformed jet token 'u_'", 1, 28,
+    ),
+    "no-fields": (
+        lambda: parse_system("base t x;\nF[u,t]=u"),
+        "parse", "the 'fields' declaration must follow 'base'", 2, 1,
+    ),
+    "empty-fields": (
+        lambda: parse_system("base t x;\nfields;"), "parse", "at least one field is required", 2, 7,
+    ),
+    "statement-not-a-name": (
+        lambda: parse_system("base t x; fields u; 3;"), "parse", "expected a statement", 1, 21,
+    ),
+    "unknown-statement": (
+        lambda: parse_system("base t x; fields u; G[u,t]=u"), "parse", "unknown statement 'G'", 1, 21,
+    ),
+    "zero-density": (
+        lambda: parse_system("base t x; fields u; density 0;"),
+        "parse", "the density must be a nonzero polynomial", 1, 21,
+    ),
+    "duplicate-section-entry": (
+        _section_of_burgers("u = 1;\nu = 2;"),
+        "duplicate-relation", "duplicate section entry for 'u'", 2, 1,
+    ),
+    "unknown-command": (
+        lambda: run("solve", parse_system(BURGERS)), "invalid-system", "unknown command 'solve'", None, None,
+    ),
+    "unknown-format": (
+        lambda: render(run("equations", parse_system(BURGERS)), "pdf"),
+        "invalid-system", "unknown format 'pdf'", None, None,
+    ),
+    "unreadable-point": (
+        lambda: _parse_point("0,a"),
+        "invalid-system", "cannot read rational coordinates from '0,a'", None, None,
+    ),
+}
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("name", FRONT_END_ERRORS)
+    def test_code_message_and_location(self, name):
+        call, code, message, line, col = FRONT_END_ERRORS[name]
+        with pytest.raises(EngineError) as err:
+            call()
+        exc = err.value
+        assert (exc.code, exc.args[0], getattr(exc, "line", None), getattr(exc, "col", None)) == (
+            code, message, line, col,
+        )
 
 
 class TestSectionFiles:

@@ -282,6 +282,21 @@ class TestSourceFormsHoldComponents:
             assert combined == FunctionalForm(combined.form)
             assert combined.form == op(a.form, b.form)
 
+    def test_equality_by_components(self, monkeypatch):
+        """Two forms that hold components compare them, with no form words."""
+        chart = Chart(("t", "x", "y"), ("u", "v"))
+        rng = random.Random(47)
+        comps = [random_poly(rng, chart) for _ in range(2)]
+        other = [comps[0], comps[1] + 1]
+        words = []
+        build = FunctionalForm._words
+        monkeypatch.setattr(FunctionalForm, "_words",
+                            lambda self: words.append(self) or build(self))
+        a = functional_from_components(chart, comps)
+        assert a == functional_from_components(chart, list(comps))
+        assert a != functional_from_components(chart, other)
+        assert words == []
+
 
 class TestDeltaV:
     def test_annihilates_euler_lagrange(self):
