@@ -143,7 +143,7 @@ def _decode(data: bytes, name: str) -> str:
 
 
 class _Token(NamedTuple):
-    kind: str  # name | int | string | sym | eof
+    kind: str  # name | int | string | eof, or the symbol itself
     text: str
     line: int
     col: int
@@ -153,6 +153,8 @@ _SYMBOLS = set(";,=+-*/^()[]")
 _DIGITS = frozenset(string.digits)  # ASCII: str.isalpha/isdigit admit other scripts
 _LETTERS = frozenset(string.ascii_letters)
 _NAME_CHARS = _LETTERS | _DIGITS | {"_"}
+# the first character of a name or an integer -> (token kind, characters of its run)
+_RUNS = {**dict.fromkeys(_LETTERS, ("name", _NAME_CHARS)), **dict.fromkeys(_DIGITS, ("int", _DIGITS))}
 
 
 def _tokenize(text: str) -> list:
@@ -176,36 +178,28 @@ def _tokenize(text: str) -> list:
                 i += 1
             continue
         start_col = col
-        if ch in _LETTERS:
-            j = i
-            while j < size and text[j] in _NAME_CHARS:
+        run = _RUNS.get(ch)
+        if run is not None:
+            kind, chars = run
+            j = i + 1
+            while j < size and text[j] in chars:
                 j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < size and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, start_col))
+            tokens.append(_Token(kind, text[i:j], line, start_col))
             col += j - i
             i = j
             continue
         if ch == '"':
             j = i + 1
-            while j < size and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, start_col)
+            while j < size and text[j] not in '"\n':
                 j += 1
-            if j >= size:
+            if j == size or text[j] == "\n":
                 raise ParseError("unterminated string", line, start_col)
             tokens.append(_Token("string", text[i + 1 : j], line, start_col))
             col += j - i + 1
             i = j + 1
             continue
         if ch in _SYMBOLS:
-            tokens.append(_Token("sym", ch, line, start_col))
+            tokens.append(_Token(ch, ch, line, start_col))
             i += 1
             col += 1
             continue
@@ -219,19 +213,19 @@ def _tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SystemDocument:
-    """A parsed, canonicalized system declaration.
+class SystemDocument(BalanceSystem):
+    """A parsed system declaration: the validated `BalanceSystem` with the
+    title and notes of its text.  Zero declarations are dropped, so that
+    rendering and reparsing is the identity."""
 
-    `entries` maps (field index, multi-index) to nonzero polynomials, each
-    source at the zero multi-index as in `BalanceSystem`; zero declarations
-    are dropped so that rendering and reparsing is the identity.
-    """
+    __slots__ = ("title", "notes")
 
-    chart: Chart
-    entries: dict
-    title: str | None = None
-    notes: tuple = ()
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SystemDocument):
+            return NotImplemented
+        return (self.chart, self.entries, self.title, self.notes) == (
+            other.chart, other.entries, other.title, other.notes
+        )
 
     @property
     def fluxes(self) -> dict:
@@ -251,10 +245,10 @@ class SystemDocument:
                 "this document declares flux entries of order >= 2; only the "
                 "'higher' analysis applies"
             )
-        return self.to_higher_data()
+        return self
 
     def to_higher_data(self) -> BalanceSystem:
-        return BalanceSystem.from_entries(self.chart, self.entries)
+        return self
 
 
 def _segment_suffix(suffix: str, base_names) -> tuple | None:
@@ -300,7 +294,7 @@ class _Parser:
 
     def expect_sym(self, sym) -> _Token:
         tok = self.peek()
-        if tok.kind == "sym" and tok.text == sym:
+        if tok.kind == sym:
             return self.next()
         self.fail(f"expected {sym!r}", tok, expected=(repr(sym),))
 
@@ -326,6 +320,30 @@ class _Parser:
             return self.next().text
         self.fail("expected a quoted string", tok, ("string",))
 
+    def declaration(self, keyword: str, missing: str, empty: str, taken=()) -> tuple:
+        """The names of a `base` or `fields` statement.  Each name is checked
+        at its own token: `_` is reserved for jet tokens, and no name repeats
+        one declared before it here or in `taken`."""
+        tok = self.peek()
+        if not (tok.kind == "name" and tok.text == keyword):
+            self.fail(missing, tok, (repr(keyword),))
+        self.next()
+        names = list(taken)
+        while self.peek().kind == "name":
+            tok = self.next()
+            if "_" in tok.text:
+                self.fail(
+                    f"declared name {tok.text!r} contains '_', which is reserved for jet tokens",
+                    tok,
+                )
+            if tok.text in names:
+                self.fail("chart names must be distinct", tok)
+            names.append(tok.text)
+        if len(names) == len(taken):
+            self.fail(empty, expected=("name",))
+        self.end_statement()
+        return tuple(names[len(taken):])
+
     def expect_field(self, fields: dict) -> tuple:
         """A declared field name: its token and its index in `fields`."""
         tok = self.expect_name("field name")
@@ -333,15 +351,9 @@ class _Parser:
             raise UndeclaredNameError(f"undeclared field {tok.text!r}", tok.line, tok.col)
         return tok, fields[tok.text]
 
-    def at_sym(self, sym) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == sym
-
     def end_statement(self):
-        if self.at_sym(";"):
-            self.next()
-        elif self.peek().kind != "eof":
-            self.fail("expected ';'", expected=("';'",))
+        if self.peek().kind != "eof":
+            self.expect_sym(";")
 
     # -- expressions ---------------------------------------------------------
 
@@ -349,26 +361,20 @@ class _Parser:
         """A sum of products, added into one dict, so that an N-term
         literal parses in time linear in N."""
         out = dict(self._product(scope).terms)
-        while self.peek().kind == "sym" and self.peek().text in "+-":
-            op = self.next().text
+        while self.peek().kind in ("+", "-"):
+            op = self.next().kind
             terms = self._product(scope).terms.items()
             _add_into(out, terms if op == "+" else ((mono, -c) for mono, c in terms))
         return Poly._raw(out)
 
-    _FACTOR_START = {"name", "int"}
-
-    def _starts_factor(self) -> bool:
-        tok = self.peek()
-        return tok.kind in self._FACTOR_START or (tok.kind == "sym" and tok.text == "(")
-
     def _product(self, scope) -> Poly:
         value = self._signed_factor(scope)
         while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "*":
+            kind = self.peek().kind
+            if kind == "*":
                 self.next()
                 value = value * self._signed_factor(scope)
-            elif tok.kind == "sym" and tok.text == "/":
+            elif kind == "/":
                 self.next()
                 div_tok = self.peek()
                 divisor = self._signed_factor(scope)
@@ -377,21 +383,21 @@ class _Parser:
                         "division is only defined by nonzero rational constants", div_tok
                     )
                 value = value / divisor.constant_term()
-            elif self._starts_factor():
+            elif kind in ("name", "int", "("):  # juxtaposition
                 value = value * self._factor(scope)
             else:
                 return value
 
     def _signed_factor(self, scope) -> Poly:
         negate = False
-        while self.at_sym("+") or self.at_sym("-"):
-            negate ^= self.next().text == "-"
+        while self.peek().kind in ("+", "-"):
+            negate ^= self.next().kind == "-"
         value = self._factor(scope)
         return -value if negate else value
 
     def _factor(self, scope) -> Poly:
         value = self._atom(scope)
-        if self.at_sym("^"):
+        if self.peek().kind == "^":
             self.next()
             value = value ** self.expect_int("a nonnegative integer exponent")
         return value
@@ -400,7 +406,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             return Poly.constant(self.expect_int("a number"))
-        if tok.kind == "sym" and tok.text == "(":
+        if tok.kind == "(":
             if self.depth == MAX_PAREN_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels", tok)
             self.next()
@@ -414,8 +420,7 @@ class _Parser:
                 tok.text == "d"
                 and tok.text not in scope["base"]
                 and tok.text not in (scope["fields"] or {})
-                and self.peek(1).kind == "sym"
-                and self.peek(1).text == "("
+                and self.peek(1).kind == "("
             ):
                 return self._derivative_call(scope)
             self.next()
@@ -430,7 +435,7 @@ class _Parser:
         _, i = self.expect_field(scope["fields"])
         self.expect_sym(";")
         counts = [self.expect_int("a derivative count")]
-        while self.at_sym(","):
+        while self.peek().kind == ",":
             self.next()
             counts.append(self.expect_int("a derivative count"))
         self.expect_sym(")")
@@ -468,44 +473,27 @@ class _Parser:
 _STATEMENTS = ("F", "Pi", "density", "title", "note")
 
 
+def _scopes(base_names, field_names) -> tuple:
+    """The name scopes of a chart: base coordinates alone, then base
+    coordinates and fields; each maps a name to its index."""
+    base = {name: k for k, name in enumerate(base_names)}
+    fields = {name: k for k, name in enumerate(field_names)}
+    return {"base": base, "fields": None}, {"base": base, "fields": fields}
+
+
 def parse_system(text: str) -> SystemDocument:
     """Parse a system declaration; raises ParseError and relatives with
     positions and, where helpful, an expected-token hint."""
     parser = _Parser(_tokenize(text))
-    tok = parser.peek()
-    if not (tok.kind == "name" and tok.text == "base"):
-        parser.fail("a system starts with the 'base' declaration", tok, ("'base'",))
-    parser.next()
-    base_names = []
-    while parser.peek().kind == "name":
-        base_names.append(parser.next().text)
-    if not base_names:
-        parser.fail("at least one base coordinate is required", expected=("name",))
-    parser.end_statement()
-
-    tok = parser.peek()
-    if not (tok.kind == "name" and tok.text == "fields"):
-        parser.fail("the 'fields' declaration must follow 'base'", tok, ("'fields'",))
-    parser.next()
-    field_names = []
-    while parser.peek().kind == "name":
-        field_names.append(parser.next().text)
-    if not field_names:
-        parser.fail("at least one field is required", expected=("name",))
-    parser.end_statement()
-
-    for name in base_names + field_names:
-        if "_" in name:
-            raise ParseError(
-                f"declared name {name!r} contains '_', which is reserved for jet tokens"
-            )
-    if len(set(base_names + field_names)) != len(base_names + field_names):
-        raise ParseError("chart names must be distinct")
-
-    base_index = {name: k for k, name in enumerate(base_names)}
-    field_index = {name: k for k, name in enumerate(field_names)}
-    base_scope = {"base": base_index, "fields": None}
-    full_scope = {"base": base_index, "fields": field_index}
+    base_names = parser.declaration(
+        "base", "a system starts with the 'base' declaration",
+        "at least one base coordinate is required",
+    )
+    field_names = parser.declaration(
+        "fields", "the 'fields' declaration must follow 'base'",
+        "at least one field is required", base_names,
+    )
+    base_scope, full_scope = _scopes(base_names, field_names)
 
     density = Poly.constant(1)
     title = None
@@ -536,7 +524,7 @@ def parse_system(text: str) -> SystemDocument:
             notes.append(parser.expect_string())
         else:
             parser.expect_sym("[")
-            name_tok, i = parser.expect_field(field_index)
+            name_tok, i = parser.expect_field(full_scope["fields"])
             if keyword == "F":
                 parser.expect_sym(",")
                 coord_tok = parser.expect_name("coordinate suffix")
@@ -558,9 +546,9 @@ def parse_system(text: str) -> SystemDocument:
             entries[key] = parser.expr(full_scope)
         parser.end_statement()
 
-    chart = Chart(tuple(base_names), tuple(field_names), density)
-    entries = BalanceSystem.from_entries(chart, entries).entries  # validated, zeros dropped
-    return SystemDocument(chart, entries, title, tuple(notes))
+    doc = SystemDocument.from_entries(Chart(base_names, field_names, density), entries)
+    doc.title, doc.notes = title, tuple(notes)
+    return doc
 
 
 def parse_section(text: str, doc: SystemDocument) -> list:
@@ -568,12 +556,10 @@ def parse_section(text: str, doc: SystemDocument) -> list:
     statement per declared field."""
     chart = doc.chart
     parser = _Parser(_tokenize(text))
-    base_index = {name: k for k, name in enumerate(chart.base_names)}
-    field_index = {name: k for k, name in enumerate(chart.field_names)}
-    scope = {"base": base_index, "fields": None}
+    scope, full_scope = _scopes(chart.base_names, chart.field_names)
     values = {}
     while parser.peek().kind != "eof":
-        name_tok, i = parser.expect_field(field_index)
+        name_tok, i = parser.expect_field(full_scope["fields"])
         if i in values:
             raise DuplicateRelationError(
                 f"duplicate section entry for {name_tok.text!r}",
@@ -585,7 +571,7 @@ def parse_section(text: str, doc: SystemDocument) -> list:
         parser.end_statement()
     missing = [chart.field_names[i] for i in range(chart.m) if i not in values]
     if missing:
-        raise ParseError(f"section misses fields: {', '.join(missing)}")
+        parser.fail(f"section misses fields: {', '.join(missing)}")
     return [values[i] for i in range(chart.m)]
 
 

@@ -600,6 +600,17 @@ FRONT_END_ERRORS = {
         _section_of_burgers("u = 1;\nu = 2;"),
         "duplicate-relation", "duplicate section entry for 'u'", 2, 1,
     ),
+    "underscore-in-declared-name": (
+        lambda: parse_system("base t x;\nfields u v_1;"),
+        "parse", "declared name 'v_1' contains '_', which is reserved for jet tokens", 2, 10,
+    ),
+    "repeated-declared-name": (
+        lambda: parse_system("base t x;\nfields u x;"), "parse", "chart names must be distinct", 2, 10,
+    ),
+    "section-misses-fields": (
+        lambda: parse_section("v = 1;\n", parse_system("base t x; fields u v w;")),
+        "parse", "section misses fields: u, w", 2, 1,
+    ),
     "unknown-command": (
         lambda: run("solve", parse_system(BURGERS)), "invalid-system", "unknown command 'solve'", None, None,
     ),

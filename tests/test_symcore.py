@@ -492,6 +492,19 @@ class TestWorkCounts:
             assert doc.to_balance_system().flux(0, 0) == expected
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_parse_and_run_validate_once(self, monkeypatch, command):
+        """The parsed document is the validated system: parsing it and
+        running any command fills one `BalanceSystem`."""
+        fills = []
+        fill = BalanceSystem._fill
+        monkeypatch.setattr(BalanceSystem, "_fill",
+                            lambda self, *args: fills.append(self) or fill(self, *args))
+        doc = cli.parse_system("base t x; fields u v; F[u,t]=u; F[u,x]=v; F[v,t]=v; F[v,x]=u;")
+        report = cli.run(command, doc, at=[0, 0, 1, 2], section_text="u = x; v = t;")
+        assert isinstance(doc, BalanceSystem) and fills == [doc]
+        assert not report.has_error
+
     def test_euler_sum_negates_nothing(self, monkeypatch):
         """Each signed piece of the Euler sum is added into one dict per
         field: no negated copy is built."""
