@@ -252,20 +252,30 @@ class SystemDocument(BalanceSystem):
 
 
 def _segment_suffix(suffix: str, base_names) -> tuple | None:
-    """Greedily split a jet suffix into declared coordinate names (longest
-    match first); returns the derivative multi-index or None."""
+    """Split a jet suffix into declared coordinate names, longest name first,
+    backing up to the next-longest name where the rest cannot be split;
+    returns the derivative multi-index or None.  A position the rest cannot
+    be split from is marked dead, so the search is linear in the suffix."""
     ordered = sorted(range(len(base_names)), key=lambda k: -len(base_names[k]))
-    counts = [0] * len(base_names)
-    pos = 0
+    dead = set()
+    chosen = []  # (position, index into `ordered`) of each name taken
+    pos = j = 0
     while pos < len(suffix):
-        for k in ordered:
-            name = base_names[k]
-            if suffix.startswith(name, pos):
-                counts[k] += 1
-                pos += len(name)
+        for j in range(j, len(ordered)):
+            name = base_names[ordered[j]]
+            if suffix.startswith(name, pos) and pos + len(name) not in dead:
+                chosen.append((pos, j))
+                pos, j = pos + len(name), 0
                 break
         else:
-            return None
+            if not chosen:
+                return None
+            dead.add(pos)
+            pos, j = chosen.pop()
+            j += 1
+    counts = [0] * len(base_names)
+    for _, j in chosen:
+        counts[ordered[j]] += 1
     return tuple(counts)
 
 

@@ -91,6 +91,29 @@ class TestParsing:
         doc = parse_system("base xi eta; fields u v; F[u,xi]=u_xieta; Pi[u]=0")
         assert doc.fluxes[(0, (1, 0))] == doc.chart.jet(0, (1, 1))
 
+    @pytest.mark.parametrize("base, suffix, counts", [
+        ("xy x yz", "xyz", (0, 1, 1)),  # xy leaves z, which no name reads
+        ("xy x yz", "xyx", (1, 1, 0)),
+        ("ab a bc c", "abc", (1, 0, 0, 1)),  # the longest reading still wins
+        ("a aa aaa", "aaaaa", (0, 1, 1)),
+    ])
+    def test_suffix_backs_up_to_a_shorter_name(self, base, suffix, counts):
+        doc = parse_system(f"base {base}; fields u; F[u,{suffix}] = u_{suffix};")
+        assert doc.fluxes == {(0, counts): doc.chart.jet(0, counts)}
+        numeric = f"d(u; {','.join(map(str, counts))})"
+        numeric = parse_system(f"base {base}; fields u; F[u,{suffix}] = {numeric};")
+        assert numeric == doc and parse_system(render_system(doc)) == doc
+
+    def test_unsplittable_suffix(self, tmp_path, capsys):
+        """Each position is given up once, so a long suffix that no run of
+        names reads fails at once."""
+        bad = tmp_path / "long.bal"
+        bad.write_text("base a aa aaa; fields u; F[u,a] = u_" + "a" * 5000 + "b;")
+        assert main(["equations", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]: cannot segment derivative suffix 'aaa")
+        assert err.endswith("ab' into base coordinates at line 1, col 35\n")
+
     def test_numeric_jet_form(self):
         doc = parse_system("base t x; fields u; F[u,t]=d(u; 0,2); Pi[u]=0")
         assert doc.fluxes[(0, (1, 0))] == doc.chart.jet(0, (0, 2))
