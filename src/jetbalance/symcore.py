@@ -581,15 +581,19 @@ class Poly:
 
     def substitute(self, mapping: Mapping[Var, "Poly"]) -> "Poly":
         """Replace variables by polynomials; unmapped variables stay themselves.
-        Each term's image is added into one dict."""
+        Each term's image is added into one dict; a term is dropped at its
+        first factor that maps to zero."""
         out: dict[Mono, int | Fraction] = {}
         for mono, coeff in self.terms.items():
             term = Poly._raw({tuple(f for f in mono if f[0] not in mapping): coeff})
             for var, e in mono:
                 repl = mapping.get(var)
                 if repl is not None:
+                    if repl.is_zero:
+                        break
                     term = term * repl**e
-            _add_into(out, term.terms.items())
+            else:
+                _add_into(out, term.terms.items())
         return Poly._raw(out)
 
     def evaluate(self, assignment: Mapping[Var, Fraction]) -> Fraction:

@@ -19,6 +19,7 @@ from jetbalance import (
     Poly,
     balance_form,
     balance_residuals,
+    evaluate_on_section,
     godunov_check,
     poly_text,
     quasi_lagrangian,
@@ -446,6 +447,21 @@ class TestWorkCounts:
                 expected = expected + term
             assert image == expected
         assert counts[0] == counts[1]
+
+    def test_section_evaluation_skips_zero_factors(self, monkeypatch, chart_tx_u):
+        """A term is dropped at its first jet variable whose section
+        derivative vanishes: no product or power takes a zero operand."""
+        chart = chart_tx_u
+        u, u_t, u_x, u_xx = (chart.jet(0, c) for c in ((0, 0), (1, 0), (0, 1), (0, 2)))
+        x = chart.x(1)
+        p = u**2 * u_x + u_t**2 * x - u_xx + u * u_t + 3 * u_x**3 * u_t + 7
+        zero_muls = self._record(monkeypatch, "__mul__", lambda a, b: a.is_zero or (
+            isinstance(b, Poly) and b.is_zero))
+        zero_pows = self._record(monkeypatch, "__pow__", lambda a, e: a.is_zero)
+        value = evaluate_on_section(p, [2 * x], chart)
+        assert not any(zero_muls) and not any(zero_pows)
+        monkeypatch.undo()
+        assert value == 8 * x**2 + 7
 
     def test_rational_power_divides_each_term_once(self, monkeypatch, chart_x_u):
         """A base with rational coefficients is expanded over the integers and
