@@ -308,7 +308,7 @@ class _Parser:
             return self.next()
         self.fail(f"expected {sym!r}", tok, expected=(repr(sym),))
 
-    def expect_name(self, what="name") -> _Token:
+    def expect_name(self, what: str) -> _Token:
         tok = self.peek()
         if tok.kind == "name":
             return self.next()
@@ -426,12 +426,12 @@ class _Parser:
             self.depth -= 1
             return value
         if tok.kind == "name":
-            if (
-                tok.text == "d"
-                and tok.text not in scope["base"]
-                and tok.text not in (scope["fields"] or {})
-                and self.peek(1).kind == "("
-            ):
+            fields = scope["fields"]
+            call = (tok.text == "d" and self.peek(1).kind == "("
+                    and "d" not in scope["base"] and "d" not in (fields or ()))
+            if fields is None and (call or "_" in tok.text):
+                self.fail("jet variables are not allowed in this expression", tok)
+            if call:
                 return self._derivative_call(scope)
             self.next()
             return self._resolve_name(tok, scope)
@@ -440,8 +440,6 @@ class _Parser:
     def _derivative_call(self, scope) -> Poly:
         head = self.next()  # 'd'
         self.expect_sym("(")
-        if scope["fields"] is None:
-            self.fail("jet variables are not allowed in this expression", head)
         _, i = self.expect_field(scope["fields"])
         self.expect_sym(";")
         counts = [self.expect_int("a derivative count")]
@@ -459,8 +457,6 @@ class _Parser:
         base = scope["base"]
         fields = scope["fields"]
         if "_" in name:
-            if fields is None:
-                self.fail("jet variables are not allowed in this expression", tok)
             head, suffix = name.split("_", 1)
             if head not in fields:
                 raise UndeclaredNameError(f"undeclared field {head!r}", tok.line, tok.col)
@@ -495,14 +491,10 @@ def parse_system(text: str) -> SystemDocument:
     """Parse a system declaration; raises ParseError and relatives with
     positions and, where helpful, an expected-token hint."""
     parser = _Parser(_tokenize(text))
-    base_names = parser.declaration(
-        "base", "a system starts with the 'base' declaration",
-        "at least one base coordinate is required",
-    )
-    field_names = parser.declaration(
-        "fields", "the 'fields' declaration must follow 'base'",
-        "at least one field is required", base_names,
-    )
+    base_names = parser.declaration("base", "a system starts with the 'base' declaration",
+                                    "at least one base coordinate is required")
+    field_names = parser.declaration("fields", "the 'fields' declaration must follow 'base'",
+                                     "at least one field is required", base_names)
     base_scope, full_scope = _scopes(base_names, field_names)
 
     density = Poly.constant(1)
@@ -922,7 +914,6 @@ def _lines(report: Report, fmt: str, table: TermTable):
 
 def _system_summary(doc: SystemDocument, table: TermTable) -> dict:
     chart = doc.chart
-    sources = doc.sources
     return {
         "title": doc.title,
         "base": list(chart.base_names),
@@ -938,7 +929,7 @@ def _system_summary(doc: SystemDocument, table: TermTable) -> dict:
             for i in range(chart.m)
         },
         "sources": {
-            chart.field_names[i]: poly_text(sources.get(i, Poly.zero()), chart, table)
+            chart.field_names[i]: poly_text(doc.source(i), chart, table)
             for i in range(chart.m)
         },
         "notes": list(doc.notes),
