@@ -531,7 +531,7 @@ def parse_system(text: str) -> SystemDocument:
                 parser.expect_sym(",")
                 coord_tok = parser.expect_name("coordinate suffix")
                 counts = _segment_suffix(coord_tok.text, base_names)
-                if counts is None or sum(counts) == 0:
+                if counts is None:  # a name token is never empty, so neither are its counts
                     parser.fail(
                         f"cannot read {coord_tok.text!r} as a run of base coordinates",
                         coord_tok,
