@@ -154,7 +154,9 @@ _DIGITS = frozenset(string.digits)  # ASCII: str.isalpha/isdigit admit other scr
 _LETTERS = frozenset(string.ascii_letters)
 _NAME_CHARS = _LETTERS | _DIGITS | {"_"}
 # the first character of a name or an integer -> (token kind, characters of its run)
-_RUNS = {**dict.fromkeys(_LETTERS, ("name", _NAME_CHARS)), **dict.fromkeys(_DIGITS, ("int", _DIGITS))}
+_RUNS = {
+    **dict.fromkeys(_LETTERS, ("name", _NAME_CHARS)), **dict.fromkeys(_DIGITS, ("int", _DIGITS))
+}
 
 
 def _tokenize(text: str) -> list:
@@ -287,6 +289,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # open parentheses around the current position
+        self.segments = {}  # jet suffix -> its multi-index, split once per parse
 
     def peek(self, ahead=0) -> _Token:
         # next() never moves past the eof token, so only a lookahead needs the clamp
@@ -329,6 +332,11 @@ class _Parser:
         if tok.kind == "string":
             return self.next().text
         self.fail("expected a quoted string", tok, ("string",))
+
+    def segment(self, suffix: str, base_names) -> tuple | None:
+        if suffix not in self.segments:
+            self.segments[suffix] = _segment_suffix(suffix, list(base_names))
+        return self.segments[suffix]
 
     def declaration(self, keyword: str, missing: str, empty: str, taken=()) -> tuple:
         """The names of a `base` or `fields` statement.  Each name is checked
@@ -462,7 +470,7 @@ class _Parser:
                 raise UndeclaredNameError(f"undeclared field {head!r}", tok.line, tok.col)
             if "_" in suffix or not suffix:
                 self.fail(f"malformed jet token {name!r}", tok)
-            counts = _segment_suffix(suffix, list(base))
+            counts = self.segment(suffix, base)
             if counts is None:
                 self.fail(
                     f"cannot segment derivative suffix {suffix!r} into base coordinates",
@@ -530,7 +538,7 @@ def parse_system(text: str) -> SystemDocument:
             if keyword == "F":
                 parser.expect_sym(",")
                 coord_tok = parser.expect_name("coordinate suffix")
-                counts = _segment_suffix(coord_tok.text, base_names)
+                counts = parser.segment(coord_tok.text, base_names)
                 if counts is None:  # a name token is never empty, so neither are its counts
                     parser.fail(
                         f"cannot read {coord_tok.text!r} as a run of base coordinates",
