@@ -927,7 +927,7 @@ def _system_summary(doc: SystemDocument, table: TermTable) -> dict:
         "base": list(chart.base_names),
         "fields": list(chart.field_names),
         "density": poly_text(chart.rho, chart, table),
-        "order": max([p.jet_order() for p in doc.entries.values()] + [0]),
+        "order": doc.order,
         "fluxes": {
             chart.field_names[i]: {
                 suffix(chart.base_names, counts): poly_text(p, chart, table)
