@@ -463,6 +463,46 @@ class TestWorkCounts:
         monkeypatch.undo()
         assert value == 8 * x**2 + 7
 
+    def test_substitute_raises_each_power_once(self, monkeypatch, chart_tx_u):
+        """Terms that share a factor share its power: no replacement is
+        raised to the same exponent twice in one substitution."""
+        chart = chart_tx_u
+        rng = random.Random(7)
+        t, x = chart.x(0), chart.x(1)
+        section = [sum((Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * t**a * x**b
+                        for a in range(3) for b in range(3)), Poly.zero())]
+        u, u_t, u_x, u_xx = (chart.jet(0, c) for c in ((0, 0), (1, 0), (0, 1), (0, 2)))
+        p = (u + u_t + u_x**2 + x) ** 4 * (u_xx + t) + u**3 * u_x - u_t**2
+        pows = self._record(monkeypatch, "__pow__", lambda base, e: (id(base), e))
+        value = evaluate_on_section(p, section, chart)
+        assert pows and len(set(pows)) == len(pows)
+        monkeypatch.undo()
+        s, s_x = section[0], section[0].partial(base_var(1))
+        mapping = {jet_var(0, (0, 0)): s, jet_var(0, (1, 0)): s.partial(base_var(0)),
+                   jet_var(0, (0, 1)): s_x, jet_var(0, (0, 2)): s_x.partial(base_var(1))}
+        expected = Poly.zero()
+        for mono, coeff in p.terms.items():
+            term = Poly.constant(coeff)
+            for var, e in mono:
+                for _ in range(e):
+                    term = term * mapping.get(var, Poly.variable(var))
+            expected = expected + term
+        assert value == expected
+
+    def test_reports_divide_by_no_density(self, monkeypatch):
+        """The encoding and its parts are held against eta, so rendering
+        `check` and `decompose` on a non-unit density divides nothing."""
+        doc = cli.parse_system(
+            "base t x; fields u v; density 1 + x^2; F[u,t] = u; F[u,x] = u^2 v + x u_x;"
+            " F[v,t] = v; F[v,x] = u v_x - t; Pi[u] = t u v; Pi[v] = x u;"
+        )
+        divisions = self._record(monkeypatch, "div_exact", lambda *args: 1)
+        for command in ("check", "decompose"):
+            report = cli.run(command, doc)
+            for fmt in ("text", "latex", "structured"):
+                assert cli.render(report, fmt)
+        assert divisions == []
+
     def test_rational_power_divides_each_term_once(self, monkeypatch, chart_x_u):
         """A base with rational coefficients is expanded over the integers and
         each result coefficient divided once; integral results are ints."""

@@ -27,6 +27,7 @@ from jetbalance import (
     vertical_decompose,
     vertical_homotopy,
 )
+from jetbalance.symcore import base_var
 from conftest import (
     CHARTS,
     density_chart,
@@ -379,3 +380,71 @@ class TestHigherBalance:
                 encoding = encoding + Form.contact(chart, i, counts) * p
             source = interior_euler(encoding.wedge(Form.volume(chart)))
             assert higher_balance_residuals(data) == tuple(-c for c in source.components())
+
+
+def _dx_twin(bs) -> Form:
+    """The contact encoding built in the dx basis, with the density
+    multiplied into each coefficient: sum (contact(i, counts) * rho p) ^ dx^1..dx^n."""
+    chart = bs.chart
+    sign = -1 if chart.n % 2 else 1  # the contact factor moves past the n dx factors
+    top = tuple(range(chart.n))
+    return Form(chart, {(top, (gen,)): chart.rho * p * sign for gen, p in bs.entries.items()})
+
+
+@pytest.mark.parametrize("density", ["1", "1 + x^2", "2 t x"])
+class TestMarkedEncoding:
+    """The encoding against eta, held as its cofactor, agrees with its twin
+    built in the dx basis: as forms, through the homotopy splitting and
+    through the interior Euler operator."""
+
+    @staticmethod
+    def _systems(density):
+        """Seeded n = 2 systems with fluxes and sources over (t, x; u, v)."""
+        t, x = Poly.variable(base_var(0)), Poly.variable(base_var(1))
+        rho = {"1": None, "1 + x^2": 1 + x**2, "2 t x": 2 * t * x}[density]
+        chart = Chart(("t", "x"), ("u", "v"), rho)
+        rng = random.Random(211 + len(density))
+        systems = [random_system(rng, chart, max_order=1) for _ in range(6)]
+        assert any(bs.source(i) for bs in systems for i in range(chart.m))
+        return chart, systems
+
+    def test_equals_and_hashes_as_its_dx_twin(self, density):
+        chart, systems = self._systems(density)
+        top = tuple(range(chart.n))
+        volume = Form.volume(chart)
+        assert volume == Form(chart, {(top, ()): chart.rho})
+        assert hash(volume) == hash(Form(chart, {(top, ()): chart.rho}))
+        for bs in systems:
+            omega, twin = balance_form(bs), _dx_twin(bs)
+            assert omega == twin and twin == omega and hash(omega) == hash(twin)
+            assert omega - twin == Form.zero(chart) and (omega + twin) == twin * 2
+            assert omega.d_V() == twin.d_V()
+
+    def test_homotopy_identity(self, density):
+        chart, systems = self._systems(density)
+        for bs in systems:
+            omega = balance_form(bs)
+            exact, complement = vertical_decompose(omega)
+            assert exact + complement == omega
+            assert (exact, complement) == vertical_decompose(_dx_twin(bs))
+            assert vertical_homotopy(omega) == vertical_homotopy(_dx_twin(bs))
+
+    def test_parts_are_the_vertical_decomposition(self, density):
+        _, systems = self._systems(density)
+        nontrivial = 0
+        for bs in systems:
+            report = decompose(bs)
+            nontrivial += not report.nonlagrangian_part.is_zero
+            reference = vertical_decompose(balance_form(bs))
+            assert (report.lagrangian_part, report.nonlagrangian_part) == reference
+            assert (report.lagrangian_part, report.nonlagrangian_part) == vertical_decompose(
+                _dx_twin(bs)
+            )
+        assert nontrivial
+
+    def test_interior_euler_gives_minus_the_residuals(self, density):
+        _, systems = self._systems(density)
+        for bs in systems:
+            residuals = tuple(-r for r in balance_residuals(bs))
+            assert interior_euler(balance_form(bs)).components() == residuals
+            assert interior_euler(_dx_twin(bs)).components() == residuals
