@@ -14,9 +14,13 @@ construction, so equality of forms is map comparison.  The bidegree of a
 word is (len(hwedge), len(cwedge)); a Form may mix bidegrees (needed to hold
 d = d_H + d_V results), and homogeneous pieces are exposed by accessors.
 
-The metric volume form is not a separate symbol: a top-degree horizontal
-term carries the chart density rho inside its coefficient, which reproduces
-the density's logarithmic-derivative terms exactly under total derivatives.
+The metric volume form eta = rho dx^1 ^ ... ^ dx^n stays a symbol: a form
+carries one marker, and a marked form is the chart density rho times its
+stored terms, each of them a top horizontal word, so its stored coefficients
+are the cofactors against eta.  rho depends on the base coordinates only, so
+the algebra, d_V, contractions and the vertical homotopy act on a marked
+form's terms as they stand; a total derivative first multiplies rho in,
+which reproduces the density's logarithmic-derivative terms exactly.
 """
 
 from __future__ import annotations
@@ -38,13 +42,16 @@ class BidegreeError(EngineError):
 
 
 class Form:
-    """Immutable bigraded exterior form over a fixed chart."""
+    """Immutable bigraded exterior form over a fixed chart.  The constructor
+    takes its words in the dx basis; `marked` is set on the forms built from
+    `volume`, whose terms hold the cofactors against eta."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "marked")
 
     def __init__(self, chart: Chart, terms: Mapping[Word, Poly] | None = None):
         self.chart = chart
         self.terms = {word: coeff for word, coeff in (terms or {}).items() if coeff}
+        self.marked = False
         for word in self.terms:
             self._validate_word(chart, word)
 
@@ -89,8 +96,8 @@ class Form:
 
     @classmethod
     def volume(cls, chart: Chart) -> "Form":
-        """The metric volume form: density rho times the coordinate volume."""
-        return cls(chart, {(tuple(range(chart.n)), ()): chart.rho})
+        """The metric volume form eta: the marked coordinate volume."""
+        return cls._raw(chart, {(tuple(range(chart.n)), ()): Poly.constant(1)}, True)
 
     # -- protocol ---------------------------------------------------------------
 
@@ -104,10 +111,12 @@ class Form:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
             return NotImplemented
+        if self.marked != other.marked:
+            self, other = self._unmarked(), other._unmarked()
         return self.chart == other.chart and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, frozenset(self._unmarked().terms.items())))
 
     def __repr__(self) -> str:
         return f"Form({form_text(self)})"
@@ -116,26 +125,38 @@ class Form:
         if self.chart != other.chart:
             raise ChartMismatchError("forms over different charts cannot be combined")
 
+    def _unmarked(self) -> "Form":
+        """The form in the dx basis: a marked form with rho multiplied in."""
+        if not self.marked:
+            return self
+        rho = self.chart.rho
+        return self._raw(self.chart, {w: rho * c for w, c in self.terms.items()})
+
+    def _alike(self, other: "Form") -> tuple:
+        """The operands of a sum under one marker: unmarked unless both are marked."""
+        self._require_same_chart(other)
+        return (self, other) if self.marked == other.marked else (self._unmarked(), other._unmarked())
+
     # -- linear structure ---------------------------------------------------------
 
     def __add__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
             return NotImplemented
-        self._require_same_chart(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms.items())
-        return self._raw(self.chart, out)
+        a, b = self._alike(other)
+        out = dict(a.terms)
+        _add_into(out, b.terms.items())
+        return self._raw(self.chart, out, a.marked)
 
     def __neg__(self) -> "Form":
-        return self._raw(self.chart, {w: -c for w, c in self.terms.items()})
+        return self._raw(self.chart, {w: -c for w, c in self.terms.items()}, self.marked)
 
     def __sub__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
             return NotImplemented
-        self._require_same_chart(other)
-        out = dict(self.terms)
-        _add_into(out, ((word, -coeff) for word, coeff in other.terms.items()))
-        return self._raw(self.chart, out)
+        a, b = self._alike(other)
+        out = dict(a.terms)
+        _add_into(out, ((word, -coeff) for word, coeff in b.terms.items()))
+        return self._raw(self.chart, out, a.marked)
 
     def __mul__(self, other) -> "Form":
         """Coefficient-wise multiplication by a polynomial or rational scalar."""
@@ -148,23 +169,24 @@ class Form:
             c = coeff * other
             if not c.is_zero:
                 out[word] = c
-        return self._raw(self.chart, out)
+        return self._raw(self.chart, out, self.marked)
 
     __rmul__ = __mul__
 
     @classmethod
-    def _raw(cls, chart: Chart, terms: dict) -> "Form":
+    def _raw(cls, chart: Chart, terms: dict, marked: bool = False) -> "Form":
         f = cls.__new__(cls)
         f.chart = chart
         f.terms = terms
+        f.marked = marked
         return f
 
     @classmethod
-    def _sum(cls, chart: Chart, terms) -> "Form":
+    def _sum(cls, chart: Chart, terms, marked: bool = False) -> "Form":
         """Internal: the exact sum of (word, nonzero coefficient) pairs."""
         out: dict[Word, Poly] = {}
         _add_into(out, terms)
-        return cls._raw(chart, out)
+        return cls._raw(chart, out, marked)
 
     # -- bidegree bookkeeping --------------------------------------------------------
 
@@ -185,14 +207,17 @@ class Form:
 
     def piece(self, s: int, r: int) -> "Form":
         out = {w: c for w, c in self.terms.items() if (len(w[0]), len(w[1])) == (s, r)}
-        return self._raw(self.chart, out)
+        return self._raw(self.chart, out, self.marked)
 
     # -- exterior algebra ---------------------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
+        """The exterior product; a marked factor marks the product, and of
+        two marked factors the left one takes rho in."""
         self._require_same_chart(other)
+        left = self._unmarked() if other.marked else self
         terms = []
-        for (h1, c1), p1 in self.terms.items():
+        for (h1, c1), p1 in left.terms.items():
             for (h2, c2), p2 in other.terms.items():
                 sign = -1 if (len(c1) * len(h2)) % 2 else 1
                 merged_h = _merge_tuples(h1, h2)
@@ -204,7 +229,7 @@ class Form:
                     continue
                 sgn_c, cw = merged_c
                 terms.append(((hw, cw), p1 * p2 if sign == sgn_h * sgn_c else -(p1 * p2)))
-        return self._sum(self.chart, terms)
+        return self._sum(self.chart, terms, self.marked or other.marked)
 
     # -- differentials ----------------------------------------------------------------------
 
@@ -220,14 +245,15 @@ class Form:
                 if merged is not None:
                     sign, cw = merged
                     terms.append(((h, cw), dp if sign == flip else -dp))
-        return self._sum(self.chart, terms)
+        return self._sum(self.chart, terms, self.marked)
 
     def total_derivative(self, mu: int) -> "Form":
         """d_mu as a derivation on forms: total derivative of coefficients,
-        dx^nu -> 0, contact generator (i, counts) -> (i, counts + 1_mu)."""
+        dx^nu -> 0, contact generator (i, counts) -> (i, counts + 1_mu).
+        rho is multiplied in first, since d_mu(rho p) is not rho d_mu(p)."""
         self.chart._check_base(mu)
         terms = []
-        for (h, c), coeff in self.terms.items():
+        for (h, c), coeff in self._unmarked().terms.items():
             derived = coeff.total_derivative(mu)
             if derived:
                 terms.append(((h, c), derived))
@@ -268,7 +294,7 @@ class Form:
             except ValueError:
                 continue
             out[(h, c[:q] + c[q + 1 :])] = -coeff if (len(h) + q) % 2 else coeff
-        return self._raw(self.chart, out)
+        return self._raw(self.chart, out, self.marked)
 
 
 class InvalidWord(EngineError):
@@ -372,18 +398,21 @@ _LATEX = _Notation(
 
 def _render_form(form: Form, notation: _Notation, poly, table: TermTable) -> str:
     """The form word walker: words in degree order joined by their signs,
-    each a coefficient times its basis.  A top horizontal word whose
-    coefficient the density divides prints the quotient against the volume
-    symbol in place of the dx factors (eta detection); coefficients +-1
-    print as a sign, and a function word prints as its bare coefficient."""
+    each a coefficient times its basis.  A marked form prints each stored
+    coefficient, its cofactor, against the volume symbol.  Of an unmarked
+    form, a top horizontal word whose coefficient the density divides prints
+    the quotient against the volume symbol in place of the dx factors (eta
+    detection).  Coefficients +-1 print as a sign, and a function word
+    prints as its bare coefficient."""
     if form.is_zero:
         return "0"
     chart = form.chart
     bases = [notation.name(b) for b in chart.base_names]
+    top = tuple(range(chart.n))
     pieces = []
     for word in sorted(form.terms, key=_word_key):
         (h, c), coeff = word, form.terms[word]
-        quotient = coeff.div_exact(chart.rho) if h == tuple(range(chart.n)) else None
+        quotient = (coeff if form.marked else coeff.div_exact(chart.rho)) if h == top else None
         if quotient is None:
             factors, volume = [f"d{bases[mu]}" for mu in h], []
         else:
@@ -404,8 +433,9 @@ def _render_form(form: Form, notation: _Notation, poly, table: TermTable) -> str
 
 
 def form_text(form: Form, table: TermTable | None = None) -> str:
-    """Canonical text rendering of a form; top horizontal factors divisible by
-    the density print symbolically as eta.  `table` as for `poly_text`."""
+    """Canonical text rendering of a form.  A marked form prints its
+    cofactors against eta; an unmarked one prints eta for the top horizontal
+    factors the density divides.  `table` as for `poly_text`."""
     if table is None:
         table = TermTable(form.chart.var_name)
     return _render_form(form, _TEXT, poly_text, table)

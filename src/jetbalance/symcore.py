@@ -582,16 +582,20 @@ class Poly:
     def substitute(self, mapping: Mapping[Var, "Poly"]) -> "Poly":
         """Replace variables by polynomials; unmapped variables stay themselves.
         Each term's image is added into one dict; a term is dropped at its
-        first factor that maps to zero."""
+        first factor that maps to zero, and each power of a replacement is
+        raised once per call."""
         out: dict[Mono, int | Fraction] = {}
+        powers: dict = {}
         for mono, coeff in self.terms.items():
             term = Poly._raw({tuple(f for f in mono if f[0] not in mapping): coeff})
-            for var, e in mono:
-                repl = mapping.get(var)
+            for factor in mono:
+                repl = mapping.get(factor[0])
                 if repl is not None:
                     if repl.is_zero:
                         break
-                    term = term * repl**e
+                    if factor not in powers:
+                        powers[factor] = repl ** factor[1]
+                    term = term * powers[factor]
             else:
                 _add_into(out, term.terms.items())
         return Poly._raw(out)

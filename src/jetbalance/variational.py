@@ -50,7 +50,7 @@ class FunctionalForm:
 
     def __init__(self, form: Form):
         self.chart = form.chart
-        self._form = form
+        self._form = form._unmarked()  # components are read off dx-basis words
         self._components = None
 
     @classmethod
@@ -154,7 +154,10 @@ def _total_derivative_along(piece, counts: tuple):
 def interior_euler(form: Form) -> FunctionalForm:
     """Interior Euler operator: projects a homogeneous (n, s)-form, s >= 1,
     onto the functional forms.  The multi-index sum runs over the contact
-    generators actually present, which is finite for polynomial forms."""
+    generators actually present, which is finite for polynomial forms.  rho
+    is multiplied in first: the generators at the zero multi-index take no
+    total derivative, and their terms add into the same sum."""
+    form = form._unmarked()
     if form.is_zero:
         return FunctionalForm(form)
     s_h, s_c = form.bidegree()
@@ -179,7 +182,8 @@ def vertical_homotopy(form: Form) -> Form:
     (r, s-1).  Per contact factor and per coefficient monomial of vertical
     degree d, the factor is removed with its interior-product sign, the
     corresponding jet variable is appended unscaled, and the monomial picks
-    the weight 1/(d + s)."""
+    the weight 1/(d + s).  rho has vertical degree 0, so a marked form keeps
+    its marker."""
     if form.is_zero:
         return form
     _, s = form.bidegree()
@@ -191,7 +195,7 @@ def vertical_homotopy(form: Form) -> Form:
         for q, gen in enumerate(c):
             piece = weighted * Poly.variable(jet_var(gen[0], gen[1]))
             terms.append(((h, c[:q] + c[q + 1 :]), -piece if (len(h) + q) % 2 else piece))
-    return Form._sum(form.chart, terms)
+    return Form._sum(form.chart, terms, form.marked)
 
 
 def vertical_decompose(form: Form) -> tuple:
