@@ -212,12 +212,11 @@ class Form:
     # -- exterior algebra ---------------------------------------------------------------
 
     def wedge(self, other: "Form") -> "Form":
-        """The exterior product; a marked factor marks the product, and of
-        two marked factors the left one takes rho in."""
+        """The exterior product; a marked factor marks the product.  Two
+        marked factors share their dx factors, so their product is zero."""
         self._require_same_chart(other)
-        left = self._unmarked() if other.marked else self
         terms = []
-        for (h1, c1), p1 in left.terms.items():
+        for (h1, c1), p1 in self.terms.items():
             for (h2, c2), p2 in other.terms.items():
                 sign = -1 if (len(c1) * len(h2)) % 2 else 1
                 merged_h = _merge_tuples(h1, h2)

@@ -418,7 +418,8 @@ class TestMarkedEncoding:
             omega, twin = balance_form(bs), _dx_twin(bs)
             assert omega == twin and twin == omega and hash(omega) == hash(twin)
             assert omega - twin == Form.zero(chart) and (omega + twin) == twin * 2
-            assert omega.d_V() == twin.d_V()
+            assert omega.d_V() == twin.d_V() and omega.d() == twin.d()
+            assert omega.total_derivative(1) == twin.total_derivative(1)
 
     def test_homotopy_identity(self, density):
         chart, systems = self._systems(density)
@@ -441,6 +442,14 @@ class TestMarkedEncoding:
                 _dx_twin(bs)
             )
         assert nontrivial
+
+    def test_wrapped_source_form_reads_rho_in(self, density):
+        chart, _ = self._systems(density)
+        p = chart.field(1) * chart.x(0) + 1
+        volume = Form.volume(chart)
+        wrapped = FunctionalForm((Form.contact(chart, 0) * p).wedge(volume))
+        assert wrapped.components() == (chart.rho * p, Poly.zero())
+        assert volume.wedge(volume).is_zero
 
     def test_interior_euler_gives_minus_the_residuals(self, density):
         _, systems = self._systems(density)
