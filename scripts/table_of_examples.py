@@ -5,21 +5,13 @@ them in divergence-split presentation."""
 
 from __future__ import annotations
 
-from jetbalance import (
-    BalanceSystem,
-    Chart,
-    Poly,
-    divergence_split,
-    euler_lagrange,
-    poly_text,
-    quasi_lagrangian,
-)
+from jetbalance import BalanceSystem, Chart, Poly, decompose, poly_text
 
 
 def show(name: str, bs: BalanceSystem) -> None:
     chart = bs.chart
-    ltilde = quasi_lagrangian(bs)
-    potentials, remainder = divergence_split(chart, ltilde)
+    dec = decompose(bs)
+    potentials, remainder = dec.divergence_potentials, dec.non_divergence_part
     pieces = [
         f"d_{chart.base_names[mu]}({poly_text(potentials[mu], chart)})"
         for mu in range(chart.n)
@@ -27,14 +19,13 @@ def show(name: str, bs: BalanceSystem) -> None:
     ]
     if not remainder.is_zero:
         pieces.append(poly_text(remainder, chart))
-    el = euler_lagrange(chart, ltilde)
     joined = " + ".join(pieces).replace(" + -", " - ") if pieces else "0"
     print(f"{name}:")
-    print(f"  quasi-Lagrangian  {poly_text(ltilde, chart)}")
+    print(f"  quasi-Lagrangian  {poly_text(dec.quasi_lagrangian, chart)}")
     print(f"  divergence form   {joined}")
     print(
         "  Lagrangian part   "
-        + ", ".join(poly_text(c, chart) for c in el.components())
+        + ", ".join(poly_text(c, chart) for c in dec.euler_lagrange_form.components())
         + " = 0"
     )
     print()

@@ -15,7 +15,6 @@ from .balance import (
     HelmholtzResult,
     HyperbolicityReport,
     OrderTooHighError,
-    TrivialityResult,
     balance_form,
     balance_residuals,
     decompose,
@@ -23,13 +22,10 @@ from .balance import (
     evaluate_on_section,
     godunov_check,
     helmholtz_check,
-    lagrangian_split,
     pairing_polynomial,
     quasi_lagrangian,
     source_form,
-    source_split,
     symmetric_hyperbolicity,
-    trivial_quasi_lagrangian,
 )
 from .jetforms import BidegreeError, Form, form_latex, form_text, poly_latex
 from .symcore import (
@@ -72,7 +68,6 @@ __all__ = [
     "NotFunctionalError",
     "OrderTooHighError",
     "Poly",
-    "TrivialityResult",
     "balance_form",
     "balance_residuals",
     "base_var",
@@ -89,15 +84,12 @@ __all__ = [
     "higher_balance_residuals",
     "interior_euler",
     "jet_var",
-    "lagrangian_split",
     "pairing_polynomial",
     "poly_latex",
     "poly_text",
     "quasi_lagrangian",
     "source_form",
-    "source_split",
     "symmetric_hyperbolicity",
-    "trivial_quasi_lagrangian",
     "vertical_decompose",
     "vertical_homotopy",
 ]

@@ -145,19 +145,6 @@ class HelmholtzResult:
 
 
 @dataclass(frozen=True)
-class TrivialityResult:
-    is_trivial: bool
-
-    @classmethod
-    def of(cls, ltilde: Poly) -> "TrivialityResult":
-        """Triviality read off the quasi-Lagrangian.  Every pairing monomial
-        carries a field or jet prefactor, so it has vertical degree >= 1 and
-        the scaling integral keeps the pairing's support: the pairing's
-        vertical part vanishes iff L~ does, and it has no base-only part."""
-        return cls(ltilde.is_zero)
-
-
-@dataclass(frozen=True)
 class GodunovReport:
     is_zero_order: bool
     flux_symmetric: tuple
@@ -248,60 +235,33 @@ def helmholtz_check(bs: BalanceSystem) -> HelmholtzResult:
     return HelmholtzResult(closed, residual, quasi_lagrangian(bs) if closed else None)
 
 
-def trivial_quasi_lagrangian(bs: BalanceSystem) -> TrivialityResult:
-    """The scaling potential vanishes identically iff the pairing polynomial
-    has no vertical part; see `TrivialityResult.of`."""
-    return TrivialityResult.of(quasi_lagrangian(bs))
+def decompose(bs: BalanceSystem) -> DecompositionReport:
+    """The quasi-Lagrangian L~ with its triviality and divergence
+    presentation, and both splittings, all read off one L~.
 
-
-def lagrangian_split(bs: BalanceSystem) -> tuple:
-    """Vertical-homotopy splitting of the contact encoding into an exact
-    (Lagrangian) part and the pure non-Lagrangian complement; the parts sum
-    back to the encoding exactly."""
-    return _form_split(bs, quasi_lagrangian(bs))
-
-
-def _form_split(bs: BalanceSystem, ltilde: Poly) -> tuple:
-    """`lagrangian_split` for a scaling potential already computed: h(omega) is
-    L~ eta, so the Lagrangian part is d_V(L~ eta), and the homotopy identity
-    leaves the rest of the encoding as the non-Lagrangian part h(d_V omega)."""
-    lag_part = (Form.volume(bs.chart) * ltilde).d_V()
-    return lag_part, balance_form(bs) - lag_part
-
-
-def source_split(bs: BalanceSystem) -> tuple:
-    """Splitting at the level of functional forms: (godunov_part, euler_part)
-    with euler_part the Euler-Lagrange form of the scaling potential and
-    godunov_part = source - euler_part, the source form being assembled from
-    its components, the Euler sum of the data.  The interior Euler image
-    of the non-Lagrangian component is the same Godunov part by an
-    independent route."""
-    return _functional_split(bs, quasi_lagrangian(bs))
-
-
-def _functional_split(bs: BalanceSystem, ltilde: Poly) -> tuple:
-    """`source_split` for a scaling potential already computed."""
+    L~ is trivial iff it is zero: every pairing monomial has vertical degree
+    >= 1 (a field or jet prefactor), so the scaling integral keeps the
+    pairing's support.  The homotopy image of the encoding omega is L~ eta,
+    so the Lagrangian part is d_V(L~ eta) and, by the homotopy identity, the
+    rest of omega is the pure non-Lagrangian part h(d_V omega).  The Godunov
+    part is the source form, the Euler sum of the data, minus the
+    Euler-Lagrange form of L~; the interior Euler image of the
+    non-Lagrangian part gives it by an independent route."""
     chart = bs.chart
+    ltilde = quasi_lagrangian(bs)
+    potentials, remainder = divergence_split(chart, ltilde)
+    lag_part = (Form.volume(chart) * ltilde).d_V()
+    nonlag_part = balance_form(bs) - lag_part
     source = FunctionalForm._from_components(chart, _euler_sum(chart, bs.entries.items()))
     euler_part = euler_lagrange(chart, ltilde)
-    return source - euler_part, euler_part
-
-
-def decompose(bs: BalanceSystem) -> DecompositionReport:
-    """The quasi-Lagrangian with its triviality and divergence presentation,
-    and the form and functional splittings, each computed once."""
-    ltilde = quasi_lagrangian(bs)
-    potentials, remainder = divergence_split(bs.chart, ltilde)
-    lag_part, nonlag_part = _form_split(bs, ltilde)
-    godunov_part, euler_part = _functional_split(bs, ltilde)
     return DecompositionReport(
         quasi_lagrangian=ltilde,
         lagrangian_part=lag_part,
         nonlagrangian_part=nonlag_part,
         euler_lagrange_form=euler_part,
-        godunov_part=godunov_part,
+        godunov_part=source - euler_part,
         helmholtz_closed=nonlag_part.is_zero,
-        trivial_quasi_lagrangian=TrivialityResult.of(ltilde).is_trivial,
+        trivial_quasi_lagrangian=ltilde.is_zero,
         divergence_potentials=potentials,
         non_divergence_part=remainder,
     )

@@ -53,7 +53,6 @@ from typing import NamedTuple
 from .balance import (
     BalanceSystem,
     OrderTooHighError,
-    TrivialityResult,
     balance_residuals,
     decompose,
     evaluate_on_section,
@@ -613,7 +612,6 @@ def render_system(doc: SystemDocument) -> str:
 
 @dataclass
 class Report:
-    command: str
     doc: SystemDocument
     sections: dict = field(default_factory=dict)
     footnotes: list = field(default_factory=list)
@@ -656,7 +654,7 @@ def _check(report: Report, at, section_text) -> None:
     ltilde = hel.lagrangian if hel.closed else quasi_lagrangian(bs)
     report.sections["quasi_lagrangian"] = {
         "value": ltilde,
-        "is_trivial": TrivialityResult.of(ltilde).is_trivial,
+        "is_trivial": ltilde.is_zero,
     }
     report.footnotes.extend(SPLITTING_FOOTNOTES)
     god = godunov_check(bs)
@@ -751,7 +749,7 @@ def run(command: str, doc: SystemDocument, at=None, section_text: str | None = N
     """Drive one analysis command over a parsed document."""
     if command not in _COMMANDS:
         raise InvalidSystemError(f"unknown command {command!r}")
-    report = Report(command, doc)
+    report = Report(doc)
     _COMMANDS[command][0](report, at, section_text)
     return report
 

@@ -541,14 +541,6 @@ class Poly:
         _add_into(out, derived())
         return Poly._raw(out)
 
-    def vertical_components(self) -> dict[int, "Poly"]:
-        """Split into homogeneous components by vertical degree (jet-variable
-        exponent total); base coordinates count as degree zero."""
-        buckets: dict[int, dict[Mono, int | Fraction]] = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(mono_vertical_degree(mono), {})[mono] = coeff
-        return {d: Poly._raw(t) for d, t in sorted(buckets.items())}
-
     def vertical_part(self) -> "Poly":
         """The components of vertical degree >= 1."""
         out = {m: c for m, c in self.terms.items() if mono_vertical_degree(m) > 0}

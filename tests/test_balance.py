@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import jetbalance
 from jetbalance import (
     BalanceSystem,
     Chart,
@@ -15,7 +16,6 @@ from jetbalance import (
     InvalidSystemError,
     OrderTooHighError,
     Poly,
-    TrivialityResult,
     balance_form,
     balance_residuals,
     decompose,
@@ -26,13 +26,10 @@ from jetbalance import (
     helmholtz_check,
     higher_balance_residuals,
     interior_euler,
-    lagrangian_split,
     pairing_polynomial,
     quasi_lagrangian,
     source_form,
-    source_split,
     symmetric_hyperbolicity,
-    trivial_quasi_lagrangian,
     vertical_decompose,
     vertical_homotopy,
 )
@@ -42,6 +39,24 @@ from jetbalance.symcore import jet_var
 from conftest import CHARTS, density_chart, multi_indices, random_poly, random_system
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+
+
+class TestPublicNames:
+    def test_all_is_sorted_unique_and_resolves(self):
+        names = jetbalance.__all__
+        assert names == sorted(set(names))
+        assert all(hasattr(jetbalance, name) for name in names)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["TrivialityResult", "lagrangian_split", "source_split", "trivial_quasi_lagrangian"],
+    )
+    def test_retired_splitting_names_are_gone(self, name):
+        """`decompose` reads every part off one quasi-Lagrangian; the
+        wrappers that recomputed it are not part of the package."""
+        assert name not in jetbalance.__all__
+        assert not hasattr(jetbalance, name)
+        assert not hasattr(jetbalance.balance, name)
 
 
 def plasticity() -> BalanceSystem:
@@ -265,39 +280,37 @@ class TestSplittings:
         bs = BalanceSystem(
             chart, [[Poly.zero()] * 2, [Poly.zero()] * 2], [v, Poly.zero()]
         )
-        lag, nonlag = lagrangian_split(bs)
-        assert lag == (w1 * v + w2 * u).wedge(vol) * Fraction(1, 2)
-        assert nonlag == (w1 * v - w2 * u).wedge(vol) * Fraction(1, 2)
+        report = decompose(bs)
+        assert report.lagrangian_part == (w1 * v + w2 * u).wedge(vol) * Fraction(1, 2)
+        assert report.nonlagrangian_part == (w1 * v - w2 * u).wedge(vol) * Fraction(1, 2)
 
     def test_generated_has_no_complement(self, chart_x_u):
         chart = chart_x_u
         u = chart.field(0)
         zx = chart.jet(0, (1,))
         bs = generated(chart, zx**2 / 2 + u**3)
-        lag, nonlag = lagrangian_split(bs)
-        assert nonlag.is_zero
-        assert lag == balance_form(bs)
+        report = decompose(bs)
+        assert report.nonlagrangian_part.is_zero
+        assert report.lagrangian_part == balance_form(bs)
 
     def test_burgers_split(self):
         bs = burgers()
         chart = bs.chart
-        lag, nonlag = lagrangian_split(bs)
+        report = decompose(bs)
         ltilde = quasi_lagrangian(bs)
-        assert lag == (Form.volume(chart) * ltilde).d_V()
-        assert not nonlag.is_zero
-        assert lag + nonlag == balance_form(bs)
+        assert report.lagrangian_part == (Form.volume(chart) * ltilde).d_V()
+        assert not report.nonlagrangian_part.is_zero
+        assert report.lagrangian_part + report.nonlagrangian_part == balance_form(bs)
 
     def test_split_consistency_random(self):
         rng = random.Random(61)
         chart = Chart(("t", "x"), ("u", "v"))
         for _ in range(10):
             bs = random_system(rng, chart)
-            lag, nonlag = lagrangian_split(bs)
-            assert lag + nonlag == balance_form(bs)
-            godunov_part, euler_part = source_split(bs)
-            total = tuple(
-                g + e for g, e in zip(godunov_part.components(), euler_part.components())
-            )
+            report = decompose(bs)
+            assert report.lagrangian_part + report.nonlagrangian_part == balance_form(bs)
+            godunov, euler = report.godunov_part, report.euler_lagrange_form
+            total = tuple(g + e for g, e in zip(godunov.components(), euler.components()))
             assert total == source_form(bs).components()
 
     def test_nonlagrangian_part_is_pure(self):
@@ -306,7 +319,7 @@ class TestSplittings:
         chart = Chart(("t", "x"), ("u", "v"))
         for _ in range(10):
             bs = random_system(rng, chart)
-            _, nonlag = lagrangian_split(bs)
+            nonlag = decompose(bs).nonlagrangian_part
             if nonlag.is_zero:
                 continue
             potential = vertical_homotopy(nonlag)
@@ -324,7 +337,7 @@ class TestSplittings:
             if not closed.is_zero:
                 exact, complement = vertical_decompose(closed)
                 assert complement.is_zero and exact == closed
-            _, nonlag = lagrangian_split(bs)
+            nonlag = decompose(bs).nonlagrangian_part
             if not nonlag.is_zero:
                 exact, complement = vertical_decompose(nonlag)
                 assert exact.is_zero and complement == nonlag
@@ -334,16 +347,16 @@ class TestSplittings:
         chart = bs.chart
         u, v = chart.field(0), chart.field(1)
         z1, z2 = chart.jet(0, (1, 0)), chart.jet(1, (0, 1))
-        godunov_part, euler_part = source_split(bs)
-        assert euler_part.components() == (-v / 2, -u / 2)
-        assert godunov_part.components() == (-z1, -z2)
+        report = decompose(bs)
+        assert report.euler_lagrange_form.components() == (-v / 2, -u / 2)
+        assert report.godunov_part.components() == (-z1, -z2)
 
     def test_generated_has_no_godunov_part(self, chart_x_u):
         chart = chart_x_u
         u = chart.field(0)
         zx = chart.jet(0, (1,))
-        godunov_part, _ = source_split(generated(chart, zx**2 / 2 - u**4))
-        assert godunov_part.is_zero
+        report = decompose(generated(chart, zx**2 / 2 - u**4))
+        assert report.godunov_part.is_zero
 
     def test_gradient_zero_order_has_no_euler_part(self, chart_tx_uv):
         chart = chart_tx_uv
@@ -354,8 +367,7 @@ class TestSplittings:
             [g.partial(jet_var(1, (0, 0))) for g in potentials],
         ]
         bs = BalanceSystem(chart, F, [Poly.zero(), Poly.zero()])
-        _, euler_part = source_split(bs)
-        assert euler_part.is_zero
+        assert decompose(bs).euler_lagrange_form.is_zero
 
 
 @pytest.mark.parametrize("density", ["1", "1 + x^2"])
@@ -394,7 +406,6 @@ class TestIndependentRoutes:
             assert vertical_homotopy(omega) == Form.volume(chart) * quasi_lagrangian(bs)
             reference = vertical_decompose(omega)
             assert (report.lagrangian_part, report.nonlagrangian_part) == reference
-            assert lagrangian_split(bs) == reference
         assert nontrivial
 
 
@@ -441,15 +452,14 @@ class TestTriviality:
         chart = chart_tx_uv
         u, v = chart.field(0), chart.field(1)
         bs = BalanceSystem(chart, [[Poly.zero()] * 2, [Poly.zero()] * 2], [v, -u])
-        result = trivial_quasi_lagrangian(bs)
-        assert result.is_trivial
+        assert decompose(bs).trivial_quasi_lagrangian
 
     def test_burgers_not_trivial(self):
-        assert not trivial_quasi_lagrangian(burgers()).is_trivial
+        assert not decompose(burgers()).trivial_quasi_lagrangian
 
     def test_zero_system(self, chart_tx_u):
         bs = BalanceSystem(chart_tx_u, [[Poly.zero()] * 2], [Poly.zero()])
-        assert trivial_quasi_lagrangian(bs).is_trivial
+        assert decompose(bs).trivial_quasi_lagrangian
 
     def test_read_off_the_pairing_polynomial(self):
         """Triviality read off L~ agrees with the pairing polynomial: trivial
@@ -460,18 +470,18 @@ class TestTriviality:
                 bs = random_system(rng, chart, max_order=2)
                 pairing = pairing_polynomial(bs)
                 assert pairing.base_part().is_zero
-                expected = TrivialityResult(pairing.vertical_part().is_zero)
-                assert trivial_quasi_lagrangian(bs) == expected
+                expected = pairing.vertical_part().is_zero
+                assert quasi_lagrangian(bs).is_zero == expected
+                assert decompose(bs).trivial_quasi_lagrangian == expected
 
     def test_trivial_implies_no_euler_part(self, chart_tx_uv):
         chart = chart_tx_uv
         u, v = chart.field(0), chart.field(1)
         bs = BalanceSystem(chart, [[Poly.zero()] * 2, [Poly.zero()] * 2], [v**2, -u * v])
-        result = trivial_quasi_lagrangian(bs)
-        assert result.is_trivial
+        report = decompose(bs)
+        assert report.trivial_quasi_lagrangian
         assert euler_lagrange(chart, quasi_lagrangian(bs)).is_zero
-        _, euler_part = source_split(bs)
-        assert euler_part.is_zero
+        assert report.euler_lagrange_form.is_zero
 
 
 class TestGodunov:
@@ -611,7 +621,7 @@ class TestHyperbolicity:
         for _ in range(10):
             # arbitrary zero-order system: antisymmetry of the EL part
             bs = random_system(rng, chart, max_order=0, max_degree=3)
-            _, euler_part = source_split(bs)
+            euler_part = decompose(bs).euler_lagrange_form
             for mu in range(chart.n):
                 e_mat = principal(euler_part.components(), mu)
                 assert e_mat[0][1] == -e_mat[1][0]
@@ -624,7 +634,8 @@ class TestHyperbolicity:
             F = [[g.partial(fields[i]) for g in potentials] for i in range(2)]
             Pi = [random_poly(rng, chart, max_order=0, max_degree=3) for _ in range(2)]
             gradient_bs = BalanceSystem(chart, F, Pi)
-            godunov_part, euler_part = source_split(gradient_bs)
+            report = decompose(gradient_bs)
+            godunov_part, euler_part = report.godunov_part, report.euler_lagrange_form
             for mu in range(chart.n):
                 g_mat = principal(godunov_part.components(), mu)
                 e_mat = principal(euler_part.components(), mu)

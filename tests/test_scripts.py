@@ -1,12 +1,17 @@
 """The scripts under `scripts/`, run in-process: each exits 0 and prints the
-pinned lines of the bundled examples."""
+pinned lines of the bundled examples.  The README's Python quickstart, run
+in a subprocess, prints what its comments say."""
 
 from __future__ import annotations
 
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _main(name: str):
@@ -49,3 +54,19 @@ def test_table_of_examples(capsys):
     ]
     assert "  divergence form   d_t(1/4 u^2) + d_x(1/3 u^3 + 1/4 u_x^2)" in out  # KdV
     assert out.count("  Lagrangian part   0 = 0") == 2  # conservation law, KdV
+
+
+def test_readme_quickstart():
+    """Each `print(...)` line of the README's `python` block ends in a
+    comment holding exactly the line it prints."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.rsplit("  # ", 1)[1] for line in block.splitlines() if line.startswith("print(")
+    ]
+    assert expected
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.splitlines() == expected

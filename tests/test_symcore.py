@@ -119,31 +119,6 @@ class TestTotalDerivative:
                 assert dp.jet_order() == 0
 
 
-class TestVerticalComponents:
-    def test_mixed(self, chart_tx_u):
-        u = chart_tx_u.field(0)
-        zx = chart_tx_u.jet(0, (0, 1))
-        p = 3 + u + u * zx
-        comps = p.vertical_components()
-        assert comps == {0: Poly.constant(3), 1: u, 2: u * zx}
-
-    def test_base_vars_are_degree_zero(self, chart_tx_u):
-        x = chart_tx_u.x(1)
-        u = chart_tx_u.field(0)
-        assert (x**2 * u).vertical_components() == {1: x**2 * u}
-
-    def test_zero(self):
-        assert Poly.zero().vertical_components() == {}
-
-    @given(polys(max_order=2))
-    def test_reassembles(self, data):
-        _, p = data
-        total = Poly.zero()
-        for comp in p.vertical_components().values():
-            total = total + comp
-        assert total == p
-
-
 class TestScaleIntegrate:
     def test_square(self, chart_tx_u):
         u = chart_tx_u.field(0)
