@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 from fractions import Fraction
@@ -228,6 +229,7 @@ class TestRendering:
 
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+BENCH = SYSTEMS.parent / "bench"
 TOP_RUNG = Chart(("t", "x", "y"), ("u", "v", "w"))  # the benchmark ladder's top chart
 
 
@@ -326,17 +328,20 @@ class TestWorkCounts:
 
     @staticmethod
     def _record(monkeypatch, name, measure):
-        """Wrap `Poly.<name>` (and its aliases) and record measure(args) per call."""
+        """Wrap `Poly.<name>` (and its aliases) and record measure(args) per call;
+        a classmethod is called and measured with the class first."""
         original = vars(Poly)[name]
+        method = isinstance(original, classmethod)
+        call = original.__func__ if method else original
         seen = []
 
         def counted(*args):
             seen.append(measure(*args))
-            return original(*args)
+            return call(*args)
 
         for key, value in list(vars(Poly).items()):
             if value is original:
-                monkeypatch.setattr(Poly, key, counted)
+                monkeypatch.setattr(Poly, key, classmethod(counted) if method else counted)
         return seen
 
     def test_power_term_pairs(self, monkeypatch, chart_x_u):
@@ -522,6 +527,33 @@ class TestWorkCounts:
                 expected = expected - term if k % 3 else expected + term
             assert doc.to_balance_system().flux(0, 0) == expected
         assert counts[0] == counts[1]
+
+    def test_parser_reads_a_product_as_one_term(self, monkeypatch):
+        """Numbers, names and their powers go straight into one term: the
+        benchmark ladder's top-rung system, which has no group and no d(...)
+        call, parses with no product, no power and no variable polynomial."""
+        spec = importlib.util.spec_from_file_location("bench_gen", BENCH / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)  # it imports only the standard library
+        text = gen.ladder_system(random.Random(7), gen.LADDER[-1])
+        assert "(" not in text and "^" in text
+        calls = [self._record(monkeypatch, name, lambda *args: 1)
+                 for name in ("__mul__", "__pow__", "variable")]
+        doc = cli.parse_system(text)
+        assert [len(seen) for seen in calls] == [0, 0, 0]
+        assert len(doc.entries) == 12
+
+    def test_parser_multiplies_once_per_group(self, monkeypatch):
+        """A product of k parenthesised groups or d(...) calls makes at most
+        k polynomial products, whatever numbers and names stand between them."""
+        products = {"2 (u + x) u_x (x - 1) / 3": 2, "- u^2 (u_x - 1)^2 t 4": 1,
+                    "u x (t + 1) (u - 1) (x + 2) u_x": 3, "d(u; 1, 0) x d(u; 0, 1) 5": 2,
+                    "3 u_t x^2": 0}
+        for text, groups in products.items():
+            muls = self._record(monkeypatch, "__mul__", lambda *args: 1)
+            cli.parse_system(f"base t x; fields u; Pi[u] = {text};")
+            monkeypatch.undo()
+            assert len(muls) <= groups, text
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_parse_and_run_validate_once(self, monkeypatch, command):
