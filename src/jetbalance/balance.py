@@ -100,10 +100,10 @@ class BalanceSystem:
     def _fill(self, chart: Chart, entries: Mapping) -> None:
         clean = {}
         for (i, counts), p in entries.items():
-            chart.jet(i, counts)  # rejects a generator outside the chart
+            counts = chart._check_jet(i, counts)  # rejects a generator outside the chart
             chart.validate_poly(p)
             if not p.is_zero:
-                clean[(i, tuple(counts))] = p
+                clean[(i, counts)] = p
         self.chart = chart
         self.entries = clean
 

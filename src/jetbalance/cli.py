@@ -63,9 +63,10 @@ from .balance import (
 )
 from .jetforms import Form, form_latex, form_text, latex_rational, latex_table, poly_latex
 from .symcore import (
-    Chart, EngineError, InvalidSystemError, Poly, TermTable, _add_into, poly_text, suffix,
+    Chart, EngineError, InvalidSystemError, Poly, TermTable, _add_into, _exact, poly_text, suffix,
+    var_rank,
 )
-from .variational import higher_balance_residuals
+from .variational import _euler_sum, higher_balance_residuals
 
 FORMATS = ("text", "latex", "structured")
 
@@ -185,7 +186,7 @@ def _tokenize(text: str) -> list:
             j = i + 1
             while j < size and text[j] in chars:
                 j += 1
-            tokens.append(_Token(kind, text[i:j], line, start_col))
+            tokens.append(tuple.__new__(_Token, (kind, text[i:j], line, start_col)))
             col += j - i
             i = j
             continue
@@ -195,17 +196,17 @@ def _tokenize(text: str) -> list:
                 j += 1
             if j == size or text[j] == "\n":
                 raise ParseError("unterminated string", line, start_col)
-            tokens.append(_Token("string", text[i + 1 : j], line, start_col))
+            tokens.append(tuple.__new__(_Token, ("string", text[i + 1 : j], line, start_col)))
             col += j - i + 1
             i = j + 1
             continue
         if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, start_col))
+            tokens.append(tuple.__new__(_Token, (ch, ch, line, start_col)))
             i += 1
             col += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("eof", "", line, col))
+    tokens.append(tuple.__new__(_Token, ("eof", "", line, col)))
     return tokens
 
 
@@ -290,9 +291,8 @@ class _Parser:
         self.depth = 0  # open parentheses around the current position
         self.segments = {}  # jet suffix -> its multi-index, split once per parse
 
-    def peek(self, ahead=0) -> _Token:
-        # next() never moves past the eof token, so only a lookahead needs the clamp
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1) if ahead else self.pos]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]  # next() never moves past the eof token
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -375,77 +375,88 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def expr(self, scope) -> Poly:
-        """A sum of products, added into one dict, so that an N-term
-        literal parses in time linear in N."""
+        """A sum of products, added into one dict, so that an N-term literal
+        parses in time linear in N; `- term` hands its sign to the product.
+        An integral coefficient, a sum's or a group product's too, is an int."""
         out = dict(self._product(scope).terms)
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            terms = self._product(scope).terms.items()
-            _add_into(out, terms if op == "+" else ((mono, -c) for mono, c in terms))
-        return Poly._raw(out)
+            sign = -1 if self.next().kind == "-" else 1
+            _add_into(out, self._product(scope, sign).terms.items())
+        return Poly._raw({mono: _exact(c) for mono, c in out.items()})
 
-    def _product(self, scope) -> Poly:
-        value = self._signed_factor(scope)
+    def _product(self, scope, coeff=1) -> Poly:
+        """A product read as one term: numbers multiply into `coeff` (which
+        starts as the sign), division by a constant divides it, and names
+        add into the exponents.  Only parenthesised groups are polynomials,
+        multiplied in once the term is built."""
+        exps, groups = {}, []
+        coeff *= self._factor(scope, exps, groups)
         while True:
             kind = self.peek().kind
-            if kind == "*":
+            if kind in ("*", "/"):
                 self.next()
-                value = value * self._signed_factor(scope)
-            elif kind == "/":
-                self.next()
-                div_tok = self.peek()
-                divisor = self._signed_factor(scope)
-                if divisor.variables() or divisor.is_zero:
-                    self.fail(
-                        "division is only defined by nonzero rational constants", div_tok
-                    )
-                value = value / divisor.constant_term()
-            elif kind in ("name", "int", "("):  # juxtaposition
-                value = value * self._factor(scope)
+            elif kind not in ("name", "int", "("):  # nor juxtaposition
+                break
+            if kind == "/":
+                div_tok, names, group = self.peek(), {}, []
+                divisor = self._factor(scope, names, group)
+                if group:
+                    divisor = 0 if group[0].variables() else divisor * group[0].constant_term()
+                if names or not divisor:
+                    self.fail("division is only defined by nonzero rational constants", div_tok)
+                coeff = Fraction(coeff, divisor)
             else:
-                return value
-
-    def _signed_factor(self, scope) -> Poly:
-        negate = False
-        while self.peek().kind in ("+", "-"):
-            negate ^= self.next().kind == "-"
-        value = self._factor(scope)
-        return -value if negate else value
-
-    def _factor(self, scope) -> Poly:
-        value = self._atom(scope)
-        if self.peek().kind == "^":
-            self.next()
-            value = value ** self.expect_int("a nonnegative integer exponent")
+                number = self._factor(scope, exps, groups)
+                if number != 1:  # a name leaves a Fraction coefficient as it is
+                    coeff *= number
+        mono = tuple(sorted(exps.items(), key=lambda item: var_rank(item[0])))
+        value = Poly._raw({mono: coeff} if coeff else {})
+        for group in groups:
+            value = value * group
         return value
 
-    def _atom(self, scope) -> Poly:
-        tok = self.peek()
-        if tok.kind == "int":
-            return Poly.constant(self.expect_int("a number"))
-        if tok.kind == "(":
-            if self.depth == MAX_PAREN_DEPTH:
-                self.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels", tok)
+    def _factor(self, scope, exps: dict, groups: list):
+        """Read one signed factor and its power into a product: a name adds
+        its exponent into `exps` and a group joins `groups`.  Returns the
+        number the factor multiplies the coefficient by: its sign, times its
+        value if it is a number."""
+        sign = 1
+        while self.peek().kind in ("+", "-"):
+            if self.next().kind == "-":
+                sign = -sign
+        kind = self.peek().kind
+        if kind == "int":
+            value = self.expect_int("a number")
+        elif kind == "name":
+            value = self._resolve_name(scope)
+        else:
+            value = self._group(scope)
+        k = 1
+        if self.peek().kind == "^":
             self.next()
-            self.depth += 1
-            value = self.expr(scope)
-            self.expect_sym(")")
-            self.depth -= 1
-            return value
-        if tok.kind == "name":
-            fields = scope["fields"]
-            call = (tok.text == "d" and self.peek(1).kind == "("
-                    and "d" not in scope["base"] and "d" not in (fields or ()))
-            if fields is None and (call or "_" in tok.text):
-                self.fail("jet variables are not allowed in this expression", tok)
-            if call:
-                return self._derivative_call(scope)
-            self.next()
-            return self._resolve_name(tok, scope)
-        self.fail("expected an expression", tok, ("number", "name", "'('"))
+            k = self.expect_int("a nonnegative integer exponent")
+        if kind == "int":
+            return sign * value**k
+        if kind != "name":
+            groups.append(value if k == 1 else value**k)
+        elif k:
+            exps[value] = exps.get(value, 0) + k
+        return sign
 
-    def _derivative_call(self, scope) -> Poly:
-        head = self.next()  # 'd'
+    def _group(self, scope) -> Poly:
+        tok = self.peek()
+        if tok.kind != "(":
+            self.fail("expected an expression", tok, ("number", "name", "'('"))
+        if self.depth == MAX_PAREN_DEPTH:
+            self.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels", tok)
+        self.next()
+        self.depth += 1
+        value = self.expr(scope)
+        self.expect_sym(")")
+        self.depth -= 1
+        return value
+
+    def _derivative_call(self, head, scope) -> tuple:
         self.expect_sym("(")
         _, i = self.expect_field(scope["fields"])
         self.expect_sym(";")
@@ -457,12 +468,21 @@ class _Parser:
         n = len(scope["base"])
         if len(counts) != n:
             self.fail(f"expected {n} derivative counts, got {len(counts)}", head)
-        return Poly.variable(("j", i, tuple(counts)))
+        return ("j", i, tuple(counts))
 
-    def _resolve_name(self, tok, scope) -> Poly:
+    def _resolve_name(self, scope) -> tuple:
+        """The variable a name token, or the d(field; counts) call it opens,
+        stands for."""
+        tok = self.next()
         name = tok.text
         base = scope["base"]
         fields = scope["fields"]
+        call = (name == "d" and self.peek().kind == "("
+                and "d" not in base and "d" not in (fields or ()))
+        if fields is None and (call or "_" in name):
+            self.fail("jet variables are not allowed in this expression", tok)
+        if call:
+            return self._derivative_call(tok, scope)
         if "_" in name:
             head, suffix = name.split("_", 1)
             if head not in fields:
@@ -475,11 +495,11 @@ class _Parser:
                     f"cannot segment derivative suffix {suffix!r} into base coordinates",
                     tok,
                 )
-            return Poly.variable(("j", fields[head], counts))
+            return ("j", fields[head], counts)
         if name in base:
-            return Poly.variable(("b", base[name]))
+            return ("b", base[name])
         if fields is not None and name in fields:
-            return Poly.variable(("j", fields[name], (0,) * len(base)))
+            return ("j", fields[name], (0,) * len(base))
         raise UndeclaredNameError(f"undeclared name {name!r}", tok.line, tok.col)
 
 
@@ -635,10 +655,10 @@ def _by_coord(chart: Chart, values) -> dict:
 
 def _equations(report: Report, at, section_text) -> None:
     bs = report.doc.to_balance_system()
-    residuals = balance_residuals(bs)
+    sources = _euler_sum(bs.chart, bs.entries.items())  # the residuals are their negation
     report.sections["equations"] = {
-        "residuals": _by_field(bs.chart, residuals),
-        "source_components": _by_field(bs.chart, [-r for r in residuals]),
+        "residuals": _by_field(bs.chart, [-c for c in sources]),
+        "source_components": _by_field(bs.chart, sources),
     }
 
 

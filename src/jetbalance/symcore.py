@@ -714,11 +714,15 @@ class Chart:
         return Poly.variable(jet_var(i, self.zero_index()))
 
     def jet(self, i: int, counts: Iterable[int]) -> Poly:
+        return Poly.variable(jet_var(i, self._check_jet(i, counts)))
+
+    def _check_jet(self, i: int, counts: Iterable[int]) -> tuple:
+        """The multi-index as a tuple, once field i and it fit the chart."""
         counts = tuple(counts)
         self._check_field(i)
         if len(counts) != self.n or any(c < 0 for c in counts):
             raise InvalidSystemError(f"multi-index {counts} does not fit a chart with n={self.n}")
-        return Poly.variable(jet_var(i, counts))
+        return counts
 
     def _check_base(self, mu: int) -> None:
         if not 0 <= mu < self.n:

@@ -24,6 +24,7 @@ from .symcore import (
     EngineError,
     InvalidSystemError,
     Poly,
+    _ONE,
     _add_into,
     jet_var,
 )
@@ -218,8 +219,9 @@ def _euler_sum(chart: Chart, entries) -> tuple:
     components of jet partials and the source components of balance data,
     whose negation is the residuals."""
     comps = [{} for _ in range(chart.m)]
+    rho = None if chart.rho.terms == _ONE else chart.rho  # a unit density multiplies nothing
     for (i, counts), p in entries:
-        terms = _total_derivative_along(chart.rho * p, counts).terms.items()
+        terms = _total_derivative_along(p if rho is None else rho * p, counts).terms.items()
         _add_into(comps[i], ((mono, -c) for mono, c in terms) if sum(counts) % 2 else terms)
     return tuple(map(Poly._raw, comps))
 

@@ -259,3 +259,66 @@ def test_euler_lagrange_matches_sympy(chart, order, seed):
     for i, eq in enumerate(expected):
         difference = _jet_symbols(_expr(ours[i], value) - eq.lhs + eq.rhs, funcs, list(xs))
         assert sympy.expand(difference) == 0
+
+
+# The parser against sympy's: the same text read by `parse_system` and by
+# `sympy.parse_expr` with implicit multiplication and `^` as `**`.
+_NAMES = ("t", "x", "u", "v", "u_t", "u_x", "v_tx", "d(u; 1, 0)", "d(v; 0, 2)")
+_EXPLICIT = {"d(u; 1, 0)": "u_t", "d(v; 0, 2)": "v_xx"}  # for sympy, which has no d(...)
+PARSER_CASES = (
+    "2 * -u", "- - u", "3 -u", "u u^2 v u", "u^0", "0 u", "u - u", "3 u / 2 / 5",
+    "u / (2 - 4)", "u / 2^2", "2 (u + x) u_x", "(u + 1)^3 x / 4", "d(u; 1, 0)",
+    "(u + 1) / 2 * 2", "- 3/4 u_x v^2 t", "u/2 + u/2", "2 (u/2 + x) (u/3 - 1) * 3",
+)
+
+
+def _random_factor(rng: random.Random, depth: int) -> str:
+    roll = rng.random()
+    if roll < 0.25:
+        atom = str(rng.randint(0, 4))
+    elif roll < 0.8 or depth == 2:
+        atom = rng.choice(_NAMES)
+    else:
+        atom = f"({_random_text(rng, depth + 1)})"
+    return atom + (f"^{rng.randint(0, 3)}" if rng.random() < 0.3 else "")
+
+
+def _random_text(rng: random.Random, depth: int = 0) -> str:
+    """A seeded sum of products: signed factors joined by `*`, by
+    juxtaposition or by `/` and a nonzero constant, with powers and groups."""
+    divisors = ("2", "3^2", "-3", "(1 - 4)", "(1/2)", "2^0", "5")
+    pieces = []
+    for k in range(rng.randint(1, 3)):
+        pieces.append(rng.choice((" + ", " - ", " - -")) if k else rng.choice(("", "-", "- -")))
+        pieces.append(_random_factor(rng, depth))
+        for _ in range(rng.randint(0, 4)):
+            op = rng.choice((" * ", " * -", " ", " / "))
+            pieces.append(op + (rng.choice(divisors) if op == " / " else _random_factor(rng, depth)))
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("text", [*PARSER_CASES, *(f"seed {s}" for s in range(60))])
+def test_parser_matches_sympy(text):
+    """Equal term dicts, and every integral coefficient stored as an int."""
+    from sympy.parsing.sympy_parser import (
+        convert_xor, implicit_multiplication, parse_expr, standard_transformations,
+    )
+    from jetbalance.cli import parse_system
+
+    if text.startswith("seed "):
+        text = _random_text(random.Random(int(text[5:])))
+    chart = CHARTS[1]
+    doc = parse_system(f"base t x; fields u v; Pi[u] = {text};")
+    ours = doc.entries.get((0, chart.zero_index()), Poly.zero())
+    pool, gens = _gens(chart)
+    sympy_text = text
+    for call, name in _EXPLICIT.items():
+        sympy_text = sympy_text.replace(call, name)
+    expected = parse_expr(sympy_text, local_dict=dict(zip(map(chart.var_name, pool), gens)),
+                          transformations=standard_transformations
+                          + (implicit_multiplication, convert_xor))
+    expected = sympy.Poly(expected, *gens, domain="QQ").as_dict()
+    assert {_exponents(mono, pool): c for mono, c in ours.terms.items()} == {
+        exps: Fraction(c.p, c.q) for exps, c in expected.items() if c
+    }, text
+    assert all(type(c) is int for c in ours.terms.values() if c.denominator == 1), text

@@ -650,8 +650,8 @@ class TestWorkCounts:
             assert all(len(set(ids)) == 1 for ids in occurrences.values())
 
     def test_products_with_one_build_nothing(self, monkeypatch, chart_tx_uv):
-        """Without a density, rho = 1 multiplies every flux and source in
-        balance_residuals; each such product returns the other factor."""
+        """Without a density, balance_residuals takes no product with
+        rho = 1, and a product with the constant 1 returns the other factor."""
         bs = random_system(random.Random(5), chart_tx_uv)
         mul = vars(Poly)["__mul__"]
         built = []  # per product with the constant 1: was a new polynomial built?
@@ -665,7 +665,10 @@ class TestWorkCounts:
         monkeypatch.setattr(Poly, "__mul__", counted)
         monkeypatch.setattr(Poly, "__rmul__", counted)
         balance_residuals(bs)
-        assert built and not any(built)
+        assert built == []
+        p = bs.flux(0, 0)
+        assert p * Poly.constant(1) is p and Poly.constant(1) * p is p
+        assert built == [False, False]
 
     def test_d_V_in_one_pass(self, monkeypatch, chart_tx_uv):
         p = random_poly(random.Random(11), chart_tx_uv, max_order=2, max_degree=4, max_terms=8)
