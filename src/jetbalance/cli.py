@@ -63,8 +63,8 @@ from .balance import (
 )
 from .jetforms import Form, form_latex, form_text, latex_rational, latex_table, poly_latex
 from .symcore import (
-    Chart, EngineError, InvalidSystemError, Poly, TermTable, _add_into, _exact, poly_text, suffix,
-    var_rank,
+    Chart, EngineError, InvalidSystemError, Poly, TermTable, _ONE, _add_into, _exact, poly_text,
+    suffix, var_rank,
 )
 from .variational import _euler_sum, higher_balance_residuals
 
@@ -412,7 +412,7 @@ class _Parser:
         mono = tuple(sorted(exps.items(), key=lambda item: var_rank(item[0])))
         value = Poly._raw({mono: coeff} if coeff else {})
         for group in groups:
-            value = value * group
+            value = group if value.terms == _ONE else value * group
         return value
 
     def _factor(self, scope, exps: dict, groups: list):
