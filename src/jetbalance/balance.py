@@ -95,7 +95,7 @@ class BalanceSystem:
         if lagrangian.jet_order() > 1:
             raise InvalidSystemError("Lagrangian-generated systems need jet order <= 1")
         partials = lagrangian.jet_partials().items()
-        return cls.from_entries(chart, {(i, counts): p for (_, i, counts), p in partials})
+        return cls.from_entries(chart, {(i, counts): p for (_, _, counts, i), p in partials})
 
     def _fill(self, chart: Chart, entries: Mapping) -> None:
         clean = {}
@@ -414,7 +414,7 @@ def evaluate_on_section(p: Poly, section: Sequence, chart: Chart) -> Poly:
     mapping = {}
     for var in p.variables():
         if var[0] == "j":
-            mapping[var] = derived(var[1], var[2])
+            mapping[var] = derived(var[3], var[2])
     return p.substitute(mapping)
 
 
@@ -451,16 +451,13 @@ def _single_antiderivative(chart: Chart, mono: tuple, coeff) -> tuple | None:
         return None
     rest = mono[: len(mono) - len(jets)]  # the base factors, which rank first
     candidates = sorted(
-        (var for var, e in mono if var[0] == "j" and e == 1 and var_order(var) >= 1),
-        key=lambda v: (var_order(v), v[2], v[1]),
-        reverse=True,
-    )
+        (var for var, e in mono if var[0] == "j" and e == 1 and var_order(var) >= 1), reverse=True)
     for w in candidates:
         for mu in range(chart.n):
             if w[2][mu] == 0:
                 continue
             lowered = w[2][:mu] + (w[2][mu] - 1,) + w[2][mu + 1 :]
-            v = jet_var(w[1], lowered)
+            v = jet_var(w[3], lowered)
             if any(var not in (w, v) for var in jets) or any(var[1] == mu for var, _ in rest):
                 continue  # d_mu(rest) != 0
             k = dict(mono).get(v, 0)

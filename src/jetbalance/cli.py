@@ -63,8 +63,8 @@ from .balance import (
 )
 from .jetforms import Form, form_latex, form_text, latex_rational, latex_table, poly_latex
 from .symcore import (
-    Chart, EngineError, InvalidSystemError, Poly, TermTable, _ONE, _add_into, _exact, poly_text,
-    suffix, var_rank,
+    Chart, EngineError, InvalidSystemError, Poly, TermTable, _ONE, _add_into, _exact, base_var,
+    jet_var, poly_text, suffix,
 )
 from .variational import _euler_sum, higher_balance_residuals
 
@@ -409,7 +409,7 @@ class _Parser:
                 number = self._factor(scope, exps, groups)
                 if number != 1:  # a name leaves a Fraction coefficient as it is
                     coeff *= number
-        mono = tuple(sorted(exps.items(), key=lambda item: var_rank(item[0])))
+        mono = tuple(sorted(exps.items()))
         value = Poly._raw({mono: coeff} if coeff else {})
         for group in groups:
             value = group if value.terms == _ONE else value * group
@@ -468,7 +468,7 @@ class _Parser:
         n = len(scope["base"])
         if len(counts) != n:
             self.fail(f"expected {n} derivative counts, got {len(counts)}", head)
-        return ("j", i, tuple(counts))
+        return jet_var(i, counts)
 
     def _resolve_name(self, scope) -> tuple:
         """The variable a name token, or the d(field; counts) call it opens,
@@ -495,11 +495,11 @@ class _Parser:
                     f"cannot segment derivative suffix {suffix!r} into base coordinates",
                     tok,
                 )
-            return ("j", fields[head], counts)
+            return jet_var(fields[head], counts)
         if name in base:
-            return ("b", base[name])
+            return base_var(base[name])
         if fields is not None and name in fields:
-            return ("j", fields[name], (0,) * len(base))
+            return jet_var(fields[name], (0,) * len(base))
         raise UndeclaredNameError(f"undeclared name {name!r}", tok.line, tok.col)
 
 
@@ -940,20 +940,16 @@ def _lines(report: Report, fmt: str, table: TermTable):
 
 def _system_summary(doc: SystemDocument, table: TermTable) -> dict:
     chart = doc.chart
+    fluxes = {name: {} for name in chart.field_names}
+    for (i, counts), p in sorted(doc.fluxes.items()):
+        fluxes[chart.field_names[i]][suffix(chart.base_names, counts)] = poly_text(p, chart, table)
     return {
         "title": doc.title,
         "base": list(chart.base_names),
         "fields": list(chart.field_names),
         "density": poly_text(chart.rho, chart, table),
         "order": doc.order,
-        "fluxes": {
-            chart.field_names[i]: {
-                suffix(chart.base_names, counts): poly_text(p, chart, table)
-                for (j, counts), p in sorted(doc.fluxes.items())
-                if j == i
-            }
-            for i in range(chart.m)
-        },
+        "fluxes": fluxes,
         "sources": {
             chart.field_names[i]: poly_text(doc.source(i), chart, table)
             for i in range(chart.m)

@@ -240,7 +240,7 @@ class Form:
         for (h, c), coeff in self.terms.items():
             flip = (-1) ** len(h)  # the new generator moves past the dx factors
             for var, dp in coeff.jet_partials().items():
-                merged = _merge_tuples(((var[1], var[2]),), c)
+                merged = _merge_tuples(((var[3], var[2]),), c)
                 if merged is not None:
                     sign, cw = merged
                     terms.append(((h, cw), dp if sign == flip else -dp))
@@ -285,7 +285,7 @@ class Form:
         """Interior product with the coordinate vertical field of a jet variable."""
         if var[0] != "j":
             raise InvalidWord("contraction is defined against jet variables only")
-        gen = (var[1], var[2])
+        gen = (var[3], var[2])
         out: dict[Word, Poly] = {}  # removing gen from distinct words leaves distinct words
         for (h, c), coeff in self.terms.items():
             try:
@@ -366,7 +366,7 @@ def latex_table(chart: Chart) -> TermTable:
     def name(var: Var) -> str:
         if var[0] == "b":
             return bases[var[1]]
-        field = _latex_name(chart.field_names[var[1]])
+        field = _latex_name(chart.field_names[var[3]])
         return f"{field}_{{{suffix(bases, var[2])}}}" if any(var[2]) else field
 
     return TermTable(name, "{}^{{{}}}", "\\frac{{{}}}{{{}}}")

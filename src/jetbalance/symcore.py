@@ -4,23 +4,26 @@ Coordinates of a fibred chart with n base coordinates and m field components
 are encoded as plain tuples:
 
 * base coordinate  x^mu          -> ("b", mu)
-* field component  y^i           -> ("j", i, (0, ..., 0))
-* jet variable     z^i_Lambda    -> ("j", i, counts)
+* field component  y^i           -> ("j", 0, (0, ..., 0), i)
+* jet variable     z^i_Lambda    -> ("j", |Lambda|, counts, i)
 
 where ``counts`` is the derivative multi-index as a length-n tuple of
 naturals (the symmetric multi-index convention: only the number of
-derivatives per coordinate matters, so the representation is canonical).
+derivatives per coordinate matters, so the representation is canonical) and
+|Lambda| is its sum, the derivative order.  The order is stored so that a
+variable compares as its own rank: plain tuple comparison puts base
+coordinates first ("b" < "j"), by index, then jet variables graded by
+derivative order, multi-index, field.
 
 A monomial is a tuple of (variable, exponent) pairs with positive exponents,
-sorted by the canonical variable ranking: base coordinates first, then jet
-variables graded by derivative order, multi-index, field.  A polynomial maps
-monomials to nonzero exact rational coefficients; the zero polynomial stores
-no terms.  Integral coefficients are Python ints and the others Fractions (the
-integer and rational ground types side by side, as in sympy.polys): every
-constructor, division and scaling stores an integral value as an int, and
-sums and products follow Python's exact mixed int/Fraction arithmetic.
-Fraction(3) == 3 with equal hashes, so equality does not see the type.  No
-floating point enters any computation in this package.
+sorted by that ranking.  A polynomial maps monomials to nonzero exact rational
+coefficients; the zero polynomial stores no terms.  Integral coefficients are
+Python ints and the others Fractions (the integer and rational ground types
+side by side, as in sympy.polys): every constructor, division and scaling
+stores an integral value as an int, and sums and products follow Python's
+exact mixed int/Fraction arithmetic.  Fraction(3) == 3 with equal hashes, so
+equality does not see the type.  No floating point enters any computation in
+this package.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ def base_var(mu: int) -> Var:
 
 
 def jet_var(i: int, counts: Iterable[int]) -> Var:
-    return ("j", i, tuple(counts))
+    counts = tuple(counts)
+    return ("j", sum(counts), counts, i)
 
 
 def mi_add(counts: tuple, mu: int) -> tuple:
@@ -81,24 +85,7 @@ def mi_add(counts: tuple, mu: int) -> tuple:
 
 def var_order(var: Var) -> int:
     """Derivative order of a variable; 0 for base coordinates and plain fields."""
-    return sum(var[2]) if var[0] == "j" else 0
-
-
-_RANKS: dict = {}  # var_rank memo; one entry per variable ever ranked
-
-
-def var_rank(var: Var) -> tuple:
-    """Canonical total order on variables.
-
-    Base coordinates rank below all jet variables; jet variables are graded
-    by derivative order, then multi-index, then field index, so derivative
-    terms lead the fields they derive from in rendered output.
-    """
-    rank = _RANKS.get(var)
-    if rank is None:
-        rank = (0, var[1], (), 0) if var[0] == "b" else (1, sum(var[2]), var[2], var[1])
-        _RANKS[var] = rank
-    return rank
+    return var[1] if var[0] == "j" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +94,11 @@ def var_rank(var: Var) -> tuple:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    """Product of two monomials: one merge pass over the rank-sorted factors."""
+    """Product of two monomials: one merge pass over the sorted factors."""
     if not a:
         return b
     if not b:
         return a
-    ranks = _RANKS
     out = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -123,7 +109,7 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
             out.append((va, ea + eb))
             i += 1
             j += 1
-        elif (ranks.get(va) or var_rank(va)) < (ranks.get(vb) or var_rank(vb)):
+        elif va < vb:
             out.append(a[i])
             i += 1
         else:
@@ -142,17 +128,15 @@ def mono_jet_order(m: Mono) -> int:
 
 
 def mono_key(m: Mono) -> tuple:
-    """Sort key of the graded order: total degree first, then the rank and
-    exponent of each factor read from the highest-ranked variable downward
-    (a larger exponent, or a variable the other monomial lacks, wins).  The
-    ranks are `var_rank`'s, so keys of any two monomials compare, and no key
-    is a proper prefix of another of equal degree: a descending sort puts
-    the leading monomial first."""
-    ranks = _RANKS
+    """Sort key of the graded order: total degree first, then each factor's
+    variable and exponent read from the highest-ranked variable downward (a
+    larger exponent, or a variable the other monomial lacks, wins).  Keys of
+    any two monomials compare, and no key is a proper prefix of another of
+    equal degree: a descending sort puts the leading monomial first."""
     out = [0]
     for var, e in reversed(m):
         out[0] += e
-        out += (ranks.get(var) or var_rank(var), e)
+        out += (var, e)
     return tuple(out)
 
 
@@ -162,7 +146,7 @@ def _grlex_key(variables) -> Callable[[Mono], tuple]:
     of each factor from the highest-ranked down (the exponent vector's
     nonzero entries).  No key is a proper prefix of another of equal degree,
     so a min-heap puts the leading monomial first."""
-    slot = {var: -k for k, var in enumerate(sorted(variables, key=var_rank))}
+    slot = {var: -k for k, var in enumerate(sorted(variables))}
 
     def key(mono: Mono) -> tuple:
         out = [0]
@@ -179,7 +163,7 @@ def _canonical(mono) -> Mono:
     exps: dict[Var, int] = {}
     for var, e in mono:
         exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(((var, e) for var, e in exps.items() if e), key=lambda it: var_rank(it[0])))
+    return tuple(sorted((var, e) for var, e in exps.items() if e))
 
 
 def _exact(c):
@@ -259,7 +243,7 @@ def _multinomial_power(terms: dict, k: int) -> dict:
     written once.  Rational base coefficients are cleared once: the base
     times the lcm D of their denominators is expanded in ints, and each
     result coefficient is divided once by D^k."""
-    variables = sorted({var for mono in terms for var, _ in mono}, key=var_rank)
+    variables = sorted({var for mono in terms for var, _ in mono})
     slot = {var: i for i, var in enumerate(variables)}
     denominator = lcm(*(c.denominator for c in terms.values()))
     # per base term: its exponent vector times a, and its cleared coefficient to the a, for a = 0..k
@@ -528,7 +512,7 @@ class Poly:
                     if v[0] == "j":
                         up = promoted.get(v)
                         if up is None:
-                            up = promoted[v] = ((jet_var(v[1], mi_add(v[2], mu)), 1),)
+                            up = promoted[v] = ((jet_var(v[3], mi_add(v[2], mu)), 1),)
                     elif v[1] == mu:  # the base coordinate x^mu
                         up = ()
                     else:
@@ -733,21 +717,23 @@ class Chart:
             raise InvalidSystemError(f"field index {i} out of range for m={self.m}")
 
     def validate_poly(self, p: Poly) -> None:
-        """Check that every variable of p belongs to this chart."""
+        """Check that every variable of p is a variable of this chart: a base
+        coordinate ("b", mu) or a jet variable ("j", order, counts, i) whose
+        stored order is the sum of its counts, every index an int."""
         for var in p.variables():
-            if var[0] == "b":
+            if len(var) == 2 and var[0] == "b" and type(var[1]) is int:
                 self._check_base(var[1])
+            elif (len(var) == 4 and var[0] == "j" and type(var[2]) is tuple
+                  and all(type(k) is int for k in (var[1], var[3], *var[2]))):
+                if var[1] != sum(self._check_jet(var[3], var[2])):
+                    raise InvalidSystemError(f"jet variable {var} stores an order other than |counts|")
             else:
-                self._check_field(var[1])
-                if len(var[2]) != self.n:
-                    raise InvalidSystemError(
-                        f"jet multi-index {var[2]} does not fit a chart with n={self.n}"
-                    )
+                raise InvalidSystemError(f"{var} is neither a base coordinate nor a jet variable")
 
     def var_name(self, var: Var) -> str:
         if var[0] == "b":
             return self.base_names[var[1]]
-        name, counts = self.field_names[var[1]], var[2]
+        name, counts = self.field_names[var[3]], var[2]
         return f"{name}_{suffix(self.base_names, counts)}" if any(counts) else name
 
 
@@ -759,7 +745,7 @@ def suffix(names, counts) -> str:
 def _generic_name(var: Var) -> str:
     if var[0] == "b":
         return f"x{var[1]}"
-    i, counts = var[1], var[2]
+    i, counts = var[3], var[2]
     return f"y{i}_d{suffix(map(str, range(len(counts))), counts)}" if any(counts) else f"y{i}"
 
 

@@ -231,7 +231,7 @@ def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:
     its jet partials, expressed against the coordinate volume."""
     chart.validate_poly(lagrangian)
     partials = sorted(lagrangian.jet_partials().items())
-    comps = _euler_sum(chart, (((i, counts), dp) for (_, i, counts), dp in partials))
+    comps = _euler_sum(chart, (((i, counts), dp) for (_, _, counts, i), dp in partials))
     return FunctionalForm._from_components(chart, comps)
 
 

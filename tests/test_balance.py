@@ -702,7 +702,7 @@ def _reference_split(chart: Chart, p: Poly) -> tuple:
         placed = False
         jet_candidates = sorted(
             (var for var, e in mono if var[0] == "j" and e == 1 and sum(var[2]) >= 1),
-            key=lambda v: (sum(v[2]), v[2], v[1]),
+            key=lambda v: (sum(v[2]), v[2], v[3]),
             reverse=True,
         )
         for w in jet_candidates:
@@ -710,7 +710,7 @@ def _reference_split(chart: Chart, p: Poly) -> tuple:
                 if w[2][mu] == 0:
                     continue
                 lowered = w[2][:mu] + (w[2][mu] - 1,) + w[2][mu + 1 :]
-                v = jet_var(w[1], lowered)
+                v = jet_var(w[3], lowered)
                 exps = dict(mono)
                 exps.pop(w)
                 k = exps.pop(v, 0)
@@ -787,6 +787,32 @@ class TestSystemConstruction:
     def test_shape_checked(self, chart_tx_uv):
         with pytest.raises(InvalidSystemError):
             BalanceSystem(chart_tx_uv, [[Poly.zero()]], [Poly.zero(), Poly.zero()])
+
+    @pytest.mark.parametrize("var", [
+        ("j", 1, (-1, 2), 0),  # a negative count
+        ("j", 2, (0, 1), 0),  # a stored order other than the sum of the counts
+        ("j", 0, (0,), 0),  # a multi-index of the wrong length
+        ("j", 0, (0, 0), 1),  # a field outside the chart
+        ("b", 2),  # a base coordinate outside the chart
+        ("j", 0, (0, 0)),  # tuples of the wrong shape
+        ("j", 0),
+        ("b",),
+        ("q", 0),  # an unknown tag
+        ("b", "x"),  # indices that are not ints
+        ("b", 1.0),
+        ("j", 0, 0, 0),
+        ("j", 0, (0, "a"), 0),
+        ("j", 0, (0, 0), "u"),
+    ])
+    def test_foreign_variables_rejected(self, chart_tx_u, var):
+        """Every variable of the data is checked against the chart, and a
+        variable that is not one of its variables raises InvalidSystemError."""
+        p = Poly.variable(var)
+        with pytest.raises(InvalidSystemError):
+            chart_tx_u.validate_poly(p)
+        with pytest.raises(InvalidSystemError):
+            BalanceSystem(chart_tx_u, [[p, Poly.zero()]], [Poly.zero()])
+        chart_tx_u.validate_poly(chart_tx_u.x(1) * chart_tx_u.jet(0, (2, 1)))
 
     def test_higher_order_entries(self, chart_tx_u):
         """An entry at multi-index order k counts jet order + k - 1, so the

@@ -185,7 +185,7 @@ class TestSignsAgainstInversionCount:
     @pytest.mark.parametrize("seed", range(40))
     def test_d_V(self, seed):
         chart, form, _ = self._forms(seed)
-        pieces = [([(1, (var[1], var[2]))] + _factors(word), coeff.partial(var))
+        pieces = [([(1, (var[3], var[2]))] + _factors(word), coeff.partial(var))
                   for word, coeff in form.terms.items()
                   for var in coeff.variables() if var[0] == "j"]
         assert form.d_V() == _sorted_form(chart, pieces)
@@ -269,10 +269,10 @@ class TestBicomplexIdentities:
         for var in p.variables():
             if var[0] != "j":
                 continue
-            dz = Form.contact(chart, var[1], var[2])
+            dz = Form.contact(chart, var[3], var[2])
             for nu in range(chart.n):
                 promoted = var[2][:nu] + (var[2][nu] + 1,) + var[2][nu + 1 :]
-                dz = dz + Form.dx(chart, nu) * Poly.variable(jet_var(var[1], promoted))
+                dz = dz + Form.dx(chart, nu) * Poly.variable(jet_var(var[3], promoted))
             naive = naive + dz * p.partial(var)
         assert f.d() == naive
 

@@ -4,9 +4,9 @@
 compared with `sympy.Poly` over the rationals, and `_bareiss` with sympy's
 rank and determinant, and every coefficient met on
 the way is an int or a Fraction, never a float.  The generators are the chart's
-variables in descending `var_rank`, so sympy's `grlex` order is the graded
-order the renderers print in.  `total_derivative` is checked by the chain rule
-on a polynomial section, and `euler_lagrange` against
+variables in descending order (a variable compares as its rank), so sympy's
+`grlex` order is the graded order the renderers print in.  `total_derivative`
+is checked by the chain rule on a polynomial section, and `euler_lagrange` against
 `sympy.calculus.euler.euler_equations`.
 """
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from jetbalance import Chart, Poly, euler_lagrange
-from jetbalance.symcore import _affinely_independent, _bareiss, base_var, jet_var, var_rank
+from jetbalance.symcore import _affinely_independent, _bareiss, base_var, jet_var
 
 from conftest import random_poly, variable_pool
 
@@ -31,7 +31,7 @@ ORDERS = (0, 1, 2)
 
 def _gens(chart: Chart):
     # one order above ORDERS: a total derivative raises the jet order
-    pool = sorted(variable_pool(chart, max(ORDERS) + 1), key=var_rank, reverse=True)
+    pool = sorted(variable_pool(chart, max(ORDERS) + 1), reverse=True)
     return pool, sympy.symbols(f"g0:{len(pool)}")
 
 
@@ -203,7 +203,7 @@ def _on_section(p: Poly, xs, fields):
     def value(var):
         if var[0] == "b":
             return xs[var[1]]
-        return sympy.diff(fields[var[1]], *zip(xs, var[2]))
+        return sympy.diff(fields[var[3]], *zip(xs, var[2]))
 
     return sympy.expand(_expr(p, value))
 
@@ -250,7 +250,7 @@ def test_euler_lagrange_matches_sympy(chart, order, seed):
     def value(var):  # x^mu -> X_mu, z^i_Lambda -> the derivative of u_i(X)
         if var[0] == "b":
             return xs[var[1]]
-        f = funcs[var[1]]
+        f = funcs[var[3]]
         return sympy.Derivative(f, *zip(xs, var[2])) if any(var[2]) else f
 
     ours = euler_lagrange(chart, lagrangian).components()

@@ -101,8 +101,11 @@ def build_cases() -> dict:
         for name, p in _polys(chart).items():
             cases[f"poly_text.{label}.{name}"] = lambda p=p, c=chart: poly_text(p, c)
             cases[f"poly_latex.{label}.{name}"] = lambda p=p, c=chart: poly_latex(p, c)
-        for var in (base_var(1), jet_var(0, (0, 0)), jet_var(chart.m - 1, (2, 1))):
-            cases[f"var_name.{label}.{var}"] = lambda v=var, c=chart: c.var_name(v)
+        # labelled ('b', mu) and ('j', field, counts)
+        variables = {"('b', 1)": base_var(1), "('j', 0, (0, 0))": jet_var(0, (0, 0)),
+                     f"('j', {chart.m - 1}, (2, 1))": jet_var(chart.m - 1, (2, 1))}
+        for tag, var in variables.items():
+            cases[f"var_name.{label}.{tag}"] = lambda v=var, c=chart: c.var_name(v)
     # eta quotients by the densities themselves and by multiples of them
     for label, chart in (("rho_1_x2", RHO_1_X2), ("rho_2_tx", RHO_2_TX)):
         rho, u = chart.rho, chart.field(0)

@@ -28,7 +28,7 @@ from jetbalance import (
 from jetbalance import cli, jetforms, source_form, symcore, variational
 from jetbalance.symcore import base_var, jet_var, mono_key
 
-from conftest import polys, random_poly, random_system
+from conftest import polys, random_poly, random_system, variable_pool
 
 
 class TestArithmetic:
@@ -250,26 +250,9 @@ def _reference_div(f: Poly, g: Poly) -> Poly | None:
     return quot
 
 
-def _unranked_poly(rng: random.Random) -> Poly:
-    """A polynomial over jet variables of order 5 to 8 on four base
-    coordinates, which no other test builds."""
-    pool = [base_var(mu) for mu in range(4)]
-    for _ in range(12):
-        counts = [0] * 4
-        for _ in range(rng.randint(5, 8)):
-            counts[rng.randrange(4)] += 1
-        pool.append(jet_var(rng.randrange(3), counts))
-    terms = {}
-    for _ in range(10):
-        mono = tuple((rng.choice(pool), rng.randint(1, 3)) for _ in range(rng.randint(0, 4)))
-        terms[mono] = rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
-    return Poly(terms)
-
-
 class TestOrderKey:
-    """`sorted_terms` and `div_exact` follow the reference order mono_key on
-    the benchmark's largest chart and on variables the rank memo has not
-    seen."""
+    """Variables compare as their rank, and `sorted_terms` and `div_exact`
+    follow the reference order mono_key on the benchmark's largest chart."""
 
     @staticmethod
     def _reference_sort(p: Poly) -> list:
@@ -281,24 +264,29 @@ class TestOrderKey:
         assert len(p.terms) > 1
         assert p.sorted_terms() == self._reference_sort(p)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_sorted_terms_cold_ranks(self, monkeypatch, seed):
-        p = _unranked_poly(random.Random(seed))
-        monkeypatch.setattr(symcore, "_RANKS", {})
-        ours = p.sorted_terms()  # before the reference sort refills the memo
-        assert ours == self._reference_sort(p)
+    def test_variables_sort_by_rank(self):
+        """Plain tuple comparison is the canonical ranking: base coordinates
+        by index, then jet variables by derivative order, multi-index and
+        field."""
+        def rank(var):
+            if var[0] == "b":
+                return (0, var[1], (), 0)
+            _, _, counts, i = var
+            return (1, sum(counts), counts, i)
 
-    @pytest.mark.parametrize("cold", [False, True])
+        pool = variable_pool(TOP_RUNG, 3)
+        random.Random(0).shuffle(pool)
+        assert len({rank(var) for var in pool}) == len(pool) == 3 + 3 * 20  # 20 multi-indices of order <= 3
+        assert sorted(pool) == sorted(pool, key=rank)
+
     @pytest.mark.parametrize("seed", range(8))
-    def test_div_exact_quotients(self, monkeypatch, seed, cold):
+    def test_div_exact_quotients(self, seed):
         rng = random.Random(100 + seed)
         q = random_poly(rng, TOP_RUNG, max_order=3, max_degree=3, max_terms=6)
         g = random_poly(rng, TOP_RUNG, max_order=2, max_degree=2, max_terms=3) + TOP_RUNG.x(2)
         extra = random_poly(rng, TOP_RUNG, max_order=3, max_degree=3, max_terms=2)
         assert len(g.terms) > 1
         cases = (q * g, q * g * g, q * g + extra, extra)
-        if cold:
-            monkeypatch.setattr(symcore, "_RANKS", {})
         quotients = [f.div_exact(g) for f in cases]
         assert quotients[:2] == [q, q * g]
         assert quotients == [_reference_div(f, g) for f in cases]
@@ -679,7 +667,7 @@ class TestWorkCounts:
         monkeypatch.undo()
         jets = [var for var in p.variables() if var[0] == "j"]
         assert len(jets) > 1
-        assert dv.terms == {((), ((var[1], var[2]),)): p.partial(var) for var in jets}
+        assert dv.terms == {((), ((var[3], var[2]),)): p.partial(var) for var in jets}
 
     def test_render_names_each_factor_once(self, monkeypatch, chart_tx_uv):
         """The renderers name each distinct (variable, exponent) factor of a
