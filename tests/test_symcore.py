@@ -250,9 +250,34 @@ def _reference_div(f: Poly, g: Poly) -> Poly | None:
     return quot
 
 
+def _unranked_poly(rng: random.Random) -> Poly:
+    """A polynomial over jet variables of order 5 to 8 on four base
+    coordinates, which no other test builds."""
+    pool = [base_var(mu) for mu in range(4)]
+    for _ in range(12):
+        counts = [0] * 4
+        for _ in range(rng.randint(5, 8)):
+            counts[rng.randrange(4)] += 1
+        pool.append(jet_var(rng.randrange(3), counts))
+    terms = {}
+    for _ in range(10):
+        mono = tuple((rng.choice(pool), rng.randint(1, 3)) for _ in range(rng.randint(0, 4)))
+        terms[mono] = rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+    return Poly(terms)
+
+
+def _rebuilt(p: Poly) -> Poly:
+    """p over variable tuples built afresh, none shared with the chart."""
+    def var(v):
+        return tuple(tuple(list(x)) if isinstance(x, tuple) else x for x in v)
+
+    return Poly({tuple((var(v), e) for v, e in mono): c for mono, c in p.terms.items()})
+
+
 class TestOrderKey:
     """Variables compare as their rank, and `sorted_terms` and `div_exact`
-    follow the reference order mono_key on the benchmark's largest chart."""
+    follow the reference order mono_key on the benchmark's largest chart
+    and on variables no other test builds."""
 
     @staticmethod
     def _reference_sort(p: Poly) -> list:
@@ -262,6 +287,13 @@ class TestOrderKey:
     def test_sorted_terms_top_rung(self, seed):
         p = random_poly(random.Random(seed), TOP_RUNG, max_order=3, max_degree=5, max_terms=16)
         assert len(p.terms) > 1
+        assert p.sorted_terms() == self._reference_sort(p)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sorted_terms_cold_ranks(self, seed):
+        """Variables of order 5 to 8, never built before, sort by their
+        stored order with no warm-up."""
+        p = _unranked_poly(random.Random(seed))
         assert p.sorted_terms() == self._reference_sort(p)
 
     def test_variables_sort_by_rank(self):
@@ -279,14 +311,19 @@ class TestOrderKey:
         assert len({rank(var) for var in pool}) == len(pool) == 3 + 3 * 20  # 20 multi-indices of order <= 3
         assert sorted(pool) == sorted(pool, key=rank)
 
+    @pytest.mark.parametrize("cold", [False, True])
     @pytest.mark.parametrize("seed", range(8))
-    def test_div_exact_quotients(self, seed):
+    def test_div_exact_quotients(self, seed, cold):
+        """cold: the dividend and divisor are rebuilt over fresh variable
+        tuples, so the order cannot lean on tuples shared with the chart."""
         rng = random.Random(100 + seed)
         q = random_poly(rng, TOP_RUNG, max_order=3, max_degree=3, max_terms=6)
         g = random_poly(rng, TOP_RUNG, max_order=2, max_degree=2, max_terms=3) + TOP_RUNG.x(2)
         extra = random_poly(rng, TOP_RUNG, max_order=3, max_degree=3, max_terms=2)
         assert len(g.terms) > 1
         cases = (q * g, q * g * g, q * g + extra, extra)
+        if cold:
+            g, cases = _rebuilt(g), tuple(_rebuilt(f) for f in cases)
         quotients = [f.div_exact(g) for f in cases]
         assert quotients[:2] == [q, q * g]
         assert quotients == [_reference_div(f, g) for f in cases]
