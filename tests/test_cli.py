@@ -5,14 +5,16 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from jetbalance import Chart, EngineError, Form, Poly, form_text, poly_text
+from jetbalance import Chart, EngineError, Form, Poly, cli, form_text, poly_text
 from jetbalance.symcore import suffix
 from jetbalance.cli import (
     DuplicateRelationError,
@@ -554,6 +556,89 @@ class TestRobustness:
         err = capsys.readouterr().err
         assert err == f"error[parse]: integer literal of 5000 digits is too long at line 3, col {col}\n"
 
+    def test_comment_at_end_of_input(self):
+        """A comment that runs to the end of the input is skipped whole."""
+        assert parse_system(BURGERS + " # tail") == parse_system(BURGERS)
+
+    @pytest.mark.parametrize("tail", ["", "@"])
+    def test_trailing_blanks_scan_in_linear_time(self, tail):
+        """A scan that could split a run of blanks in many ways would take
+        seconds on 30 of them before it reports or accepts the text."""
+        text = BURGERS + " " * 30 + tail
+        start = time.perf_counter()
+        if tail:
+            with pytest.raises(ParseError, match="unexpected character '@'"):
+                parse_system(text)
+        else:
+            assert parse_system(text) == parse_system(BURGERS)
+        assert time.perf_counter() - start < 0.5
+
+
+class TestFrontEndFuzz:
+    """Seeded mutations of the bundled systems, run through `main` with
+    random commands and formats."""
+
+    PIECES = list("atxuvd_019 \t\r\n#\"@;,=+-*/^()[]\u00e9") + [
+        "u_x", "d(u; 1, 0)", "F[u,t]", "Pi[u]", "density ", "title ", "^2", "/0", "/(1)", " # c",
+    ]
+    LOCATED = ("error[parse]", "error[undeclared-name]", "error[duplicate-relation]")
+
+    @classmethod
+    def _mutate(cls, rng: random.Random, text: str) -> str:
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.random()
+            if op < 0.5:
+                text = text[:i] + rng.choice(cls.PIECES) + text[i:]
+            elif op < 0.8:
+                text = text[:i] + text[i + rng.randint(1, 6):]
+            else:
+                text = text[:i]
+        return text
+
+    @staticmethod
+    def _points_into(text: str, row: int, col: int) -> bool:
+        """A located error points at a character of the text that is not a
+        blank, or one past its end."""
+        lines = text.split("\n")
+        if not (1 <= row <= len(lines) and 1 <= col <= len(lines[row - 1]) + 1):
+            return False
+        offset = sum(len(line) + 1 for line in lines[: row - 1]) + col - 1
+        return offset == len(text) or text[offset] not in " \t\n"
+
+    def test_mutated_systems_exit_zero_or_two(self, tmp_path, capsys):
+        """Every run exits 0 or 2, every exit 2 prints `error[code]`, and
+        every parse error names a line and column inside the text it read
+        (the system, or for `verify` perhaps the section), or one past its
+        end at end of input."""
+        rng = random.Random(21)
+        texts = [path.read_text() for path in sorted(SYSTEMS.glob("*.bal"))]
+        section = SYSTEMS / "burgers_constant.sec"
+        target = tmp_path / "mutant.bal"
+        for _ in range(250):
+            text = self._mutate(rng, rng.choice(texts))
+            target.write_bytes(text.encode("utf-8"))
+            command, fmt = rng.choice(sorted(cli._COMMANDS)), rng.choice(FORMATS)
+            argv = [command, str(target), "--format", fmt]
+            read = [text.replace("\r\n", "\n").replace("\r", "\n")]
+            if command == "hyperbolic":
+                argv += ["--at", "0,0,1"]
+            if command == "verify":
+                argv += ["--section", str(section)]
+                read.append(section.read_text())
+            status = main(argv)
+            err = capsys.readouterr().err
+            assert status in (0, 2), (text, argv, err)
+            if status == 2:
+                assert re.search(r"^error\[[a-z-]+\]: ", err, re.M), (text, argv, err)
+            for line in err.splitlines():
+                where = re.search(r" at line (\d+), col (\d+)(?: \(expected .*\))?$", line)
+                if line.startswith(self.LOCATED):
+                    assert where, (text, line)
+                if where:
+                    row, col = int(where[1]), int(where[2])
+                    assert any(self._points_into(t, row, col) for t in read), (text, line)
+
 
 def _section_of_burgers(text: str):
     return lambda: parse_section(text, parse_system(BURGERS))
@@ -633,6 +718,18 @@ FRONT_END_ERRORS = {
     "section-misses-fields": (
         lambda: parse_section("v = 1;\n", parse_system("base t x; fields u v w;")),
         "parse", "section misses fields: u, w", 2, 1,
+    ),
+    "comment-at-end-of-input": (
+        lambda: parse_system("base t x; fields u; F[u,t] = # c"),
+        "parse", "expected an expression", 1, 30,
+    ),
+    "character-after-tabs": (
+        lambda: parse_system("base t x; fields u; F[u,t] =\t\t@"),
+        "parse", "unexpected character '@'", 1, 31,
+    ),
+    "suffix-after-carriage-return": (
+        lambda: parse_system("base t x;\r fields u; F[u,t] = u u_q"),
+        "parse", "cannot segment derivative suffix 'q' into base coordinates", 1, 33,
     ),
     "unknown-command": (
         lambda: run("solve", parse_system(BURGERS)), "invalid-system", "unknown command 'solve'", None, None,
