@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import string
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .balance import (
     BalanceSystem,
@@ -141,73 +140,48 @@ def _decode(data: bytes, name: str) -> str:
 # lexer
 # ---------------------------------------------------------------------------
 
-
-class _Token(NamedTuple):
-    kind: str  # name | int | string | eof, or the symbol itself
-    text: str
-    line: int
-    col: int
-
-
-_SYMBOLS = set(";,=+-*/^()[]")
-_DIGITS = frozenset(string.digits)  # ASCII: str.isalpha/isdigit admit other scripts
-_LETTERS = frozenset(string.ascii_letters)
-_NAME_CHARS = _LETTERS | _DIGITS | {"_"}
-# the first character of a name or an integer -> (token kind, characters of its run)
-_RUNS = {
-    **dict.fromkeys(_LETTERS, ("name", _NAME_CHARS)), **dict.fromkeys(_DIGITS, ("int", _DIGITS))
-}
+# Tokens are names (an ASCII letter, then letters, digits and `_`), runs of
+# ASCII digits, strings on one line and the symbols ;,=+-*/^()[], between
+# blanks (space, tab, carriage return, newline) and comments (`#` to the end
+# of the line).  `_SCAN.match` passes over all of these and stops at the
+# first character no token starts with, or at a string without its closing
+# quote.  The match always succeeds, so it never backtracks into a run it
+# has read.  `_TOKEN.findall` then gives each token's text, and '' for each
+# comment.
+_SCAN = re.compile(r'(?:[A-Za-z][A-Za-z0-9_]*|[0-9;,=+\-*/^()\[\] \t\r\n]+|#[^\n]*|"[^"\n]*")*')
+_TOKEN = re.compile(r'#[^\n]*|([A-Za-z][A-Za-z0-9_]*|[0-9]+|"[^"\n]*"|[;,=+\-*/^()\[\]])')
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < size and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        run = _RUNS.get(ch)
-        if run is not None:
-            kind, chars = run
-            j = i + 1
-            while j < size and text[j] in chars:
-                j += 1
-            tokens.append(tuple.__new__(_Token, (kind, text[i:j], line, start_col)))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < size and text[j] not in '"\n':
-                j += 1
-            if j == size or text[j] == "\n":
-                raise ParseError("unterminated string", line, start_col)
-            tokens.append(tuple.__new__(_Token, ("string", text[i + 1 : j], line, start_col)))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(tuple.__new__(_Token, (ch, ch, line, start_col)))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(tuple.__new__(_Token, ("eof", "", line, col)))
-    return tokens
+def _tokens(text: str) -> list:
+    """The token texts of `text`, then '' for the end of input; a kind is
+    read off the first character."""
+    stop = _SCAN.match(text).end()
+    if stop < len(text):
+        char = text[stop]
+        message = "unterminated string" if char == '"' else f"unexpected character {char!r}"
+        raise ParseError(message, *_line_col(text, stop))
+    return [*filter(None, _TOKEN.findall(text)), ""]
+
+
+def _line_col(text: str, offset: int) -> tuple:
+    """Line and column of a text offset; a tab or a carriage return is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _token_offset(text: str, index: int) -> int:
+    """The offset of token `index` of `text`, found by scanning again, since
+    only errors need it.  Past the last token it is the end of input: the
+    end of the text, or the `#` of a comment that runs to it."""
+    offset = len(text)
+    for match in _TOKEN.finditer(text):
+        if match.group(1) is None:
+            if match.end() == len(text):
+                offset = match.start()
+        elif index:
+            index -= 1
+        else:
+            return match.start()
+    return offset
 
 
 # ---------------------------------------------------------------------------
@@ -285,52 +259,55 @@ MAX_PAREN_DEPTH = 100  # each level costs a few interpreter frames
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token texts of one input.  A token is
+    addressed by its index, and an error finds the line and column of its
+    token from the text only when it is raised."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokens(text)
+        self.pos = 0  # the next token; never moves past the end of input ''
         self.depth = 0  # open parentheses around the current position
         self.segments = {}  # jet suffix -> its multi-index, split once per parse
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]  # next() never moves past the eof token
+    def fail(self, message, at=None, expected=(), error=ParseError):
+        """Raise `error` at token `at`, by default the next one."""
+        offset = _token_offset(self.text, self.pos if at is None else at)
+        raise error(message, *_line_col(self.text, offset), expected)
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def expect_sym(self, sym) -> None:
+        if self.tokens[self.pos] != sym:
+            self.fail(f"expected {sym!r}", expected=(repr(sym),))
+        self.pos += 1
 
-    def fail(self, message, tok=None, expected=()):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
-
-    def expect_sym(self, sym) -> _Token:
-        tok = self.peek()
-        if tok.kind == sym:
-            return self.next()
-        self.fail(f"expected {sym!r}", tok, expected=(repr(sym),))
-
-    def expect_name(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "name":
-            return self.next()
-        self.fail(f"expected a {what}", tok, expected=(what,))
+    def expect_name(self, what: str) -> int:
+        """The index of the next token, a name."""
+        at = self.pos
+        if not self.tokens[at].isidentifier():
+            self.fail(f"expected a {what}", expected=(what,))
+        self.pos += 1
+        return at
 
     def expect_int(self, what: str) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            self.fail(f"expected {what}", tok, ("integer",))
-        self.next()
+        value = self._int(self.pos, what)
+        self.pos += 1
+        return value
+
+    def _int(self, at: int, what: str) -> int:
+        tok = self.tokens[at]
+        if not tok.isdigit():
+            self.fail(f"expected {what}", at, ("integer",))
         try:
-            return int(tok.text)
+            return int(tok)
         except ValueError:  # CPython's int-string digit limit
-            self.fail(f"integer literal of {len(tok.text)} digits is too long", tok)
+            self.fail(f"integer literal of {len(tok)} digits is too long", at)
 
     def expect_string(self) -> str:
-        tok = self.peek()
-        if tok.kind == "string":
-            return self.next().text
-        self.fail("expected a quoted string", tok, ("string",))
+        tok = self.tokens[self.pos]
+        if tok[:1] != '"':
+            self.fail("expected a quoted string", expected=("string",))
+        self.pos += 1
+        return tok[1:-1]
 
     def segment(self, suffix: str, base_names) -> tuple | None:
         if suffix not in self.segments:
@@ -341,35 +318,33 @@ class _Parser:
         """The names of a `base` or `fields` statement.  Each name is checked
         at its own token: `_` is reserved for jet tokens, and no name repeats
         one declared before it here or in `taken`."""
-        tok = self.peek()
-        if not (tok.kind == "name" and tok.text == keyword):
-            self.fail(missing, tok, (repr(keyword),))
-        self.next()
+        if self.tokens[self.pos] != keyword:
+            self.fail(missing, expected=(repr(keyword),))
+        self.pos += 1
         names = list(taken)
-        while self.peek().kind == "name":
-            tok = self.next()
-            if "_" in tok.text:
-                self.fail(
-                    f"declared name {tok.text!r} contains '_', which is reserved for jet tokens",
-                    tok,
-                )
-            if tok.text in names:
-                self.fail("chart names must be distinct", tok)
-            names.append(tok.text)
+        while self.tokens[self.pos].isidentifier():
+            name = self.tokens[self.pos]
+            if "_" in name:
+                self.fail(f"declared name {name!r} contains '_', which is reserved for jet tokens")
+            if name in names:
+                self.fail("chart names must be distinct")
+            names.append(name)
+            self.pos += 1
         if len(names) == len(taken):
             self.fail(empty, expected=("name",))
         self.end_statement()
         return tuple(names[len(taken):])
 
     def expect_field(self, fields: dict) -> tuple:
-        """A declared field name: its token and its index in `fields`."""
-        tok = self.expect_name("field name")
-        if tok.text not in fields:
-            raise UndeclaredNameError(f"undeclared field {tok.text!r}", tok.line, tok.col)
-        return tok, fields[tok.text]
+        """A declared field name: its token's index and its index in `fields`."""
+        at = self.expect_name("field name")
+        name = self.tokens[at]
+        if name not in fields:
+            self.fail(f"undeclared field {name!r}", at, error=UndeclaredNameError)
+        return at, fields[name]
 
     def end_statement(self):
-        if self.peek().kind != "eof":
+        if self.tokens[self.pos]:
             self.expect_sym(";")
 
     # -- expressions ---------------------------------------------------------
@@ -379,41 +354,63 @@ class _Parser:
         parses in time linear in N; `- term` hands its sign to the product.
         An integral coefficient, a sum's or a group product's too, is an int."""
         out = dict(self._product(scope).terms)
-        while self.peek().kind in ("+", "-"):
-            sign = -1 if self.next().kind == "-" else 1
-            _add_into(out, self._product(scope, sign).terms.items())
+        while (tok := self.tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            _add_into(out, self._product(scope, -1 if tok == "-" else 1).terms.items())
         return Poly._raw({mono: _exact(c) for mono, c in out.items()})
 
     def _product(self, scope, coeff=1) -> Poly:
         """A product read as one term: numbers multiply into `coeff` (which
         starts as the sign), division by a constant divides it, and names
-        add into the exponents.  Only parenthesised groups are polynomials,
-        multiplied in once the term is built."""
+        add into the exponents.  Names of the scope's map and integers, with
+        their powers, are read in this loop; other factors go through
+        `_factor`.  Only parenthesised groups are polynomials, multiplied in
+        once the term is built."""
+        tokens, known = self.tokens, scope["variables"]
         exps, groups = {}, []
-        coeff *= self._factor(scope, exps, groups)
+        pos = self.pos
         while True:
-            kind = self.peek().kind
-            if kind in ("*", "/"):
-                self.next()
-            elif kind not in ("name", "int", "("):  # nor juxtaposition
-                break
-            if kind == "/":
-                div_tok, names, group = self.peek(), {}, []
-                divisor = self._factor(scope, names, group)
-                if group:
-                    divisor = 0 if group[0].variables() else divisor * group[0].constant_term()
-                if names or not divisor:
-                    self.fail("division is only defined by nonzero rational constants", div_tok)
-                coeff = Fraction(coeff, divisor)
+            tok = tokens[pos]
+            var = known.get(tok)
+            if var is None and not tok.isdigit():
+                self.pos = pos
+                coeff *= self._factor(scope, exps, groups)
+                pos = self.pos
             else:
-                number = self._factor(scope, exps, groups)
-                if number != 1:  # a name leaves a Fraction coefficient as it is
-                    coeff *= number
+                value = var or self._int(pos, "a number")
+                pos += 1
+                k = 1
+                if tokens[pos] == "^":
+                    k = self._int(pos + 1, "a nonnegative integer exponent")
+                    pos += 2
+                if var is None:
+                    coeff *= value**k
+                elif k:
+                    exps[var] = exps.get(var, 0) + k
+            while (tok := tokens[pos]) == "/":
+                self.pos = pos + 1
+                coeff = self._divide(scope, coeff)
+                pos = self.pos
+            if tok == "*":
+                pos += 1
+            elif not (tok.isidentifier() or tok.isdigit() or tok == "("):  # nor juxtaposition
+                break
+        self.pos = pos
         mono = tuple(sorted(exps.items()))
         value = Poly._raw({mono: coeff} if coeff else {})
         for group in groups:
             value = group if value.terms == _ONE else value * group
         return value
+
+    def _divide(self, scope, coeff):
+        """`coeff` divided by the factor after a '/', a nonzero rational constant."""
+        at, names, group = self.pos, {}, []
+        divisor = self._factor(scope, names, group)
+        if group:
+            divisor = 0 if group[0].variables() else divisor * group[0].constant_term()
+        if names or not divisor:
+            self.fail("division is only defined by nonzero rational constants", at)
+        return Fraction(coeff, divisor)
 
     def _factor(self, scope, exps: dict, groups: list):
         """Read one signed factor and its power into a product: a name adds
@@ -421,48 +418,48 @@ class _Parser:
         number the factor multiplies the coefficient by: its sign, times its
         value if it is a number."""
         sign = 1
-        while self.peek().kind in ("+", "-"):
-            if self.next().kind == "-":
+        while (tok := self.tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            if tok == "-":
                 sign = -sign
-        kind = self.peek().kind
-        if kind == "int":
+        number = tok.isdigit()
+        if number:
             value = self.expect_int("a number")
-        elif kind == "name":
+        elif tok.isidentifier():
             value = self._resolve_name(scope)
         else:
             value = self._group(scope)
         k = 1
-        if self.peek().kind == "^":
-            self.next()
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
             k = self.expect_int("a nonnegative integer exponent")
-        if kind == "int":
+        if number:
             return sign * value**k
-        if kind != "name":
+        if isinstance(value, Poly):
             groups.append(value if k == 1 else value**k)
         elif k:
             exps[value] = exps.get(value, 0) + k
         return sign
 
     def _group(self, scope) -> Poly:
-        tok = self.peek()
-        if tok.kind != "(":
-            self.fail("expected an expression", tok, ("number", "name", "'('"))
+        if self.tokens[self.pos] != "(":
+            self.fail("expected an expression", expected=("number", "name", "'('"))
         if self.depth == MAX_PAREN_DEPTH:
-            self.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels", tok)
-        self.next()
+            self.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels")
+        self.pos += 1
         self.depth += 1
         value = self.expr(scope)
         self.expect_sym(")")
         self.depth -= 1
         return value
 
-    def _derivative_call(self, head, scope) -> tuple:
+    def _derivative_call(self, head: int, scope) -> tuple:
         self.expect_sym("(")
         _, i = self.expect_field(scope["fields"])
         self.expect_sym(";")
         counts = [self.expect_int("a derivative count")]
-        while self.peek().kind == ",":
-            self.next()
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             counts.append(self.expect_int("a derivative count"))
         self.expect_sym(")")
         n = len(scope["base"])
@@ -472,52 +469,56 @@ class _Parser:
 
     def _resolve_name(self, scope) -> tuple:
         """The variable a name token, or the d(field; counts) call it opens,
-        stands for."""
-        tok = self.next()
-        name = tok.text
-        base = scope["base"]
-        fields = scope["fields"]
-        call = (name == "d" and self.peek().kind == "("
-                and "d" not in base and "d" not in (fields or ()))
+        stands for.  A jet token's variable joins the scope's map."""
+        at = self.pos
+        name = self.tokens[at]
+        self.pos += 1
+        var = scope["variables"].get(name)
+        if var is not None:
+            return var
+        base, fields = scope["base"], scope["fields"]
+        call = name == "d" and self.tokens[self.pos] == "("  # a declared `d` is in the map
         if fields is None and (call or "_" in name):
-            self.fail("jet variables are not allowed in this expression", tok)
+            self.fail("jet variables are not allowed in this expression", at)
         if call:
-            return self._derivative_call(tok, scope)
-        if "_" in name:
-            head, suffix = name.split("_", 1)
-            if head not in fields:
-                raise UndeclaredNameError(f"undeclared field {head!r}", tok.line, tok.col)
-            if "_" in suffix or not suffix:
-                self.fail(f"malformed jet token {name!r}", tok)
-            counts = self.segment(suffix, base)
-            if counts is None:
-                self.fail(
-                    f"cannot segment derivative suffix {suffix!r} into base coordinates",
-                    tok,
-                )
-            return jet_var(fields[head], counts)
-        if name in base:
-            return base_var(base[name])
-        if fields is not None and name in fields:
-            return jet_var(fields[name], (0,) * len(base))
-        raise UndeclaredNameError(f"undeclared name {name!r}", tok.line, tok.col)
+            return self._derivative_call(at, scope)
+        if "_" not in name:
+            self.fail(f"undeclared name {name!r}", at, error=UndeclaredNameError)
+        head, suffix = name.split("_", 1)
+        if head not in fields:
+            self.fail(f"undeclared field {head!r}", at, error=UndeclaredNameError)
+        if "_" in suffix or not suffix:
+            self.fail(f"malformed jet token {name!r}", at)
+        counts = self.segment(suffix, base)
+        if counts is None:
+            self.fail(f"cannot segment derivative suffix {suffix!r} into base coordinates", at)
+        var = scope["variables"][name] = jet_var(fields[head], counts)
+        return var
 
 
 _STATEMENTS = ("F", "Pi", "density", "title", "note")
 
 
 def _scopes(base_names, field_names) -> tuple:
-    """The name scopes of a chart: base coordinates alone, then base
-    coordinates and fields; each maps a name to its index."""
+    """The name scopes of one parse: base coordinates alone, then base
+    coordinates and fields.  `base` and `fields` map a name to its index,
+    and `variables` maps each name token to its variable: it starts with
+    the declared names, and each jet token joins it when it is first read,
+    so a name is resolved once per parse."""
     base = {name: k for k, name in enumerate(base_names)}
     fields = {name: k for k, name in enumerate(field_names)}
-    return {"base": base, "fields": None}, {"base": base, "fields": fields}
+    coords = {name: base_var(k) for name, k in base.items()}
+    zero = (0,) * len(base)
+    plain = {name: jet_var(k, zero) for name, k in fields.items()}
+    return ({"base": base, "fields": None, "variables": coords},
+            {"base": base, "fields": fields, "variables": {**coords, **plain}})
 
 
 def parse_system(text: str) -> SystemDocument:
     """Parse a system declaration; raises ParseError and relatives with
     positions and, where helpful, an expected-token hint."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
+    tokens = parser.tokens
     base_names = parser.declaration("base", "a system starts with the 'base' declaration",
                                     "at least one base coordinate is required")
     field_names = parser.declaration("fields", "the 'fields' declaration must follow 'base'",
@@ -531,47 +532,44 @@ def parse_system(text: str) -> SystemDocument:
     once = set()  # the density and title statements seen
     expected = tuple(repr(keyword) for keyword in _STATEMENTS)
 
-    while parser.peek().kind != "eof":
-        tok = parser.peek()
-        if tok.kind != "name":
-            parser.fail("expected a statement", tok, expected)
-        keyword = tok.text
+    while keyword := tokens[parser.pos]:
+        at = parser.pos
+        if not keyword.isidentifier():
+            parser.fail("expected a statement", at, expected)
         if keyword not in _STATEMENTS:
-            parser.fail(f"unknown statement {keyword!r}", tok, expected)
-        parser.next()
+            parser.fail(f"unknown statement {keyword!r}", at, expected)
         if keyword in once:
-            raise DuplicateRelationError(f"duplicate {keyword} statement", tok.line, tok.col)
+            parser.fail(f"duplicate {keyword} statement", at, error=DuplicateRelationError)
+        parser.pos += 1
         if keyword in ("density", "title"):
             once.add(keyword)
         if keyword == "density":
             density = parser.expr(base_scope)
             if density.is_zero:
-                parser.fail("the density must be a nonzero polynomial", tok)
+                parser.fail("the density must be a nonzero polynomial", at)
         elif keyword == "title":
             title = parser.expect_string()
         elif keyword == "note":
             notes.append(parser.expect_string())
         else:
             parser.expect_sym("[")
-            name_tok, i = parser.expect_field(full_scope["fields"])
+            name_at, i = parser.expect_field(full_scope["fields"])
             if keyword == "F":
                 parser.expect_sym(",")
-                coord_tok = parser.expect_name("coordinate suffix")
-                counts = parser.segment(coord_tok.text, base_names)
+                coord_at = parser.expect_name("coordinate suffix")
+                coords = tokens[coord_at]
+                counts = parser.segment(coords, base_names)
                 if counts is None:  # a name token is never empty, so neither are its counts
-                    parser.fail(
-                        f"cannot read {coord_tok.text!r} as a run of base coordinates",
-                        coord_tok,
-                    )
+                    parser.fail(f"cannot read {coords!r} as a run of base coordinates", coord_at)
                 key = (i, counts)
-                what = f"flux entry F[{name_tok.text},{coord_tok.text}]"
+                what = f"flux entry F[{tokens[name_at]},{coords}]"
             else:
                 key = (i, (0,) * len(base_names))
-                what = f"source entry Pi[{name_tok.text}]"
+                what = f"source entry Pi[{tokens[name_at]}]"
             parser.expect_sym("]")
             parser.expect_sym("=")
             if key in entries:
-                raise DuplicateRelationError(f"duplicate {what}", name_tok.line, name_tok.col)
+                parser.fail(f"duplicate {what}", name_at, error=DuplicateRelationError)
             entries[key] = parser.expr(full_scope)
         parser.end_statement()
 
@@ -584,17 +582,14 @@ def parse_section(text: str, doc: SystemDocument) -> list:
     """Parse a section file: one 'field = polynomial-in-base-coordinates;'
     statement per declared field."""
     chart = doc.chart
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     scope, full_scope = _scopes(chart.base_names, chart.field_names)
     values = {}
-    while parser.peek().kind != "eof":
-        name_tok, i = parser.expect_field(full_scope["fields"])
+    while parser.tokens[parser.pos]:
+        name_at, i = parser.expect_field(full_scope["fields"])
         if i in values:
-            raise DuplicateRelationError(
-                f"duplicate section entry for {name_tok.text!r}",
-                name_tok.line,
-                name_tok.col,
-            )
+            parser.fail(f"duplicate section entry for {parser.tokens[name_at]!r}", name_at,
+                        error=DuplicateRelationError)
         parser.expect_sym("=")
         values[i] = parser.expr(scope)
         parser.end_statement()
