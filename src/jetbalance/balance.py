@@ -60,7 +60,7 @@ class BalanceSystem:
     at multi-index order k >= 1 counts jet order + k - 1 towards `order`, so
     first-order data keeps the maximal jet order of its polynomials."""
 
-    __slots__ = ("chart", "entries")
+    __slots__ = ("chart", "entries", "order")
 
     def __init__(self, chart: Chart, F: Sequence, Pi: Sequence):
         F = tuple(tuple(row) for row in F)
@@ -98,21 +98,21 @@ class BalanceSystem:
         return cls.from_entries(chart, {(i, counts): p for (_, _, counts, i), p in partials})
 
     def _fill(self, chart: Chart, entries: Mapping) -> None:
-        clean = {}
+        """Check each generator, then the variables of all entries together,
+        each once; the same walk records `order`."""
+        clean, orders, variables = {}, [], set()
         for (i, counts), p in entries.items():
             counts = chart._check_jet(i, counts)  # rejects a generator outside the chart
-            chart.validate_poly(p)
             if not p.is_zero:
                 clean[(i, counts)] = p
+                own = p.variables()
+                variables |= own
+                orders.append((own, max(sum(counts) - 1, 0)))
+        chart.validate_variables(variables)
         self.chart = chart
         self.entries = clean
-
-    @property
-    def order(self) -> int:
-        return max(
-            (p.jet_order() + max(sum(counts) - 1, 0) for (_, counts), p in self.entries.items()),
-            default=0,
-        )
+        # variables rank by derivative order, so an entry's highest one has its jet order
+        self.order = max((var_order(max(own, default=("b", 0))) + k for own, k in orders), default=0)
 
     def flux(self, i: int, mu: int) -> Poly:
         return self.entries.get((i, mi_add(self.chart.zero_index(), mu)), Poly.zero())

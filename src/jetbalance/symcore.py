@@ -673,9 +673,10 @@ class Chart:
                 )
         if self.rho.is_zero:
             raise InvalidSystemError("the volume density must not be the zero polynomial")
-        for var in self.rho.variables():
-            if var[0] != "b" or var[1] >= self.n:
-                raise InvalidSystemError("the volume density may only involve base coordinates")
+        variables = self.rho.variables()
+        self.validate_variables(variables)
+        if any(var[0] != "b" for var in variables):
+            raise InvalidSystemError("the volume density may only involve base coordinates")
 
     @property
     def n(self) -> int:
@@ -717,10 +718,14 @@ class Chart:
             raise InvalidSystemError(f"field index {i} out of range for m={self.m}")
 
     def validate_poly(self, p: Poly) -> None:
-        """Check that every variable of p is a variable of this chart: a base
+        """Check that every variable of p is a variable of this chart."""
+        self.validate_variables(p.variables())
+
+    def validate_variables(self, variables: Iterable[Var]) -> None:
+        """Check that each variable is a variable of this chart: a base
         coordinate ("b", mu) or a jet variable ("j", order, counts, i) whose
         stored order is the sum of its counts, every index an int."""
-        for var in p.variables():
+        for var in variables:
             if len(var) == 2 and var[0] == "b" and type(var[1]) is int:
                 self._check_base(var[1])
             elif (len(var) == 4 and var[0] == "j" and type(var[2]) is tuple

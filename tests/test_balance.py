@@ -803,16 +803,42 @@ class TestSystemConstruction:
         ("j", 0, 0, 0),
         ("j", 0, (0, "a"), 0),
         ("j", 0, (0, 0), "u"),
+        ("b", -1),  # a negative base index, which would print as the last coordinate
     ])
     def test_foreign_variables_rejected(self, chart_tx_u, var):
-        """Every variable of the data is checked against the chart, and a
-        variable that is not one of its variables raises InvalidSystemError."""
+        """Every variable of the data and of the density is checked against
+        the chart, and a variable that is not one of its variables raises
+        InvalidSystemError."""
         p = Poly.variable(var)
         with pytest.raises(InvalidSystemError):
             chart_tx_u.validate_poly(p)
         with pytest.raises(InvalidSystemError):
             BalanceSystem(chart_tx_u, [[p, Poly.zero()]], [Poly.zero()])
+        with pytest.raises(InvalidSystemError):
+            Chart(chart_tx_u.base_names, chart_tx_u.field_names, p)
         chart_tx_u.validate_poly(chart_tx_u.x(1) * chart_tx_u.jet(0, (2, 1)))
+        with pytest.raises(InvalidSystemError, match="only involve base coordinates"):
+            Chart(chart_tx_u.base_names, chart_tx_u.field_names, chart_tx_u.x(1) + chart_tx_u.field(0))
+
+    def test_each_variable_checked_once(self, monkeypatch):
+        """The entries' variables are checked together, each distinct one
+        once however many entries hold it, and `order` is recorded from the
+        same walk: jet order + k - 1 for an entry at multi-index order k."""
+        checked = []
+        validate = Chart.validate_variables
+        monkeypatch.setattr(Chart, "validate_variables",
+                            lambda chart, variables: checked.append(set(variables)) or validate(chart, variables))
+        rng = random.Random(11)
+        chart = Chart(("t", "x"), ("u", "v"))
+        for max_order in (0, 1, 2):
+            entries = {(i, tuple(counts)): random_poly(rng, chart, max_order, 3, 4)
+                       for i in range(chart.m) for counts in multi_indices(chart.n, 3)}
+            checked.clear()
+            bs = BalanceSystem.from_entries(chart, entries)
+            assert checked == [set().union(*(p.variables() for p in entries.values()))]
+            assert bs.order == max(
+                p.jet_order() + max(sum(counts) - 1, 0) for (_, counts), p in bs.entries.items()
+            )
 
     def test_higher_order_entries(self, chart_tx_u):
         """An entry at multi-index order k counts jet order + k - 1, so the
