@@ -18,9 +18,8 @@ polynomial arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .jetforms import Form
 from .symcore import (
@@ -137,15 +136,13 @@ class BalanceSystem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HelmholtzResult:
+class HelmholtzResult(NamedTuple):
     closed: bool
     residual: Form
     lagrangian: Poly | None
 
 
-@dataclass(frozen=True)
-class GodunovReport:
+class GodunovReport(NamedTuple):
     is_zero_order: bool
     flux_symmetric: tuple
     potentials: tuple | None
@@ -154,8 +151,7 @@ class GodunovReport:
     verdict: bool
 
 
-@dataclass(frozen=True)
-class HyperbolicityReport:
+class HyperbolicityReport(NamedTuple):
     matrices: tuple  # per mu: m x m tuple of Poly in (x, y)
     symmetric: tuple
     point: tuple
@@ -164,8 +160,7 @@ class HyperbolicityReport:
     verdict: bool
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     quasi_lagrangian: Poly
     lagrangian_part: Form
     nonlagrangian_part: Form

@@ -46,7 +46,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .balance import (
@@ -625,16 +624,20 @@ def render_system(doc: SystemDocument) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Report:
-    doc: SystemDocument
-    sections: dict = field(default_factory=dict)
-    footnotes: list = field(default_factory=list)
-    has_error: bool = False
+    """The sections and footnotes that one command fills in for a document."""
+
+    def __init__(self, doc: SystemDocument):
+        self.doc = doc
+        self.sections: dict = {}
+        self.footnotes: list = []
+
+    @property
+    def has_error(self) -> bool:
+        return any("error" in section for section in self.sections.values())
 
     def error_section(self, name: str, exc: EngineError) -> None:
         self.sections[name] = {"error": {"code": exc.code, "message": str(exc)}}
-        self.has_error = True
 
 
 def _by_field(chart: Chart, values) -> dict:
@@ -1079,8 +1082,8 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(payload.decode("utf-8"))
-    for name, content in report.sections.items():
-        if isinstance(content.get("error"), dict):
+    for content in report.sections.values():
+        if "error" in content:
             print(f"error[{content['error']['code']}]: {content['error']['message']}", file=sys.stderr)
     return 2 if report.has_error else 0
 

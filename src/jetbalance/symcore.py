@@ -28,7 +28,7 @@ this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
@@ -647,20 +647,15 @@ def _valid_name(name: str) -> bool:
     return name.isascii() and name.isalnum() and name[0].isalpha()
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(namedtuple("Chart", "base_names field_names rho")):
     """A fibred chart: named base coordinates, named field components and a
     polynomial volume density in the base coordinates (default 1)."""
 
-    base_names: tuple
-    field_names: tuple
-    rho: Poly = None  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "base_names", tuple(self.base_names))
-        object.__setattr__(self, "field_names", tuple(self.field_names))
-        if self.rho is None:
-            object.__setattr__(self, "rho", Poly.constant(1))
+    def __new__(cls, base_names, field_names, rho=None):
+        self = super().__new__(cls, tuple(base_names), tuple(field_names),
+                               Poly.constant(1) if rho is None else rho)
         if not self.base_names or not self.field_names:
             raise InvalidSystemError("a chart needs at least one base coordinate and one field")
         names = self.base_names + self.field_names
@@ -677,6 +672,7 @@ class Chart:
         self.validate_variables(variables)
         if any(var[0] != "b" for var in variables):
             raise InvalidSystemError("the volume density may only involve base coordinates")
+        return self
 
     @property
     def n(self) -> int:

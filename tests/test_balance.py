@@ -59,6 +59,30 @@ class TestPublicNames:
         assert not hasattr(jetbalance.balance, name)
 
 
+class TestRecordValues:
+    """Charts and analysis results are immutable values: equal when their
+    fields are equal, hashed by them, and printed field by field."""
+
+    def test_chart_equality_hash_and_default_density(self):
+        chart = Chart(["t", "x"], ["u"])
+        same = Chart(("t", "x"), ("u",))
+        assert chart == same and hash(chart) == hash(same)
+        assert chart.rho == Poly.constant(1)
+        assert repr(chart) == "Chart(base_names=('t', 'x'), field_names=('u',), rho=Poly(1))"
+
+    def test_records_are_immutable(self, chart_tx_u):
+        with pytest.raises(AttributeError):
+            chart_tx_u.rho = Poly.constant(2)
+        result = helmholtz_check(burgers())
+        with pytest.raises(AttributeError):
+            result.closed = not result.closed
+
+    def test_results_compare_by_value(self, chart_tx_uv):
+        bs = random_system(random.Random(23), chart_tx_uv)
+        assert decompose(bs) == decompose(bs)
+        assert godunov_check(bs) == godunov_check(bs)
+
+
 def plasticity() -> BalanceSystem:
     chart = Chart(("xi", "eta"), ("u", "v"))
     u, v = chart.field(0), chart.field(1)

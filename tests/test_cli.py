@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -483,6 +484,23 @@ class TestMain:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.returncode == 0
+
+    def test_import_surface(self):
+        """`import jetbalance.cli` adds none of the modules that `dataclasses`
+        pulls in to a fresh interpreter.  The probe compares against the
+        interpreter's own start-up, so a `site` that preloads modules does
+        not count."""
+        probe = (
+            "import sys; before = set(sys.modules); import jetbalance.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        path = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        added = set(out.split())
+        assert "jetbalance.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 class TestRobustness:
