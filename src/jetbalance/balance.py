@@ -30,7 +30,10 @@ from .symcore import (
     _add_into,
     _bareiss,
     _divide,
+    base_index,
     base_var,
+    is_jet,
+    jet_parts,
     jet_var,
     mi_add,
     mono_mul,
@@ -94,7 +97,7 @@ class BalanceSystem:
         if lagrangian.jet_order() > 1:
             raise InvalidSystemError("Lagrangian-generated systems need jet order <= 1")
         partials = lagrangian.jet_partials().items()
-        return cls.from_entries(chart, {(i, counts): p for (_, _, counts, i), p in partials})
+        return cls.from_entries(chart, {jet_parts(var): p for var, p in partials})
 
     def _fill(self, chart: Chart, entries: Mapping) -> None:
         """Check each generator, then the variables of all entries together,
@@ -111,7 +114,7 @@ class BalanceSystem:
         self.chart = chart
         self.entries = clean
         # variables rank by derivative order, so an entry's highest one has its jet order
-        self.order = max((var_order(max(own, default=("b", 0))) + k for own, k in orders), default=0)
+        self.order = max((var_order(max(own, default=base_var(0))) + k for own, k in orders), default=0)
 
     def flux(self, i: int, mu: int) -> Poly:
         return self.entries.get((i, mi_add(self.chart.zero_index(), mu)), Poly.zero())
@@ -392,7 +395,7 @@ def evaluate_on_section(p: Poly, section: Sequence, chart: Chart) -> Poly:
         raise InvalidSystemError("one section polynomial per field is required")
     for s in section:
         chart.validate_poly(s)
-        if any(v[0] != "b" for v in s.variables()):
+        if any(is_jet(v) for v in s.variables()):
             raise InvalidSystemError("section polynomials may only involve base coordinates")
     cache: dict = {}
 
@@ -406,10 +409,7 @@ def evaluate_on_section(p: Poly, section: Sequence, chart: Chart) -> Poly:
             cache[key] = value
         return cache[key]
 
-    mapping = {}
-    for var in p.variables():
-        if var[0] == "j":
-            mapping[var] = derived(var[3], var[2])
+    mapping = {var: derived(*jet_parts(var)) for var in p.variables() if is_jet(var)}
     return p.substitute(mapping)
 
 
@@ -441,19 +441,19 @@ def _single_antiderivative(chart: Chart, mono: tuple, coeff) -> tuple | None:
     """The first (mu, candidate) of `divergence_split` whose d_mu gives back
     coeff * mono, or None.  Candidates are tried from the highest-ranked w
     down and, for each w, along mu ascending."""
-    jets = [var for var, _ in mono if var[0] == "j"]
+    jets = [var for var, _ in mono if is_jet(var)]
     if len(jets) > 2:  # rest holds a jet variable whatever w and v are
         return None
     rest = mono[: len(mono) - len(jets)]  # the base factors, which rank first
     candidates = sorted(
-        (var for var, e in mono if var[0] == "j" and e == 1 and var_order(var) >= 1), reverse=True)
+        (var for var, e in mono if e == 1 and var_order(var) >= 1), reverse=True)
     for w in candidates:
+        i, counts = jet_parts(w)
         for mu in range(chart.n):
-            if w[2][mu] == 0:
+            if counts[mu] == 0:
                 continue
-            lowered = w[2][:mu] + (w[2][mu] - 1,) + w[2][mu + 1 :]
-            v = jet_var(w[3], lowered)
-            if any(var not in (w, v) for var in jets) or any(var[1] == mu for var, _ in rest):
+            v = jet_var(i, counts[:mu] + (counts[mu] - 1,) + counts[mu + 1 :])
+            if any(var not in (w, v) for var in jets) or any(base_index(var) == mu for var, _ in rest):
                 continue  # d_mu(rest) != 0
             k = dict(mono).get(v, 0)
             candidate = Poly._raw({rest + ((v, k + 1),): _divide(coeff, k + 1)})

@@ -61,8 +61,8 @@ from .balance import (
 )
 from .jetforms import Form, form_latex, form_text, latex_rational, latex_table, poly_latex
 from .symcore import (
-    Chart, EngineError, InvalidSystemError, Poly, TermTable, _ONE, _add_into, _exact, base_var,
-    jet_var, poly_text, suffix,
+    MAX_ORDER, Chart, EngineError, InvalidSystemError, Poly, TermTable, _ONE, _add_into, _exact,
+    base_var, jet_var, poly_text, suffix,
 )
 from .variational import _euler_sum, higher_balance_residuals
 
@@ -308,10 +308,20 @@ class _Parser:
         self.pos += 1
         return tok[1:-1]
 
-    def segment(self, suffix: str, base_names) -> tuple | None:
+    def segment(self, suffix: str, base_names, at: int) -> tuple | None:
+        """The multi-index of the jet suffix or flux coordinates of token
+        `at`, or None if they do not split; an order past the budget fails
+        at the token."""
         if suffix not in self.segments:
             self.segments[suffix] = _segment_suffix(suffix, list(base_names))
-        return self.segments[suffix]
+        counts = self.segments[suffix]
+        if counts is not None:
+            self._check_order(sum(counts), at)
+        return counts
+
+    def _check_order(self, order: int, at: int) -> None:
+        if order > MAX_ORDER:
+            self.fail(f"derivative order {order} exceeds the budget of {MAX_ORDER}", at)
 
     def declaration(self, keyword: str, missing: str, empty: str, taken=()) -> tuple:
         """The names of a `base` or `fields` statement.  Each name is checked
@@ -376,7 +386,7 @@ class _Parser:
                 coeff *= self._factor(scope, exps, groups)
                 pos = self.pos
             else:
-                value = var or self._int(pos, "a number")
+                value = self._int(pos, "a number") if var is None else var
                 pos += 1
                 k = 1
                 if tokens[pos] == "^":
@@ -456,10 +466,13 @@ class _Parser:
         self.expect_sym("(")
         _, i = self.expect_field(scope["fields"])
         self.expect_sym(";")
-        counts = [self.expect_int("a derivative count")]
-        while self.tokens[self.pos] == ",":
-            self.pos += 1
+        counts = []
+        while True:
             counts.append(self.expect_int("a derivative count"))
+            self._check_order(sum(counts), self.pos - 1)
+            if self.tokens[self.pos] != ",":
+                break
+            self.pos += 1
         self.expect_sym(")")
         n = len(scope["base"])
         if len(counts) != n:
@@ -488,7 +501,7 @@ class _Parser:
             self.fail(f"undeclared field {head!r}", at, error=UndeclaredNameError)
         if "_" in suffix or not suffix:
             self.fail(f"malformed jet token {name!r}", at)
-        counts = self.segment(suffix, base)
+        counts = self.segment(suffix, base, at)
         if counts is None:
             self.fail(f"cannot segment derivative suffix {suffix!r} into base coordinates", at)
         var = scope["variables"][name] = jet_var(fields[head], counts)
@@ -557,7 +570,7 @@ def parse_system(text: str) -> SystemDocument:
                 parser.expect_sym(",")
                 coord_at = parser.expect_name("coordinate suffix")
                 coords = tokens[coord_at]
-                counts = parser.segment(coords, base_names)
+                counts = parser.segment(coords, base_names, coord_at)
                 if counts is None:  # a name token is never empty, so neither are its counts
                     parser.fail(f"cannot read {coords!r} as a run of base coordinates", coord_at)
                 key = (i, counts)

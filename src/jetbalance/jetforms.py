@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .symcore import Chart, ChartMismatchError, EngineError, Poly, Var, _add_into, mi_add
-from .symcore import TermTable, poly_text, render_terms, suffix
+from .symcore import TermTable, base_index, is_jet, jet_parts, poly_text, render_terms, suffix
 
 ContactGen = tuple  # (field index, counts)
 Word = tuple  # (hwedge tuple, cwedge tuple)
@@ -240,7 +240,7 @@ class Form:
         for (h, c), coeff in self.terms.items():
             flip = (-1) ** len(h)  # the new generator moves past the dx factors
             for var, dp in coeff.jet_partials().items():
-                merged = _merge_tuples(((var[3], var[2]),), c)
+                merged = _merge_tuples((jet_parts(var),), c)
                 if merged is not None:
                     sign, cw = merged
                     terms.append(((h, cw), dp if sign == flip else -dp))
@@ -283,9 +283,9 @@ class Form:
 
     def contract(self, var: Var) -> "Form":
         """Interior product with the coordinate vertical field of a jet variable."""
-        if var[0] != "j":
+        if not is_jet(var):
             raise InvalidWord("contraction is defined against jet variables only")
-        gen = (var[3], var[2])
+        gen = jet_parts(var)
         out: dict[Word, Poly] = {}  # removing gen from distinct words leaves distinct words
         for (h, c), coeff in self.terms.items():
             try:
@@ -364,10 +364,11 @@ def latex_table(chart: Chart) -> TermTable:
     bases = [_latex_name(b) for b in chart.base_names]
 
     def name(var: Var) -> str:
-        if var[0] == "b":
-            return bases[var[1]]
-        field = _latex_name(chart.field_names[var[3]])
-        return f"{field}_{{{suffix(bases, var[2])}}}" if any(var[2]) else field
+        if not is_jet(var):
+            return bases[base_index(var)]
+        i, counts = jet_parts(var)
+        field = _latex_name(chart.field_names[i])
+        return f"{field}_{{{suffix(bases, counts)}}}" if any(counts) else field
 
     return TermTable(name, "{}^{{{}}}", "\\frac{{{}}}{{{}}}")
 

@@ -1,19 +1,24 @@
 """Exact rational arithmetic on sparse multivariate polynomials over jet coordinates.
 
-Coordinates of a fibred chart with n base coordinates and m field components
-are encoded as plain tuples:
+A coordinate of a fibred chart with n base coordinates and m field
+components is one non-negative int, its code, laid out in 16-bit slots:
 
-* base coordinate  x^mu          -> ("b", mu)
-* field component  y^i           -> ("j", 0, (0, ..., 0), i)
-* jet variable     z^i_Lambda    -> ("j", |Lambda|, counts, i)
+* base coordinate  x^mu          -> mu
+* jet variable     z^i_Lambda    -> the slots 1, |Lambda|, Lambda_1, ..., Lambda_n, i,
+                                    most significant first
 
-where ``counts`` is the derivative multi-index as a length-n tuple of
-naturals (the symmetric multi-index convention: only the number of
-derivatives per coordinate matters, so the representation is canonical) and
-|Lambda| is its sum, the derivative order.  The order is stored so that a
-variable compares as its own rank: plain tuple comparison puts base
-coordinates first ("b" < "j"), by index, then jet variables graded by
-derivative order, multi-index, field.
+where Lambda is the derivative multi-index (the symmetric multi-index
+convention: only the number of derivatives per coordinate matters, so the
+code is canonical) and |Lambda| its sum, the derivative order; a field
+component y^i is the jet variable of the zero multi-index.  The leading 1
+puts every jet variable above every base coordinate, so a code compares as
+its own rank: base coordinates first, by index, then jet variables graded
+by derivative order, multi-index, field.  Every slot stays below 2^16: a
+chart has at most 65536 base coordinates and 65536 fields, and the
+derivative order is at most MAX_ORDER = 65535; `jet_var` and
+`Poly.total_derivative` raise InvalidSystemError past it.  Only this module
+reads the layout; other modules use `is_jet`, `var_order`, `var_field`,
+`jet_parts` and `base_index`.
 
 A monomial is a tuple of (variable, exponent) pairs with positive exponents,
 sorted by that ranking.  A polynomial maps monomials to nonzero exact rational
@@ -65,27 +70,74 @@ class InvalidSystemError(EngineError):
 # variables
 # ---------------------------------------------------------------------------
 
-Var = tuple
+Var = int
 Mono = tuple
+
+_SLOT = 16  # bits per slot of a variable code
+_MASK = (1 << _SLOT) - 1  # the largest slot value; codes above it are jet variables
+MAX_ORDER = _MASK  # the derivative-order budget
 
 
 def base_var(mu: int) -> Var:
-    return ("b", mu)
+    return mu
 
 
 def jet_var(i: int, counts: Iterable[int]) -> Var:
+    """The code of z^i_counts; InvalidSystemError when a slot would not fit."""
     counts = tuple(counts)
-    return ("j", sum(counts), counts, i)
+    order = sum(counts)
+    if order > MAX_ORDER or not 0 <= i <= _MASK or min(counts, default=0) < 0:
+        raise InvalidSystemError(
+            f"jet variable ({i}, {counts}) does not fit: the counts are naturals of sum at "
+            f"most {MAX_ORDER} and the field index is below {_MASK + 1}"
+        )
+    code = 1 << _SLOT | order
+    for c in counts:
+        code = code << _SLOT | c
+    return code << _SLOT | i
+
+
+def is_jet(var: Var) -> bool:
+    return var > _MASK
+
+
+def base_index(var: Var) -> int:
+    """The index mu of the base coordinate x^mu."""
+    return var
+
+
+def var_order(var: Var) -> int:
+    """Derivative order of a variable; 0 for base coordinates and plain fields."""
+    return var >> (var.bit_length() - 1 - _SLOT) & _MASK if var > _MASK else 0
+
+
+def var_field(var: Var) -> int:
+    """The field index i of the jet variable z^i_Lambda."""
+    return var & _MASK
+
+
+def jet_parts(var: Var) -> tuple:
+    """The field index and the multi-index (i, Lambda) of z^i_Lambda."""
+    top = var.bit_length() - 1 - 2 * _SLOT  # the shift of Lambda_1
+    return var & _MASK, tuple(var >> shift & _MASK for shift in range(top, 0, -_SLOT))
+
+
+def _promoted(var: Var, mu: int) -> Var:
+    """z^i_{Lambda+1_mu} from z^i_Lambda: one added constant, read off the
+    code's width, that raises the order slot and the slot of Lambda_mu."""
+    order_shift = var.bit_length() - 1 - _SLOT
+    mu_shift = order_shift - _SLOT * (mu + 1)
+    if var >> order_shift == 1 << _SLOT | MAX_ORDER:
+        raise InvalidSystemError(
+            f"a total derivative would exceed the derivative-order budget of {MAX_ORDER}")
+    if not 0 < mu_shift < order_shift:
+        raise InvalidSystemError(f"base index {mu} out of range for this jet variable")
+    return var + (1 << order_shift) + (1 << mu_shift)
 
 
 def mi_add(counts: tuple, mu: int) -> tuple:
     """Multi-index raised by one derivative along coordinate mu."""
     return counts[:mu] + (counts[mu] + 1,) + counts[mu + 1 :]
-
-
-def var_order(var: Var) -> int:
-    """Derivative order of a variable; 0 for base coordinates and plain fields."""
-    return var[1] if var[0] == "j" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +172,7 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 def mono_vertical_degree(m: Mono) -> int:
     """Total exponent over jet variables; base coordinates do not count."""
-    return sum(e for var, e in m if var[0] == "j")
+    return sum(e for var, e in m if var > _MASK)
 
 
 def mono_jet_order(m: Mono) -> int:
@@ -494,7 +546,7 @@ class Poly:
         parts: dict[Var, dict] = {}
         for mono, coeff in self.terms.items():
             for pos, (v, e) in enumerate(mono):
-                if v[0] == "j":
+                if v > _MASK:
                     head = mono[:pos] + ((v, e - 1),) if e > 1 else mono[:pos]
                     parts.setdefault(v, {})[head + mono[pos + 1 :]] = coeff * e if e > 1 else coeff
         return {v: Poly._raw(t) for v, t in parts.items()}
@@ -503,17 +555,19 @@ class Poly:
         """Total derivative d_mu in one walk over each monomial's factors: x^mu
         is lowered, and a jet factor z^i_Lambda is lowered and multiplied by
         its promotion z^i_{Lambda+1_mu}, built once per call and shared.  The
-        terms are generated into the sum, so no list of them is held."""
+        terms are generated into the sum, so no list of them is held.
+        Raises InvalidSystemError rather than promote a variable whose order
+        is at the budget MAX_ORDER."""
         promoted: dict[Var, Mono] = {}
 
         def derived():
             for mono, coeff in self.terms.items():
                 for pos, (v, e) in enumerate(mono):
-                    if v[0] == "j":
+                    if v > _MASK:
                         up = promoted.get(v)
                         if up is None:
-                            up = promoted[v] = ((jet_var(v[3], mi_add(v[2], mu)), 1),)
-                    elif v[1] == mu:  # the base coordinate x^mu
+                            up = promoted[v] = ((_promoted(v, mu), 1),)
+                    elif v == mu:  # the base coordinate x^mu
                         up = ()
                     else:
                         continue
@@ -658,6 +712,8 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
                                Poly.constant(1) if rho is None else rho)
         if not self.base_names or not self.field_names:
             raise InvalidSystemError("a chart needs at least one base coordinate and one field")
+        if max(len(self.base_names), len(self.field_names)) > _MASK + 1:
+            raise InvalidSystemError(f"a chart has at most {_MASK + 1} base coordinates and fields")
         names = self.base_names + self.field_names
         if len(set(names)) != len(names):
             raise InvalidSystemError("chart names must be distinct")
@@ -670,9 +726,15 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
             raise InvalidSystemError("the volume density must not be the zero polynomial")
         variables = self.rho.variables()
         self.validate_variables(variables)
-        if any(var[0] != "b" for var in variables):
+        if any(var > _MASK for var in variables):
             raise InvalidSystemError("the volume density may only involve base coordinates")
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Chart":
+        """A chart from its three fields through `__new__`; the named tuple's
+        `_replace` calls this, so a replaced chart is checked too."""
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -703,6 +765,9 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
         self._check_field(i)
         if len(counts) != self.n or any(c < 0 for c in counts):
             raise InvalidSystemError(f"multi-index {counts} does not fit a chart with n={self.n}")
+        if sum(counts) > MAX_ORDER:
+            raise InvalidSystemError(
+                f"multi-index {counts} exceeds the derivative-order budget of {MAX_ORDER}")
         return counts
 
     def _check_base(self, mu: int) -> None:
@@ -718,23 +783,29 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
         self.validate_variables(p.variables())
 
     def validate_variables(self, variables: Iterable[Var]) -> None:
-        """Check that each variable is a variable of this chart: a base
-        coordinate ("b", mu) or a jet variable ("j", order, counts, i) whose
-        stored order is the sum of its counts, every index an int."""
+        """Check that each variable is a variable of this chart: an int code,
+        either a base coordinate below n or a jet variable of the width of n
+        multi-index slots whose order slot is the sum of its counts and whose
+        field is below m."""
+        width = _SLOT * (self.n + 2)  # the bit length of a jet variable, less one
         for var in variables:
-            if len(var) == 2 and var[0] == "b" and type(var[1]) is int:
-                self._check_base(var[1])
-            elif (len(var) == 4 and var[0] == "j" and type(var[2]) is tuple
-                  and all(type(k) is int for k in (var[1], var[3], *var[2]))):
-                if var[1] != sum(self._check_jet(var[3], var[2])):
-                    raise InvalidSystemError(f"jet variable {var} stores an order other than |counts|")
+            if type(var) is not int or var < 0:
+                raise InvalidSystemError(f"{var!r} is neither a base coordinate nor a jet variable")
+            if var <= _MASK:
+                self._check_base(var)
+            elif var.bit_length() - 1 != width:
+                raise InvalidSystemError(f"variable code {var:#x} is not a jet variable for n={self.n}")
             else:
-                raise InvalidSystemError(f"{var} is neither a base coordinate nor a jet variable")
+                i, counts = jet_parts(var)
+                if sum(counts) != var_order(var):
+                    raise InvalidSystemError(f"jet variable {var:#x} stores an order other than |Lambda|")
+                self._check_field(i)
 
     def var_name(self, var: Var) -> str:
-        if var[0] == "b":
-            return self.base_names[var[1]]
-        name, counts = self.field_names[var[3]], var[2]
+        if var <= _MASK:
+            return self.base_names[var]
+        i, counts = jet_parts(var)
+        name = self.field_names[i]
         return f"{name}_{suffix(self.base_names, counts)}" if any(counts) else name
 
 
@@ -744,9 +815,9 @@ def suffix(names, counts) -> str:
 
 
 def _generic_name(var: Var) -> str:
-    if var[0] == "b":
-        return f"x{var[1]}"
-    i, counts = var[3], var[2]
+    if var <= _MASK:
+        return f"x{var}"
+    i, counts = jet_parts(var)
     return f"y{i}_d{suffix(map(str, range(len(counts))), counts)}" if any(counts) else f"y{i}"
 
 

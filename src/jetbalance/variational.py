@@ -26,6 +26,7 @@ from .symcore import (
     Poly,
     _ONE,
     _add_into,
+    jet_parts,
     jet_var,
 )
 
@@ -231,7 +232,7 @@ def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:
     its jet partials, expressed against the coordinate volume."""
     chart.validate_poly(lagrangian)
     partials = sorted(lagrangian.jet_partials().items())
-    comps = _euler_sum(chart, (((i, counts), dp) for (_, _, counts, i), dp in partials))
+    comps = _euler_sum(chart, ((jet_parts(var), dp) for var, dp in partials))
     return FunctionalForm._from_components(chart, comps)
 
 

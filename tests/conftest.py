@@ -94,7 +94,7 @@ def random_poly(
         for _ in range(rng.randint(0, max_degree)):
             var = rng.choice(pool)
             exps[var] = exps.get(var, 0) + 1
-        mono = tuple(sorted(exps.items(), key=lambda it: (it[0][0], it[0][1:])))
+        mono = tuple(sorted(exps.items()))
         terms[mono] = terms.get(mono, Fraction(0)) + random_fraction(rng)
     # reorder monomial keys canonically through the constructor
     poly = Poly.zero()

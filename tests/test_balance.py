@@ -34,7 +34,7 @@ from jetbalance import (
     vertical_homotopy,
 )
 from jetbalance.cli import parse_system
-from jetbalance.symcore import jet_var
+from jetbalance.symcore import base_var, is_jet, jet_parts, jet_var
 
 from conftest import CHARTS, density_chart, multi_indices, random_poly, random_system
 
@@ -81,6 +81,17 @@ class TestRecordValues:
         bs = random_system(random.Random(23), chart_tx_uv)
         assert decompose(bs) == decompose(bs)
         assert godunov_check(bs) == godunov_check(bs)
+
+    def test_replace_checks_as_the_constructor(self, chart_tx_u):
+        with pytest.raises(InvalidSystemError, match="zero polynomial"):
+            chart_tx_u._replace(rho=Poly.zero())
+        wider = chart_tx_u._replace(field_names=("u", "v"))
+        assert wider == Chart(("t", "x"), ("u", "v")) and type(wider) is Chart
+
+    def test_make_checks_as_the_constructor(self):
+        with pytest.raises(InvalidSystemError, match="distinct"):
+            Chart._make((("x", "x"), ("u",), Poly.constant(1)))
+        assert Chart._make([["x"], ["u"], None]) == Chart(("x",), ("u",))
 
 
 def plasticity() -> BalanceSystem:
@@ -724,17 +735,19 @@ def _reference_split(chart: Chart, p: Poly) -> tuple:
     for mono, coeff in p.sorted_terms():
         term = Poly({mono: coeff})
         placed = False
+        gens = [jet_parts(var) for var, e in mono if is_jet(var) and e == 1]
         jet_candidates = sorted(
-            (var for var, e in mono if var[0] == "j" and e == 1 and sum(var[2]) >= 1),
-            key=lambda v: (sum(v[2]), v[2], v[3]),
+            (gen for gen in gens if any(gen[1])),
+            key=lambda gen: (sum(gen[1]), gen[1], gen[0]),
             reverse=True,
         )
-        for w in jet_candidates:
+        for i, counts in jet_candidates:
+            w = jet_var(i, counts)
             for mu in range(chart.n):
-                if w[2][mu] == 0:
+                if counts[mu] == 0:
                     continue
-                lowered = w[2][:mu] + (w[2][mu] - 1,) + w[2][mu + 1 :]
-                v = jet_var(w[3], lowered)
+                lowered = counts[:mu] + (counts[mu] - 1,) + counts[mu + 1 :]
+                v = jet_var(i, lowered)
                 exps = dict(mono)
                 exps.pop(w)
                 k = exps.pop(v, 0)
@@ -813,6 +826,7 @@ class TestSystemConstruction:
             BalanceSystem(chart_tx_uv, [[Poly.zero()]], [Poly.zero(), Poly.zero()])
 
     @pytest.mark.parametrize("var", [
+        # tuples in the variable format before int codes, which no chart accepts
         ("j", 1, (-1, 2), 0),  # a negative count
         ("j", 2, (0, 1), 0),  # a stored order other than the sum of the counts
         ("j", 0, (0,), 0),  # a multi-index of the wrong length
@@ -828,10 +842,20 @@ class TestSystemConstruction:
         ("j", 0, (0, "a"), 0),
         ("j", 0, (0, 0), "u"),
         ("b", -1),  # a negative base index, which would print as the last coordinate
+        # ints that are not codes of the chart (n = 2, m = 1)
+        pytest.param(True, id="bool"),
+        pytest.param(-1, id="negative"),
+        pytest.param(base_var(2), id="base-index-past-n"),
+        pytest.param(jet_var(1, (0, 0)), id="field-past-m"),
+        pytest.param(jet_var(0, (1,)), id="narrower-than-n"),
+        pytest.param(jet_var(0, (0, 1, 0)), id="wider-than-n"),
+        pytest.param(1 << 16, id="between-base-and-jet"),
+        # for n = 2 the order slot starts at bit 48
+        pytest.param(jet_var(0, (0, 1)) + (1 << 48), id="order-slot-not-the-sum"),
     ])
     def test_foreign_variables_rejected(self, chart_tx_u, var):
         """Every variable of the data and of the density is checked against
-        the chart, and a variable that is not one of its variables raises
+        the chart, and a variable that is not one of its codes raises
         InvalidSystemError."""
         p = Poly.variable(var)
         with pytest.raises(InvalidSystemError):

@@ -749,6 +749,22 @@ FRONT_END_ERRORS = {
         lambda: parse_system("base t x;\r fields u; F[u,t] = u u_q"),
         "parse", "cannot segment derivative suffix 'q' into base coordinates", 1, 33,
     ),
+    "derivative-count-past-budget": (
+        lambda: parse_system("base t x; fields u; F[u,t] = d(u; 65536, 0);"),
+        "parse", "derivative order 65536 exceeds the budget of 65535", 1, 35,
+    ),
+    "derivative-counts-past-budget": (
+        lambda: parse_system("base t x; fields u; F[u,t] = d(u; 40000, 30000);"),
+        "parse", "derivative order 70000 exceeds the budget of 65535", 1, 42,
+    ),
+    "jet-suffix-past-budget": (
+        lambda: parse_system("base t x; fields u; F[u,t] = u u_" + "x" * 65536 + ";"),
+        "parse", "derivative order 65536 exceeds the budget of 65535", 1, 32,
+    ),
+    "flux-coordinates-past-budget": (
+        lambda: parse_system("base t x; fields u; F[u," + "t" * 65536 + "] = u;"),
+        "parse", "derivative order 65536 exceeds the budget of 65535", 1, 25,
+    ),
     "unknown-command": (
         lambda: run("solve", parse_system(BURGERS)), "invalid-system", "unknown command 'solve'", None, None,
     ),

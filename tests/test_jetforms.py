@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from jetbalance import BidegreeError, Chart, Form, Poly, form_text
-from jetbalance.symcore import base_var, jet_var, mi_add
+from jetbalance.symcore import base_var, is_jet, jet_parts, jet_var, mi_add
 
 from conftest import homogeneous_forms, multi_indices, polys, random_form, random_poly
 
@@ -185,9 +185,9 @@ class TestSignsAgainstInversionCount:
     @pytest.mark.parametrize("seed", range(40))
     def test_d_V(self, seed):
         chart, form, _ = self._forms(seed)
-        pieces = [([(1, (var[3], var[2]))] + _factors(word), coeff.partial(var))
+        pieces = [([(1, jet_parts(var))] + _factors(word), coeff.partial(var))
                   for word, coeff in form.terms.items()
-                  for var in coeff.variables() if var[0] == "j"]
+                  for var in coeff.variables() if is_jet(var)]
         assert form.d_V() == _sorted_form(chart, pieces)
 
     @pytest.mark.parametrize("seed", range(40))
@@ -267,12 +267,13 @@ class TestBicomplexIdentities:
         for mu in range(chart.n):
             naive = naive + Form.dx(chart, mu) * p.partial(base_var(mu))
         for var in p.variables():
-            if var[0] != "j":
+            if not is_jet(var):
                 continue
-            dz = Form.contact(chart, var[3], var[2])
+            i, counts = jet_parts(var)
+            dz = Form.contact(chart, i, counts)
             for nu in range(chart.n):
-                promoted = var[2][:nu] + (var[2][nu] + 1,) + var[2][nu + 1 :]
-                dz = dz + Form.dx(chart, nu) * Poly.variable(jet_var(var[3], promoted))
+                promoted = counts[:nu] + (counts[nu] + 1,) + counts[nu + 1 :]
+                dz = dz + Form.dx(chart, nu) * Poly.variable(jet_var(i, promoted))
             naive = naive + dz * p.partial(var)
         assert f.d() == naive
 

@@ -18,7 +18,9 @@ from fractions import Fraction
 import pytest
 
 from jetbalance import Chart, Poly, euler_lagrange
-from jetbalance.symcore import _affinely_independent, _bareiss, base_var, jet_var
+from jetbalance.symcore import (
+    _affinely_independent, _bareiss, base_index, base_var, is_jet, jet_parts, jet_var,
+)
 
 from conftest import random_poly, variable_pool
 
@@ -201,9 +203,10 @@ def _on_section(p: Poly, xs, fields):
     """p with x^mu -> X_mu and each jet variable z^i_Lambda -> the matching
     derivative of field i."""
     def value(var):
-        if var[0] == "b":
-            return xs[var[1]]
-        return sympy.diff(fields[var[3]], *zip(xs, var[2]))
+        if not is_jet(var):
+            return xs[base_index(var)]
+        i, counts = jet_parts(var)
+        return sympy.diff(fields[i], *zip(xs, counts))
 
     return sympy.expand(_expr(p, value))
 
@@ -248,10 +251,10 @@ def test_euler_lagrange_matches_sympy(chart, order, seed):
     funcs = [sympy.Function(f"u{i}")(*xs) for i in range(chart.m)]
 
     def value(var):  # x^mu -> X_mu, z^i_Lambda -> the derivative of u_i(X)
-        if var[0] == "b":
-            return xs[var[1]]
-        f = funcs[var[3]]
-        return sympy.Derivative(f, *zip(xs, var[2])) if any(var[2]) else f
+        if not is_jet(var):
+            return xs[base_index(var)]
+        i, counts = jet_parts(var)
+        return sympy.Derivative(funcs[i], *zip(xs, counts)) if any(counts) else funcs[i]
 
     ours = euler_lagrange(chart, lagrangian).components()
     expected = euler_equations(_expr(lagrangian, value), funcs, xs)

@@ -16,6 +16,7 @@ from jetbalance import (
     BalanceSystem,
     Chart,
     Form,
+    InvalidSystemError,
     NonIntegrableError,
     Poly,
     balance_form,
@@ -26,9 +27,12 @@ from jetbalance import (
     quasi_lagrangian,
 )
 from jetbalance import cli, jetforms, source_form, symcore, variational
-from jetbalance.symcore import base_var, jet_var, mono_key
+from jetbalance.symcore import (
+    MAX_ORDER, base_index, base_var, is_jet, jet_parts, jet_var, mi_add, mono_key, var_field,
+    var_order,
+)
 
-from conftest import polys, random_poly, random_system, variable_pool
+from conftest import multi_indices, polys, random_poly, random_system
 
 
 class TestArithmetic:
@@ -114,7 +118,7 @@ class TestTotalDerivative:
         for _ in range(30):
             p = random_poly(rng, chart, max_order=2, max_degree=3)
             dp = p.total_derivative(rng.randrange(2))
-            if p.variables() and any(v[0] == "j" for v in p.variables()):
+            if any(is_jet(v) for v in p.variables()):
                 assert dp.jet_order() == p.jet_order() + 1
             else:
                 assert dp.jet_order() == 0
@@ -178,7 +182,7 @@ class TestScaleIntegrate:
                     degree = 0
                     for var, exp in mono:
                         value *= float(point[var]) ** exp
-                        if var[0] == "j":
+                        if is_jet(var):
                             degree += exp
                     total += value * t**degree
                 return total * t**e
@@ -267,11 +271,69 @@ def _unranked_poly(rng: random.Random) -> Poly:
 
 
 def _rebuilt(p: Poly) -> Poly:
-    """p over variable tuples built afresh, none shared with the chart."""
+    """p over variable codes encoded afresh from their parts, none shared
+    with the chart."""
     def var(v):
-        return tuple(tuple(list(x)) if isinstance(x, tuple) else x for x in v)
+        return jet_var(*jet_parts(v)) if is_jet(v) else base_var(base_index(v))
 
     return Poly({tuple((var(v), e) for v, e in mono): c for mono, c in p.terms.items()})
+
+
+class TestVariableCodes:
+    """The accessors read back what `jet_var` and `base_var` packed, a
+    total derivative promotes by the raised multi-index, and the
+    derivative-order budget is enforced where a code is made."""
+
+    @staticmethod
+    def _jets(n: int, m: int):
+        return [(i, counts) for i in range(m) for counts in multi_indices(n, 4)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decoding_gives_the_variable_back(self, n):
+        for mu in range(n):
+            var = base_var(mu)
+            assert not is_jet(var) and base_index(var) == mu and var_order(var) == 0
+        for i, counts in self._jets(n, 3):
+            var = jet_var(i, counts)
+            assert is_jet(var)
+            assert jet_parts(var) == (i, counts)
+            assert (var_field(var), var_order(var)) == (i, sum(counts))
+            assert jet_var(*jet_parts(var)) == var
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_promotion_is_the_raised_multi_index(self, n):
+        for i, counts in self._jets(n, 3):
+            p = Poly.variable(jet_var(i, counts))
+            for mu in range(n):
+                assert p.total_derivative(mu) == Poly.variable(jet_var(i, mi_add(counts, mu)))
+
+    def test_total_derivative_stops_at_the_budget(self):
+        top = Poly.variable(jet_var(0, (MAX_ORDER - 1, 0)))
+        assert var_order(max(top.total_derivative(1).variables())) == MAX_ORDER
+        at_budget = Poly.variable(jet_var(1, (0, MAX_ORDER)))
+        for mu in (0, 1):
+            with pytest.raises(InvalidSystemError, match="derivative-order budget of 65535"):
+                at_budget.total_derivative(mu)
+
+    @pytest.mark.parametrize("i,counts", [
+        (0, (MAX_ORDER + 1,)),
+        (0, (MAX_ORDER, 1)),
+        (MAX_ORDER + 1, (0,)),
+        (-1, (0,)),
+        (0, (2, -1)),
+    ])
+    def test_jet_var_refuses_a_slot_that_does_not_fit(self, i, counts):
+        with pytest.raises(InvalidSystemError):
+            jet_var(i, counts)
+
+    def test_chart_refuses_what_a_slot_cannot_hold(self):
+        chart = Chart(("t", "x"), ("u",))
+        with pytest.raises(InvalidSystemError, match="derivative-order budget"):
+            chart.jet(0, (MAX_ORDER, 1))
+        with pytest.raises(InvalidSystemError, match="derivative-order budget"):
+            BalanceSystem.from_entries(chart, {(0, (MAX_ORDER + 1, 0)): chart.field(0)})
+        with pytest.raises(InvalidSystemError, match="at most 65536 base coordinates and fields"):
+            Chart([f"x{k}" for k in range(MAX_ORDER + 2)], ("u",))
 
 
 class TestOrderKey:
@@ -297,19 +359,20 @@ class TestOrderKey:
         assert p.sorted_terms() == self._reference_sort(p)
 
     def test_variables_sort_by_rank(self):
-        """Plain tuple comparison is the canonical ranking: base coordinates
-        by index, then jet variables by derivative order, multi-index and
-        field."""
-        def rank(var):
-            if var[0] == "b":
-                return (0, var[1], (), 0)
-            _, _, counts, i = var
-            return (1, sum(counts), counts, i)
-
-        pool = variable_pool(TOP_RUNG, 3)
-        random.Random(0).shuffle(pool)
-        assert len({rank(var) for var in pool}) == len(pool) == 3 + 3 * 20  # 20 multi-indices of order <= 3
-        assert sorted(pool) == sorted(pool, key=rank)
+        """Codes compare as the canonical ranking, stated here as one tuple
+        per variable: base coordinates by index, then jet variables by
+        derivative order, multi-index and field.  Every variable of order
+        <= 4 for n = 1..4 and m = 1..3."""
+        rng = random.Random(0)
+        for n in range(1, 5):
+            for m in range(1, 4):
+                rank = {base_var(mu): (0, mu, (), 0) for mu in range(n)}
+                rank.update({jet_var(i, counts): (1, sum(counts), counts, i)
+                             for i in range(m) for counts in multi_indices(n, 4)})
+                assert len(rank) == n + m * comb(n + 4, 4)
+                pool = list(rank)
+                rng.shuffle(pool)
+                assert sorted(pool) == sorted(pool, key=rank.get)
 
     @pytest.mark.parametrize("cold", [False, True])
     @pytest.mark.parametrize("seed", range(8))
@@ -702,9 +765,9 @@ class TestWorkCounts:
         # the per-variable differential called partial once for every variable
         assert partials == []
         monkeypatch.undo()
-        jets = [var for var in p.variables() if var[0] == "j"]
+        jets = [var for var in p.variables() if is_jet(var)]
         assert len(jets) > 1
-        assert dv.terms == {((), ((var[3], var[2]),)): p.partial(var) for var in jets}
+        assert dv.terms == {((), (jet_parts(var),)): p.partial(var) for var in jets}
 
     def test_render_names_each_factor_once(self, monkeypatch, chart_tx_uv):
         """The renderers name each distinct (variable, exponent) factor of a
@@ -713,7 +776,7 @@ class TestWorkCounts:
         p = (c.field(0) + c.jet(0, (0, 1)) + c.jet(1, (1, 0)) + c.x(1) + 1) ** 5
         occurrences = [factor for mono in p.terms for factor in mono]
         distinct = set(occurrences)
-        jet_factors = {factor for factor in distinct if factor[0][0] == "j"}
+        jet_factors = {factor for factor in distinct if is_jet(factor[0])}
         assert len(distinct) * 10 < len(occurrences)
         text_names, latex_names = [], []
         var_name, latex_name = Chart.var_name, jetforms._latex_name
