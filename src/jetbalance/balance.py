@@ -7,13 +7,13 @@ system's contact encoding is the (n,1)-form
     sum_i ( sum_mu F[i][mu] w(z^i_mu) + Pi[i] w(y^i) ) ^ eta,
 
 whose interior Euler image reproduces the equations.  The data is one map
-from contact generators (i, multi-index) to coefficients, each source at the
-zero multi-index; entries at higher multi-indices extend the same encoding to
-higher-order flux data.  Every residual and source component is reported
-density-multiplied: with volume density rho the equation for field i reads
-d_mu(F[i][mu] rho) = Pi[i] rho,  which equals rho times the classical
-statement with logarithmic-derivative terms, but stays inside exact
-polynomial arithmetic.
+from contact generators, each the code of its jet variable z^i_Lambda, to
+coefficients, each source at the zero multi-index; entries at higher
+multi-indices extend the same encoding to higher-order flux data.  Every
+residual and source component is reported density-multiplied: with volume
+density rho the equation for field i reads d_mu(F[i][mu] rho) = Pi[i] rho,
+which equals rho times the classical statement with logarithmic-derivative
+terms, but stays inside exact polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -22,30 +22,11 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .jetforms import Form
-from .symcore import (
-    Chart,
-    EngineError,
-    InvalidSystemError,
-    Poly,
-    _add_into,
-    _bareiss,
-    _divide,
-    base_index,
-    base_var,
-    is_jet,
-    jet_parts,
-    jet_var,
-    mi_add,
-    mono_mul,
-    var_order,
-)
-from .variational import (
-    FunctionalForm,
-    _euler_sum,
-    euler_lagrange,
-    higher_balance_residuals,
-    interior_euler,
-)
+from .symcore import Chart, EngineError, InvalidSystemError, Poly, _add_into, _bareiss, _divide
+from .symcore import _promoted, _rational, base_index, base_var, is_jet, jet_parts, jet_var
+from .symcore import mono_mul, var_order
+from .variational import FunctionalForm, _euler_sum, euler_lagrange
+from .variational import higher_balance_residuals, interior_euler
 
 
 class OrderTooHighError(EngineError):
@@ -56,11 +37,14 @@ class OrderTooHighError(EngineError):
 
 class BalanceSystem:
     """Chart plus the system data, one map `entries` from contact generators
-    (field, multi-index) to nonzero polynomials: each source Pi[i] at the
-    zero multi-index and each flux F[i][mu] at the unit multi-index along mu;
+    to nonzero polynomials, each generator keyed by the code of its jet
+    variable z^i_Lambda (see `symcore`): each source Pi[i] at the zero
+    multi-index and each flux F[i][mu] at the unit multi-index along mu;
     entries at higher multi-indices carry higher-order flux data.  An entry
     at multi-index order k >= 1 counts jet order + k - 1 towards `order`, so
-    first-order data keeps the maximal jet order of its polynomials."""
+    first-order data keeps the maximal jet order of its polynomials.  A
+    caller names generators as (field, multi-index) pairs in
+    `from_entries` only."""
 
     __slots__ = ("chart", "entries", "order")
 
@@ -73,12 +57,12 @@ class BalanceSystem:
             )
         if len(Pi) != chart.m:
             raise InvalidSystemError(f"one source polynomial per field is required (m={chart.m})")
-        zero = chart.zero_index()
         entries = {}
         for i, row in enumerate(F):
-            entries[(i, zero)] = Pi[i]
+            field = jet_var(i, chart._check_jet(i, chart.zero_index()))
+            entries[field] = Pi[i]
             for mu, flux in enumerate(row):
-                entries[(i, mi_add(zero, mu))] = flux
+                entries[_promoted(field, mu)] = flux
         self._fill(chart, entries)
 
     @classmethod
@@ -86,7 +70,8 @@ class BalanceSystem:
         """A system of any order from its (field, multi-index) -> polynomial
         map; zero entries are dropped."""
         bs = cls.__new__(cls)
-        bs._fill(chart, entries)
+        bs._fill(chart, {jet_var(i, chart._check_jet(i, counts)): p
+                         for (i, counts), p in entries.items()})
         return bs
 
     @classmethod
@@ -96,20 +81,21 @@ class BalanceSystem:
         derivative partials and the sources the field partials."""
         if lagrangian.jet_order() > 1:
             raise InvalidSystemError("Lagrangian-generated systems need jet order <= 1")
-        partials = lagrangian.jet_partials().items()
-        return cls.from_entries(chart, {jet_parts(var): p for var, p in partials})
+        bs = cls.__new__(cls)
+        bs._fill(chart, lagrangian.jet_partials())
+        return bs
 
     def _fill(self, chart: Chart, entries: Mapping) -> None:
-        """Check each generator, then the variables of all entries together,
-        each once; the same walk records `order`."""
-        clean, orders, variables = {}, [], set()
-        for (i, counts), p in entries.items():
-            counts = chart._check_jet(i, counts)  # rejects a generator outside the chart
+        """Keep the nonzero entries of a code -> polynomial map and check the
+        generators and the variables of all entries together, each once; the
+        same walk records `order`."""
+        clean, orders, variables = {}, [], set(entries)
+        for var, p in entries.items():
             if not p.is_zero:
-                clean[(i, counts)] = p
+                clean[var] = p
                 own = p.variables()
                 variables |= own
-                orders.append((own, max(sum(counts) - 1, 0)))
+                orders.append((own, max(var_order(var) - 1, 0)))
         chart.validate_variables(variables)
         self.chart = chart
         self.entries = clean
@@ -117,10 +103,10 @@ class BalanceSystem:
         self.order = max((var_order(max(own, default=base_var(0))) + k for own, k in orders), default=0)
 
     def flux(self, i: int, mu: int) -> Poly:
-        return self.entries.get((i, mi_add(self.chart.zero_index(), mu)), Poly.zero())
+        return self.entries.get(_promoted(jet_var(i, self.chart.zero_index()), mu), Poly.zero())
 
     def source(self, i: int) -> Poly:
-        return self.entries.get((i, self.chart.zero_index()), Poly.zero())
+        return self.entries.get(jet_var(i, self.chart.zero_index()), Poly.zero())
 
     @property
     def F(self) -> tuple:
@@ -183,7 +169,7 @@ class DecompositionReport(NamedTuple):
 def balance_form(bs: BalanceSystem) -> Form:
     """The (n,1)-form carrying the whole system against the volume form."""
     chart = bs.chart
-    words = {((), (gen,)): p for gen, p in bs.entries.items()}  # one word per entry
+    words = {((), (var,)): p for var, p in bs.entries.items()}  # one word per entry
     return Form._raw(chart, words).wedge(Form.volume(chart))
 
 
@@ -205,8 +191,8 @@ def pairing_polynomial(bs: BalanceSystem) -> Poly:
     entry times the jet variable of its generator, so for first-order data
     sum_i y^i Pi_i + sum_{i,mu} z^i_mu F[i][mu], added in one term dict."""
     total: dict = {}
-    for (i, counts), p in bs.entries.items():
-        _add_into(total, _shifted(jet_var(i, counts), p))
+    for var, p in bs.entries.items():
+        _add_into(total, _shifted(var, p))
     return Poly._raw(total)
 
 
@@ -277,17 +263,15 @@ def _symmetric(m: int, entry) -> bool:
     return all(entry(i, k) == entry(k, i) for i in range(m) for k in range(i + 1, m))
 
 
-def _field_pairing(bs: BalanceSystem, counts: tuple) -> Poly:
-    """sum_i y^i times the entry of field i at multi-index `counts`, added in
-    one term dict: the source pairing at the zero multi-index, the pairing
-    of a flux column at a unit one."""
-    chart = bs.chart
-    zero = chart.zero_index()
+def _field_pairing(bs: BalanceSystem, fields: list, gens: list) -> Poly:
+    """sum_i y^i times the entry of generator gens[i], y^i = fields[i], added
+    in one term dict: the source pairing at the fields themselves, the
+    pairing of a flux column at their promotions."""
     total: dict = {}
-    for i in range(chart.m):
-        entry = bs.entries.get((i, counts))
+    for y, gen in zip(fields, gens):
+        entry = bs.entries.get(gen)
         if entry is not None:
-            _add_into(total, _shifted(jet_var(i, zero), entry))
+            _add_into(total, _shifted(y, entry))
     return Poly._raw(total)
 
 
@@ -307,14 +291,15 @@ def godunov_check(bs: BalanceSystem) -> GodunovReport:
         _symmetric(chart.m, lambda i, k: bs.flux(i, mu).partial(fields[k]))
         for mu in range(chart.n)
     )
-    pairing = _field_pairing(bs, zero)
+    pairing = _field_pairing(bs, fields, fields)
     pairing_constant = Fraction(0) if pairing.is_zero else None
     zero_order = bs.order == 0
     potentials = None
     if zero_order and all(symmetric):
         pots = []
         for mu in range(chart.n):
-            pot = _field_pairing(bs, mi_add(zero, mu)).scale_integrate(-1)
+            column = [_promoted(y, mu) for y in fields]
+            pot = _field_pairing(bs, fields, column).scale_integrate(-1)
             if any(pot.partial(y) != bs.flux(i, mu) for i, y in enumerate(fields)):
                 raise EngineError("potential recovery failed on a symmetric flux column")
             pots.append(pot)
@@ -344,7 +329,7 @@ def symmetric_hyperbolicity(bs: BalanceSystem, point: Sequence) -> Hyperbolicity
         raise OrderTooHighError(
             f"symmetric hyperbolicity is defined for zero-order systems; this one has order {bs.order}"
         )
-    point = tuple(Fraction(v) for v in point)
+    point = tuple(Fraction(_rational(v)) for v in point)
     if len(point) != chart.n + chart.m:
         raise InvalidSystemError(
             f"evaluation point needs {chart.n + chart.m} rational coordinates (base then fields)"

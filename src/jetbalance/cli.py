@@ -62,7 +62,7 @@ from .balance import (
 from .jetforms import Form, form_latex, form_text, latex_rational, latex_table, poly_latex
 from .symcore import (
     MAX_ORDER, Chart, EngineError, InvalidSystemError, Poly, TermTable, _ONE, _add_into, _exact,
-    base_var, jet_var, poly_text, suffix,
+    base_var, jet_parts, jet_var, poly_text, suffix, var_field, var_order,
 )
 from .variational import _euler_sum, higher_balance_residuals
 
@@ -204,15 +204,16 @@ class SystemDocument(BalanceSystem):
 
     @property
     def fluxes(self) -> dict:
-        return {(i, counts): p for (i, counts), p in self.entries.items() if any(counts)}
+        """The flux entries keyed by (field, multi-index), in that order."""
+        return dict(sorted((jet_parts(var), p) for var, p in self.entries.items() if var_order(var)))
 
     @property
     def sources(self) -> dict:
-        return {i: p for (i, counts), p in self.entries.items() if not any(counts)}
+        return {var_field(var): p for var, p in self.entries.items() if not var_order(var)}
 
     @property
     def has_higher_entries(self) -> bool:
-        return any(sum(counts) > 1 for _, counts in self.entries)
+        return any(var_order(var) > 1 for var in self.entries)
 
     def to_balance_system(self) -> BalanceSystem:
         if self.has_higher_entries:
@@ -622,7 +623,7 @@ def render_system(doc: SystemDocument) -> str:
         lines.append(f'title "{doc.title}";')
     for note in doc.notes:
         lines.append(f'note "{note}";')
-    for (i, counts), p in sorted(doc.fluxes.items()):
+    for (i, counts), p in doc.fluxes.items():
         lines.append(
             f"F[{chart.field_names[i]},{suffix(chart.base_names, counts)}] = "
             f"{poly_text(p, chart, table)};"
@@ -952,7 +953,7 @@ def _lines(report: Report, fmt: str, table: TermTable):
 def _system_summary(doc: SystemDocument, table: TermTable) -> dict:
     chart = doc.chart
     fluxes = {name: {} for name in chart.field_names}
-    for (i, counts), p in sorted(doc.fluxes.items()):
+    for (i, counts), p in doc.fluxes.items():
         fluxes[chart.field_names[i]][suffix(chart.base_names, counts)] = poly_text(p, chart, table)
     return {
         "title": doc.title,

@@ -4,15 +4,18 @@ A form is a finite map from basis wedge words to polynomial coefficients.
 A word is a pair (hwedge, cwedge):
 
 * hwedge: strictly increasing tuple of base indices, the dx^mu factors;
-* cwedge: strictly increasing tuple of contact generators (i, counts),
-  each standing for the contact one-form attached to the jet variable
-  z^i_counts (the form dz - z dx that vanishes on prolonged sections).
+* cwedge: strictly increasing tuple of jet-variable codes (see `symcore`),
+  each standing for the contact one-form attached to its jet variable
+  z^i_Lambda (the form dz - z dx that vanishes on prolonged sections).
 
 The factor order inside a word is horizontal first, then contact generators
-ascending; all antisymmetry signs are normalized into the coefficient at
+by code; all antisymmetry signs are normalized into the coefficient at
 construction, so equality of forms is map comparison.  The bidegree of a
 word is (len(hwedge), len(cwedge)); a Form may mix bidegrees (needed to hold
 d = d_H + d_V results), and homogeneous pieces are exposed by accessors.
+A caller names a generator as (field, multi-index) only in `Form.contact`.
+The renderers print a word's generators by field, then multi-index, with
+the sign of that reordering taken into the printed coefficient.
 
 The metric volume form eta = rho dx^1 ^ ... ^ dx^n stays a symbol: a form
 carries one marker, and a marked form is the chart density rho times its
@@ -28,10 +31,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
-from .symcore import Chart, ChartMismatchError, EngineError, Poly, Var, _add_into, mi_add
-from .symcore import TermTable, base_index, is_jet, jet_parts, poly_text, render_terms, suffix
+from .symcore import Chart, ChartMismatchError, EngineError, InvalidSystemError, Poly, Var
+from .symcore import TermTable, _add_into, _promoted, base_index, is_jet, jet_parts, jet_var
+from .symcore import poly_text, render_terms, suffix
 
-ContactGen = tuple  # (field index, counts)
 Word = tuple  # (hwedge tuple, cwedge tuple)
 
 
@@ -62,11 +65,12 @@ class Form:
             not 0 <= mu < chart.n for mu in hwedge
         ):
             raise InvalidWord(f"horizontal word {hwedge} is not a strict subset of the chart")
-        if list(cwedge) != sorted(set(cwedge)):
-            raise InvalidWord(f"contact word {cwedge} is not strictly increasing")
-        for i, counts in cwedge:
-            if not 0 <= i < chart.m or len(counts) != chart.n:
-                raise InvalidWord(f"contact generator ({i}, {counts}) does not fit the chart")
+        try:
+            chart.validate_variables(cwedge)  # ints only, so the comparisons below hold
+        except InvalidSystemError as exc:
+            raise InvalidWord(f"contact word {cwedge} does not fit the chart: {exc}") from None
+        if not all(map(is_jet, cwedge)) or list(cwedge) != sorted(set(cwedge)):
+            raise InvalidWord(f"contact word {cwedge} is not a strictly increasing tuple of jet variables")
 
     # -- constructors ---------------------------------------------------------
 
@@ -88,11 +92,8 @@ class Form:
     @classmethod
     def contact(cls, chart: Chart, i: int, counts=None) -> "Form":
         """The basic contact one-form for field i and multi-index counts."""
-        counts = chart.zero_index() if counts is None else tuple(counts)
-        chart._check_field(i)
-        if len(counts) != chart.n:
-            raise InvalidWord(f"multi-index {counts} does not fit the chart")
-        return cls(chart, {((), ((i, counts),)): Poly.constant(1)})
+        counts = chart._check_jet(i, chart.zero_index() if counts is None else counts)
+        return cls._raw(chart, {((), (jet_var(i, counts),)): Poly.constant(1)})
 
     @classmethod
     def volume(cls, chart: Chart) -> "Form":
@@ -240,7 +241,7 @@ class Form:
         for (h, c), coeff in self.terms.items():
             flip = (-1) ** len(h)  # the new generator moves past the dx factors
             for var, dp in coeff.jet_partials().items():
-                merged = _merge_tuples((jet_parts(var),), c)
+                merged = _merge_tuples((var,), c)
                 if merged is not None:
                     sign, cw = merged
                     terms.append(((h, cw), dp if sign == flip else -dp))
@@ -248,7 +249,7 @@ class Form:
 
     def total_derivative(self, mu: int) -> "Form":
         """d_mu as a derivation on forms: total derivative of coefficients,
-        dx^nu -> 0, contact generator (i, counts) -> (i, counts + 1_mu).
+        dx^nu -> 0, contact generator z^i_Lambda -> z^i_{Lambda+1_mu}.
         rho is multiplied in first, since d_mu(rho p) is not rho d_mu(p)."""
         self.chart._check_base(mu)
         terms = []
@@ -256,9 +257,9 @@ class Form:
             derived = coeff.total_derivative(mu)
             if derived:
                 terms.append(((h, c), derived))
-            for q, (i, counts) in enumerate(c):
+            for q, var in enumerate(c):
                 # generator q leaves its place (sign (-1)^q), its promotion merges back in
-                merged = _merge_tuples(((i, mi_add(counts, mu)),), c[:q] + c[q + 1 :])
+                merged = _merge_tuples((_promoted(var, mu),), c[:q] + c[q + 1 :])
                 if merged is not None:
                     sign, cw = merged
                     terms.append(((h, cw), coeff if sign == (-1) ** q else -coeff))
@@ -285,11 +286,10 @@ class Form:
         """Interior product with the coordinate vertical field of a jet variable."""
         if not is_jet(var):
             raise InvalidWord("contraction is defined against jet variables only")
-        gen = jet_parts(var)
-        out: dict[Word, Poly] = {}  # removing gen from distinct words leaves distinct words
+        out: dict[Word, Poly] = {}  # removing var from distinct words leaves distinct words
         for (h, c), coeff in self.terms.items():
             try:
-                q = c.index(gen)
+                q = c.index(var)
             except ValueError:
                 continue
             out[(h, c[:q] + c[q + 1 :])] = -coeff if (len(h) + q) % 2 else coeff
@@ -304,8 +304,9 @@ def _merge_tuples(a: tuple, b: tuple):
     """Merge strictly increasing tuples, tracking the permutation sign.
 
     Returns (sign, merged) or None when the tuples share an item.  This is
-    every signed insertion of the form algebra: the wedge of two words, and
-    one new or promoted factor merged into a word.
+    every signed insertion of the form algebra: the wedge of two words, one
+    new or promoted factor merged into a word, and the renderers' reordering
+    of a word's generators.
     """
     if not a:
         return 1, b
@@ -341,9 +342,15 @@ _GREEK = {
 }
 
 
-def _word_key(word: Word):
-    h, c = word
-    return (len(h) + len(c), len(c), h, c)
+def _printed(c: tuple) -> tuple:
+    """The generators of a contact word as (field, multi-index) pairs in
+    print order, each merged into those before it, and the sign of that
+    reordering."""
+    sign, gens = 1, ()
+    for var in c:
+        s, gens = _merge_tuples(gens, (jet_parts(var),))
+        sign *= s
+    return sign, gens
 
 
 def _latex_name(name: str) -> str:
@@ -403,21 +410,25 @@ def _render_form(form: Form, notation: _Notation, poly, table: TermTable) -> str
     form, a top horizontal word whose coefficient the density divides prints
     the quotient against the volume symbol in place of the dx factors (eta
     detection).  Coefficients +-1 print as a sign, and a function word
-    prints as its bare coefficient."""
+    prints as its bare coefficient.  A word's generators print by field,
+    then multi-index, and words of one degree sort by those factors."""
     if form.is_zero:
         return "0"
     chart = form.chart
     bases = [notation.name(b) for b in chart.base_names]
     top = tuple(range(chart.n))
+    words = []
+    for (h, c), coeff in form.terms.items():
+        sign, gens = _printed(c)
+        words.append(((len(h) + len(c), len(c), h, gens), coeff if sign == 1 else -coeff))
     pieces = []
-    for word in sorted(form.terms, key=_word_key):
-        (h, c), coeff = word, form.terms[word]
+    for (_, _, h, gens), coeff in sorted(words):  # distinct words have distinct keys
         quotient = (coeff if form.marked else coeff.div_exact(chart.rho)) if h == top else None
         if quotient is None:
             factors, volume = [f"d{bases[mu]}" for mu in h], []
         else:
             coeff, factors, volume = quotient, [], [notation.volume]
-        for i, counts in c:
+        for i, counts in gens:
             sub = notation.subscript.format(suffix(bases, counts)) if any(counts) else ""
             factors.append(notation.contact.format(notation.name(chart.field_names[i]), sub))
         basis = notation.wedge.join(factors + volume)

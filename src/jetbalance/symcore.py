@@ -18,7 +18,7 @@ chart has at most 65536 base coordinates and 65536 fields, and the
 derivative order is at most MAX_ORDER = 65535; `jet_var` and
 `Poly.total_derivative` raise InvalidSystemError past it.  Only this module
 reads the layout; other modules use `is_jet`, `var_order`, `var_field`,
-`jet_parts` and `base_index`.
+`jet_parts`, `base_index` and `_promoted`.
 
 A monomial is a tuple of (variable, exponent) pairs with positive exponents,
 sorted by that ranking.  A polynomial maps monomials to nonzero exact rational
@@ -28,7 +28,8 @@ side by side, as in sympy.polys): every constructor, division and scaling
 stores an integral value as an int, and sums and products follow Python's
 exact mixed int/Fraction arithmetic.  Fraction(3) == 3 with equal hashes, so
 equality does not see the type.  No floating point enters any computation in
-this package.
+this package: a coefficient or a point value given as anything but an int
+or a Fraction raises InvalidSystemError.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def var_field(var: Var) -> int:
 def jet_parts(var: Var) -> tuple:
     """The field index and the multi-index (i, Lambda) of z^i_Lambda."""
     top = var.bit_length() - 1 - 2 * _SLOT  # the shift of Lambda_1
-    return var & _MASK, tuple(var >> shift & _MASK for shift in range(top, 0, -_SLOT))
+    return var & _MASK, tuple([var >> shift & _MASK for shift in range(top, 0, -_SLOT)])
 
 
 def _promoted(var: Var, mu: int) -> Var:
@@ -133,11 +134,6 @@ def _promoted(var: Var, mu: int) -> Var:
     if not 0 < mu_shift < order_shift:
         raise InvalidSystemError(f"base index {mu} out of range for this jet variable")
     return var + (1 << order_shift) + (1 << mu_shift)
-
-
-def mi_add(counts: tuple, mu: int) -> tuple:
-    """Multi-index raised by one derivative along coordinate mu."""
-    return counts[:mu] + (counts[mu] + 1,) + counts[mu + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +217,16 @@ def _canonical(mono) -> Mono:
 def _exact(c):
     """An integral rational as an int; any other stays a Fraction."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _rational(value):
+    """An int or a Fraction as stored, an integral one as an int;
+    InvalidSystemError for any other value (a float or a string included)."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return _exact(value)
+    raise InvalidSystemError(f"{value!r} is not an exact rational: use an int or a Fraction")
 
 
 def _divide(c, d: int):
@@ -356,8 +362,7 @@ class Poly:
         rank, repeated variables merged, zero exponents dropped."""
         self.terms: dict[Mono, int | Fraction] = {}
         if terms:
-            exact = ((mono, c if type(c) is int else _exact(Fraction(c)))
-                     for mono, c in terms.items())
+            exact = ((mono, _rational(c)) for mono, c in terms.items())
             _add_into(self.terms, ((_canonical(mono), c) for mono, c in exact if c))
 
     # -- constructors ------------------------------------------------------
@@ -376,7 +381,7 @@ class Poly:
 
     @classmethod
     def constant(cls, value: Fraction | int) -> "Poly":
-        c = value if type(value) is int else _exact(Fraction(value))
+        c = _rational(value)
         return cls._raw({(): c} if c else {})
 
     @classmethod
@@ -636,7 +641,7 @@ class Poly:
         for mono, coeff in self.terms.items():
             value = coeff
             for var, e in mono:
-                value *= Fraction(assignment[var]) ** e
+                value *= _rational(assignment[var]) ** e
             total += value
         return total
 
@@ -760,10 +765,11 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
         return Poly.variable(jet_var(i, self._check_jet(i, counts)))
 
     def _check_jet(self, i: int, counts: Iterable[int]) -> tuple:
-        """The multi-index as a tuple, once field i and it fit the chart."""
+        """The multi-index as a tuple, once field i and it fit the chart: the
+        one check of a generator (i, counts) that a caller names."""
         counts = tuple(counts)
         self._check_field(i)
-        if len(counts) != self.n or any(c < 0 for c in counts):
+        if len(counts) != self.n or any(type(c) is not int or c < 0 for c in counts):
             raise InvalidSystemError(f"multi-index {counts} does not fit a chart with n={self.n}")
         if sum(counts) > MAX_ORDER:
             raise InvalidSystemError(
@@ -771,12 +777,12 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
         return counts
 
     def _check_base(self, mu: int) -> None:
-        if not 0 <= mu < self.n:
-            raise InvalidSystemError(f"base index {mu} out of range for n={self.n}")
+        if type(mu) is not int or not 0 <= mu < self.n:
+            raise InvalidSystemError(f"base index {mu!r} is not an int in range for n={self.n}")
 
     def _check_field(self, i: int) -> None:
-        if not 0 <= i < self.m:
-            raise InvalidSystemError(f"field index {i} out of range for m={self.m}")
+        if type(i) is not int or not 0 <= i < self.m:
+            raise InvalidSystemError(f"field index {i!r} is not an int in range for m={self.m}")
 
     def validate_poly(self, p: Poly) -> None:
         """Check that every variable of p is a variable of this chart."""

@@ -19,16 +19,8 @@ from __future__ import annotations
 import operator
 
 from .jetforms import BidegreeError, Form
-from .symcore import (
-    Chart,
-    EngineError,
-    InvalidSystemError,
-    Poly,
-    _ONE,
-    _add_into,
-    jet_parts,
-    jet_var,
-)
+from .symcore import Chart, EngineError, InvalidSystemError, Poly, _ONE, _add_into, jet_parts
+from .symcore import jet_var, var_field, var_order
 
 
 class NotFunctionalError(EngineError):
@@ -76,7 +68,7 @@ class FunctionalForm:
         chart = self.chart
         full_h, zero, odd = tuple(range(chart.n)), chart.zero_index(), chart.n % 2
         return Form._raw(chart, {
-            (full_h, ((i, zero),)): -comp if odd else comp
+            (full_h, (jet_var(i, zero),)): -comp if odd else comp
             for i, comp in enumerate(self._components)
             if not comp.is_zero
         })
@@ -95,12 +87,12 @@ class FunctionalForm:
         full_h = tuple(range(chart.n))
         comps = [Poly.zero()] * chart.m
         for (h, c), coeff in self._form.terms.items():
-            if h != full_h or len(c) != 1 or any(c[0][1]):
+            if h != full_h or len(c) != 1 or var_order(c[0]):
                 raise NotFunctionalError(
                     "component extraction needs a source form: one order-0 "
                     "contact factor against the full horizontal volume"
                 )
-            comps[c[0][0]] = -coeff if chart.n % 2 else coeff
+            comps[var_field(c[0])] = -coeff if chart.n % 2 else coeff
         return tuple(comps)
 
     def _by_components(self, other: "FunctionalForm") -> bool:
@@ -172,8 +164,9 @@ def interior_euler(form: Form) -> FunctionalForm:
     for _, c in form.terms:
         gens.update(c)
     total: dict = {}
-    for i, counts in sorted(gens):
-        piece = _total_derivative_along(form.contract(jet_var(i, counts)), counts)
+    for var in sorted(gens):
+        i, counts = jet_parts(var)  # D_counts needs the multi-index
+        piece = _total_derivative_along(form.contract(var), counts)
         terms = Form.contact(chart, i).wedge(piece).terms.items()
         _add_into(total, ((w, -c) for w, c in terms) if sum(counts) % 2 else terms)
     return FunctionalForm(Form._raw(chart, {w: c / s_c for w, c in total.items()}))
@@ -195,7 +188,7 @@ def vertical_homotopy(form: Form) -> Form:
     for (h, c), coeff in form.terms.items():
         weighted = coeff.scale_integrate(s - 1)  # each monomial times 1/(d + s)
         for q, gen in enumerate(c):
-            piece = weighted * Poly.variable(jet_var(gen[0], gen[1]))
+            piece = weighted * Poly.variable(gen)
             terms.append(((h, c[:q] + c[q + 1 :]), -piece if (len(h) + q) % 2 else piece))
     return Form._sum(form.chart, terms, form.marked)
 
@@ -215,13 +208,14 @@ def vertical_decompose(form: Form) -> tuple:
 
 
 def _euler_sum(chart: Chart, entries) -> tuple:
-    """The Euler operator's alternating sum: each ((i, counts), p) entry adds
-    (-1)^|counts| D_counts(rho p) to field i.  It gives the Euler-Lagrange
-    components of jet partials and the source components of balance data,
-    whose negation is the residuals."""
+    """The Euler operator's alternating sum: each (code, p) entry, code the
+    jet variable z^i_counts, adds (-1)^|counts| D_counts(rho p) to field i.
+    It gives the Euler-Lagrange components of jet partials and the source
+    components of balance data, whose negation is the residuals."""
     comps = [{} for _ in range(chart.m)]
     rho = None if chart.rho.terms == _ONE else chart.rho  # a unit density multiplies nothing
-    for (i, counts), p in entries:
+    for var, p in entries:
+        i, counts = jet_parts(var)
         terms = _total_derivative_along(p if rho is None else rho * p, counts).terms.items()
         _add_into(comps[i], ((mono, -c) for mono, c in terms) if sum(counts) % 2 else terms)
     return tuple(map(Poly._raw, comps))
@@ -231,8 +225,7 @@ def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:
     """Euler-Lagrange source form of a polynomial Lagrangian: the Euler sum of
     its jet partials, expressed against the coordinate volume."""
     chart.validate_poly(lagrangian)
-    partials = sorted(lagrangian.jet_partials().items())
-    comps = _euler_sum(chart, ((jet_parts(var), dp) for var, dp in partials))
+    comps = _euler_sum(chart, lagrangian.jet_partials().items())
     return FunctionalForm._from_components(chart, comps)
 
 

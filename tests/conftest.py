@@ -121,8 +121,17 @@ def random_form(
         hw = tuple(sorted(rng.sample(range(chart.n), s)))
         cw = tuple(sorted(rng.sample(gens, r)))
         coeff = random_poly(rng, chart, max_order=max_order, max_degree=2, max_terms=2)
-        total = total + Form(chart, {(hw, cw): coeff})
+        total = total + word_form(chart, hw, cw, coeff)
     return total
+
+
+def word_form(chart: Chart, hw: tuple, cw: tuple, coeff: Poly) -> Form:
+    """coeff dx^hw wedged with the contact forms of the (field, multi-index)
+    pairs cw, in the order given."""
+    term = Form(chart, {(hw, ()): coeff})
+    for i, counts in cw:
+        term = term.wedge(Form.contact(chart, i, counts))
+    return term
 
 
 def random_system(rng: random.Random, chart: Chart, max_order: int = 1, max_degree: int = 3) -> BalanceSystem:
@@ -178,5 +187,5 @@ def homogeneous_forms(draw, s=None, r=None, max_order=2):
         if len(set(cw)) != r:
             continue
         _, coeff = draw(polys(chart=chart, max_order=max_order, max_degree=2, max_terms=2))
-        total = total + Form(chart, {(hw, cw): coeff})
+        total = total + word_form(chart, hw, cw, coeff)
     return total

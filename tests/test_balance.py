@@ -34,7 +34,7 @@ from jetbalance import (
     vertical_homotopy,
 )
 from jetbalance.cli import parse_system
-from jetbalance.symcore import base_var, is_jet, jet_parts, jet_var
+from jetbalance.symcore import base_var, is_jet, jet_parts, jet_var, var_order
 
 from conftest import CHARTS, density_chart, multi_indices, random_poly, random_system
 
@@ -191,7 +191,7 @@ class TestHelmholtz:
         assert not result.closed
         # the residual picks up w(u)^w(u_t)^eta with coefficient 1 from the
         # field dependence of the density entry
-        word = ((0, 1), ((0, (0, 0)), (0, (1, 0))))
+        word = ((0, 1), (jet_var(0, (0, 0)), jet_var(0, (1, 0))))
         assert result.residual.terms[word] == Poly.constant(1)
 
     def test_zero_closed(self, chart_tx_u):
@@ -638,6 +638,16 @@ class TestHyperbolicity:
         with pytest.raises(InvalidSystemError):
             symmetric_hyperbolicity(bs, [0, 0])
 
+    @pytest.mark.parametrize("value", [0.5, "1/2", True])
+    def test_point_is_exact(self, chart_tx_u, value):
+        """A point coordinate is an int or a Fraction; a float or a string
+        is not converted."""
+        u = chart_tx_u.field(0)
+        bs = BalanceSystem(chart_tx_u, [[u, u]], [Poly.zero()])
+        with pytest.raises(InvalidSystemError):
+            symmetric_hyperbolicity(bs, [0, 0, value])
+        assert symmetric_hyperbolicity(bs, [0, 0, Fraction(1, 2)]).point[2] == Fraction(1, 2)
+
     def test_principal_part_symmetry_and_antisymmetry(self):
         """Zero-order split: the Euler-Lagrange component always has
         antisymmetric principal matrices; for gradient fluxes the Godunov
@@ -869,9 +879,10 @@ class TestSystemConstruction:
             Chart(chart_tx_u.base_names, chart_tx_u.field_names, chart_tx_u.x(1) + chart_tx_u.field(0))
 
     def test_each_variable_checked_once(self, monkeypatch):
-        """The entries' variables are checked together, each distinct one
-        once however many entries hold it, and `order` is recorded from the
-        same walk: jet order + k - 1 for an entry at multi-index order k."""
+        """The entries' generators and variables are checked together, each
+        distinct one once however many entries hold it, and `order` is
+        recorded from the same walk: jet order + k - 1 for an entry at
+        multi-index order k."""
         checked = []
         validate = Chart.validate_variables
         monkeypatch.setattr(Chart, "validate_variables",
@@ -883,10 +894,41 @@ class TestSystemConstruction:
                        for i in range(chart.m) for counts in multi_indices(chart.n, 3)}
             checked.clear()
             bs = BalanceSystem.from_entries(chart, entries)
-            assert checked == [set().union(*(p.variables() for p in entries.values()))]
+            gens = {jet_var(i, counts) for i, counts in entries}
+            assert checked == [gens.union(*(p.variables() for p in entries.values()))]
             assert bs.order == max(
-                p.jet_order() + max(sum(counts) - 1, 0) for (_, counts), p in bs.entries.items()
+                p.jet_order() + max(var_order(var) - 1, 0) for var, p in bs.entries.items()
             )
+
+    @pytest.mark.parametrize("i,counts", [
+        (0, (1.0, 0)),  # a float count, which gave a system of order 0.0
+        (0, (True, 0)),
+        (True, (1, 0)),  # a bool field, which read as field 1
+        (0.0, (1, 0)),
+        ("0", (1, 0)),
+    ])
+    def test_generator_indices_are_ints(self, chart_tx_u, i, counts):
+        """A generator named as (field, multi-index) holds non-bool ints, and
+        each place that takes one raises InvalidSystemError otherwise."""
+        u = chart_tx_u.field(0)
+        with pytest.raises(InvalidSystemError):
+            BalanceSystem.from_entries(chart_tx_u, {(i, counts): u})
+        with pytest.raises(InvalidSystemError):
+            chart_tx_u.jet(i, counts)
+        with pytest.raises(InvalidSystemError):
+            Form.contact(chart_tx_u, i, counts)
+
+    def test_parsed_system_holds_codes(self):
+        """The entries of a parsed bundled system and the words of its forms
+        hold jet-variable codes: ints, each contact word strictly increasing."""
+        doc = parse_system((SYSTEMS / "plasticity.bal").read_text(encoding="utf-8"))
+        assert doc.entries and all(type(var) is int and is_jet(var) for var in doc.entries)
+        forms = (balance_form(doc), helmholtz_check(doc).residual, decompose(doc).nonlagrangian_part)
+        for form in forms:
+            assert form.terms
+            for _, c in form.terms:
+                assert all(type(var) is int and is_jet(var) for var in c)
+                assert list(c) == sorted(set(c))
 
     def test_higher_order_entries(self, chart_tx_u):
         """An entry at multi-index order k counts jet order + k - 1, so the
@@ -894,7 +936,7 @@ class TestSystemConstruction:
         it; zero entries are dropped."""
         u = chart_tx_u.field(0)
         bs = BalanceSystem.from_entries(chart_tx_u, {(0, (2, 0)): u, (0, (0, 0)): Poly.zero()})
-        assert bs.entries == {(0, (2, 0)): u} and bs.order == 1
+        assert bs.entries == {jet_var(0, (2, 0)): u} and bs.order == 1
         report = godunov_check(bs)
         assert not report.is_zero_order and not report.verdict and report.potentials is None
         with pytest.raises(OrderTooHighError):

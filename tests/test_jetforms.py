@@ -8,8 +8,9 @@ import random
 import pytest
 from hypothesis import given
 
-from jetbalance import BidegreeError, Chart, Form, Poly, form_text
-from jetbalance.symcore import base_var, is_jet, jet_parts, jet_var, mi_add
+from jetbalance import BidegreeError, Chart, Form, InvalidSystemError, Poly, form_text
+from jetbalance.jetforms import InvalidWord
+from jetbalance.symcore import base_var, is_jet, jet_parts, jet_var
 
 from conftest import homogeneous_forms, multi_indices, polys, random_form, random_poly
 
@@ -31,7 +32,7 @@ class TestWedge:
         b = Form.contact(chart, 1).wedge(Form.dx(chart, 0)) * v
         # w(u) ^ (w(v) ^ dt) keeps coefficient u v; dt passes two contact factors
         result = a.wedge(b)
-        expected = Form(chart, {((0,), ((0, (0, 0)), (1, (0, 0)))): u * v})
+        expected = Form(chart, {((0,), (jet_var(0, (0, 0)), jet_var(1, (0, 0)))): u * v})
         assert result == expected
 
     @given(homogeneous_forms(), homogeneous_forms())
@@ -118,8 +119,8 @@ class TestTotalDerivativeForm:
 
 
 def _factors(word) -> list:
-    """A word as its factor list: (0, mu) for dx^mu, (1, generator) for a
-    contact factor, so that sorting puts it in word order."""
+    """A word as its factor list: (0, mu) for dx^mu, (1, code) for a contact
+    factor, so that sorting puts it in word order."""
     h, c = word
     return [(0, mu) for mu in h] + [(1, gen) for gen in c]
 
@@ -147,7 +148,9 @@ def _derived_pieces(form: Form, mu: int) -> list:
         pieces.append((factors, coeff.total_derivative(mu)))
         for q, (kind, gen) in enumerate(factors):
             if kind == 1:
-                promoted = (1, (gen[0], mi_add(gen[1], mu)))
+                i, counts = jet_parts(gen)
+                raised = tuple(c + (k == mu) for k, c in enumerate(counts))
+                promoted = (1, jet_var(i, raised))
                 pieces.append((factors[:q] + [promoted] + factors[q + 1 :], coeff))
     return pieces
 
@@ -160,10 +163,10 @@ class TestSignsAgainstInversionCount:
     @staticmethod
     def _forms(seed: int):
         """Random forms on n = 1, 2, 3 coordinates whose words hold up to
-        three contact generators of order <= 2."""
+        three contact generators of order <= 2, as code tuples."""
         rng = random.Random(seed)
         chart = Chart(("t", "x", "y")[: rng.randint(1, 3)], ("u", "v"))
-        gens = [(i, counts) for i in range(chart.m) for counts in multi_indices(chart.n, 2)]
+        gens = [jet_var(i, counts) for i in range(chart.m) for counts in multi_indices(chart.n, 2)]
 
         def form():
             terms = {}
@@ -185,7 +188,7 @@ class TestSignsAgainstInversionCount:
     @pytest.mark.parametrize("seed", range(40))
     def test_d_V(self, seed):
         chart, form, _ = self._forms(seed)
-        pieces = [([(1, jet_parts(var))] + _factors(word), coeff.partial(var))
+        pieces = [([(1, var)] + _factors(word), coeff.partial(var))
                   for word, coeff in form.terms.items()
                   for var in coeff.variables() if is_jet(var)]
         assert form.d_V() == _sorted_form(chart, pieces)
@@ -203,12 +206,13 @@ class TestSignsAgainstInversionCount:
         """w(u) ^ w(u_x): along t the promoted u_t passes u_x (sign -1); along
         x the promoted u_x collides with its neighbour (the term vanishes)."""
         chart, one = chart_tx_u, Poly.constant(1)
-        form = Form(chart, {((), ((0, (0, 0)), (0, (0, 1)))): one})
+        u, u_t, u_x = jet_var(0, (0, 0)), jet_var(0, (1, 0)), jet_var(0, (0, 1))
+        form = Form(chart, {((), (u, u_x)): one})
         assert form.total_derivative(0) == Form(chart, {
-            ((), ((0, (0, 1)), (0, (1, 0)))): -one,
-            ((), ((0, (0, 0)), (0, (1, 1)))): one,
+            ((), (u_x, u_t)): -one,
+            ((), (u, jet_var(0, (1, 1)))): one,
         })
-        assert form.total_derivative(1) == Form(chart, {((), ((0, (0, 0)), (0, (0, 2)))): one})
+        assert form.total_derivative(1) == Form(chart, {((), (u, jet_var(0, (0, 2)))): one})
         for mu in range(chart.n):
             assert form.total_derivative(mu) == _sorted_form(chart, _derived_pieces(form, mu))
 
@@ -322,6 +326,31 @@ class TestHousekeeping:
             mixed.bidegree()
         assert mixed.piece(1, 0) == Form.dx(chart, 0)
         assert mixed.piece(0, 1) == Form.contact(chart, 0)
+
+    def test_contact_counts_checked(self, chart_tx_u):
+        """A negative count is refused; it used to print as w(u_)."""
+        with pytest.raises(InvalidSystemError):
+            Form.contact(chart_tx_u, 0, (-1, 0))
+        with pytest.raises(InvalidSystemError):
+            Form.contact(chart_tx_u, 0, (1,))
+
+    @pytest.mark.parametrize("gen", [
+        pytest.param(base_var(1), id="base-code"),
+        pytest.param(jet_var(0, (1,)), id="narrower-chart"),
+        pytest.param(jet_var(0, (0, 1, 0)), id="wider-chart"),
+        pytest.param(jet_var(1, (0, 0)), id="field-past-m"),
+        pytest.param(jet_var(0, (0, 1)) + (1 << 48), id="order-slot-not-the-sum"),
+        pytest.param((0, (1, 0)), id="pair"),
+        pytest.param((0, (-1, 0)), id="pair-negative-count"),
+        pytest.param(True, id="bool"),
+        pytest.param(-1, id="negative"),
+    ])
+    def test_foreign_contact_factor_rejected(self, chart_tx_u, gen):
+        """A contact factor is a jet-variable code of the form's chart."""
+        with pytest.raises(InvalidWord):
+            Form(chart_tx_u, {((), (gen,)): Poly.constant(1)})
+        with pytest.raises(InvalidWord):
+            Form(chart_tx_u, {((0,), (jet_var(0, (0, 0)), gen)): Poly.constant(1)})
 
     def test_text_rendering_eta(self, chart_tx_u):
         chart = chart_tx_u

@@ -84,7 +84,7 @@ def _integral_cases(kind) -> dict:
             cases[f"poly_latex.integral.{name}_{value}"] = lambda p=p: poly_latex(p, PLAIN)
     for value in (1, -1):
         one = Poly._raw({(): kind(value)})
-        form = Form(PLAIN, {((), ()): one, ((1,), ((0, (0, 0)),)): one, ((0, 1), ()): one})
+        form = Form(PLAIN, {((), ()): one, ((1,), (jet_var(0, (0, 0)),)): one, ((0, 1), ()): one})
         cases[f"form_text.integral.words_{value}"] = lambda f=form: form_text(f)
         cases[f"form_latex.integral.words_{value}"] = lambda f=form: form_latex(f)
     return cases
@@ -109,7 +109,7 @@ def build_cases() -> dict:
     # eta quotients by the densities themselves and by multiples of them
     for label, chart in (("rho_1_x2", RHO_1_X2), ("rho_2_tx", RHO_2_TX)):
         rho, u = chart.rho, chart.field(0)
-        top = {(): rho, ((0, (0, 0)),): rho * u**2}  # contact word -> coefficient
+        top = {(): rho, (jet_var(0, (0, 0)),): rho * u**2}  # contact word -> coefficient
         quotients = {
             "rho": top[()],
             "minus_rho": -rho,
@@ -409,3 +409,55 @@ def test_render(case):
 def test_integral_fractions_render_like_ints():
     as_int, as_fraction = _integral_cases(int), _integral_cases(Fraction)
     assert {k: f() for k, f in as_fraction.items()} == {k: f() for k, f in as_int.items()}
+
+
+# Words whose generators print in another order than the codes store them.
+# The stored word of w(u_t)^w(u_xx) is (u_t, u_xx), since a code ranks by
+# derivative order first; it prints by field, then multi-index, as
+# w(u_xx)^w(u_t), with the sign of that swap.
+TX = Chart(("t", "x"), ("u",))
+TWO_FIELDS = Chart(("t", "X"), ("v", "f"))  # "X" sorts before "t" by name, after it by index
+
+
+def _two_contact_form() -> Form:
+    vol, w_ut = Form.volume(TX), Form.contact(TX, 0, (1, 0))
+    swapped = w_ut.wedge(Form.contact(TX, 0, (0, 2))).wedge(vol) * TX.x(1)
+    return Form.contact(TX, 0).wedge(w_ut).wedge(vol) * 3 + swapped
+
+
+def _two_field_form() -> Form:
+    chart = TWO_FIELDS
+    v, f = chart.field(0), chart.field(1)
+    data = [((0, (0, 0)), f), ((0, (0, 1)), v * f), ((0, (1, 0)), -v), ((1, (0, 0)), Fraction(1, 2)),
+            ((1, (0, 1)), f**2), ((1, (1, 0)), chart.x(0)), ((0, (0, 2)), -1), ((1, (1, 1)), v)]
+    form = Form.zero(chart)
+    for (i, counts), p in data:
+        form = form + Form.contact(chart, i, counts).wedge(Form.volume(chart)) * p
+    return form
+
+
+def test_generators_print_by_field_then_multi_index():
+    two = _two_contact_form()
+    assert form_text(two) == "(3) w(u)^w(u_t)^eta + (-x) w(u_xx)^w(u_t)^eta"
+    assert form_latex(two) == (
+        "\\left(3\\right) \\omega^{u} \\wedge \\omega^{u}_{t} \\wedge \\eta + "
+        "\\left(-x\\right) \\omega^{u}_{xx} \\wedge \\omega^{u}_{t} \\wedge \\eta"
+    )
+    bare = Form.contact(TX, 0, (1, 0)).wedge(Form.contact(TX, 0, (0, 2))).wedge(Form.volume(TX))
+    assert form_text(bare) == "-w(u_xx)^w(u_t)^eta"
+    assert form_latex(bare) == "-\\omega^{u}_{xx} \\wedge \\omega^{u}_{t} \\wedge \\eta"
+
+
+def test_fields_print_before_multi_indices():
+    form = _two_field_form()
+    assert form_text(form) == (
+        "(f) w(v)^eta + (v f) w(v_X)^eta - w(v_XX)^eta + (-v) w(v_t)^eta + (1/2) w(f)^eta"
+        " + (f^2) w(f_X)^eta + (t) w(f_t)^eta + (v) w(f_tX)^eta"
+    )
+    assert form_latex(form) == (
+        "\\left(f\\right) \\omega^{v} \\wedge \\eta + \\left(v f\\right) \\omega^{v}_{X} \\wedge \\eta"
+        " - \\omega^{v}_{XX} \\wedge \\eta + \\left(-v\\right) \\omega^{v}_{t} \\wedge \\eta"
+        " + \\left(\\frac{1}{2}\\right) \\omega^{f} \\wedge \\eta"
+        " + \\left(f^{2}\\right) \\omega^{f}_{X} \\wedge \\eta"
+        " + \\left(t\\right) \\omega^{f}_{t} \\wedge \\eta + \\left(v\\right) \\omega^{f}_{tX} \\wedge \\eta"
+    )

@@ -28,7 +28,7 @@ from jetbalance import (
 )
 from jetbalance import cli, jetforms, source_form, symcore, variational
 from jetbalance.symcore import (
-    MAX_ORDER, base_index, base_var, is_jet, jet_parts, jet_var, mi_add, mono_key, var_field,
+    MAX_ORDER, base_index, base_var, is_jet, jet_parts, jet_var, mono_key, var_field,
     var_order,
 )
 
@@ -70,6 +70,23 @@ class TestArithmetic:
             assert poly_text(p) == "x0 y0^2"
         assert Poly({((u, 1), (x, 1)): 2, ((x, 1), (u, 1)): -2}).is_zero
         assert Poly({((u, 0),): 3}) == Poly.constant(3)
+
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, 0.0, "1/3", True, None])
+    def test_only_exact_rationals_enter(self, chart_tx_u, value):
+        """Coefficients and point values are ints or Fractions; a float, a
+        string or a bool raises InvalidSystemError instead of becoming a
+        Fraction (0.1 used to become 3602879701896397/36028797018963968)."""
+        with pytest.raises(InvalidSystemError):
+            Poly({(): value})
+        with pytest.raises(InvalidSystemError):
+            Poly({((base_var(0), 1),): value})
+        with pytest.raises(InvalidSystemError):
+            Poly.constant(value)
+        with pytest.raises(InvalidSystemError):
+            chart_tx_u.field(0).evaluate({jet_var(0, (0, 0)): value})
+        assert Poly({(): Fraction(3, 3)}).terms == {(): 1}
+        assert chart_tx_u.field(0).evaluate({jet_var(0, (0, 0)): Fraction(1, 3)}) == Fraction(1, 3)
 
 
 class TestPartial:
@@ -305,7 +322,8 @@ class TestVariableCodes:
         for i, counts in self._jets(n, 3):
             p = Poly.variable(jet_var(i, counts))
             for mu in range(n):
-                assert p.total_derivative(mu) == Poly.variable(jet_var(i, mi_add(counts, mu)))
+                raised = tuple(c + (k == mu) for k, c in enumerate(counts))
+                assert p.total_derivative(mu) == Poly.variable(jet_var(i, raised))
 
     def test_total_derivative_stops_at_the_budget(self):
         top = Poly.variable(jet_var(0, (MAX_ORDER - 1, 0)))
@@ -325,6 +343,17 @@ class TestVariableCodes:
     def test_jet_var_refuses_a_slot_that_does_not_fit(self, i, counts):
         with pytest.raises(InvalidSystemError):
             jet_var(i, counts)
+
+    @pytest.mark.parametrize("index", [True, 1.0, "1"])
+    def test_chart_indices_are_ints(self, index):
+        """A base or field index is a non-bool int: `x(True)` used to hold
+        the bool itself as a variable, and `field(True)` was field 1."""
+        chart = Chart(("t", "x"), ("u", "v"))
+        for make in (chart.x, chart.field, lambda k: Form.dx(chart, k)):
+            with pytest.raises(InvalidSystemError):
+                make(index)
+        with pytest.raises(InvalidSystemError):
+            Form.dx(chart, 0).total_derivative(index)
 
     def test_chart_refuses_what_a_slot_cannot_hold(self):
         chart = Chart(("t", "x"), ("u",))
@@ -666,7 +695,8 @@ class TestWorkCounts:
         assert negs == []
         monkeypatch.undo()
         expected = [Poly.zero()] * chart.m
-        for (i, counts), p in bs.entries.items():
+        for var, p in bs.entries.items():
+            i, counts = jet_parts(var)
             piece = p
             for mu, reps in enumerate(counts):
                 for _ in range(reps):
@@ -689,9 +719,9 @@ class TestWorkCounts:
         assert adds == [] and form_adds == []
         monkeypatch.undo()
         pairing, words = Poly.zero(), Form.zero(chart)
-        for (i, counts), p in bs.entries.items():
-            pairing = pairing + Poly.variable(jet_var(i, counts)) * p
-            words = words + Form.contact(chart, i, counts) * p
+        for var, p in bs.entries.items():
+            pairing = pairing + Poly.variable(var) * p
+            words = words + Form.contact(chart, *jet_parts(var)) * p
         assert ltilde == pairing.scale_integrate(-1)
         assert omega == words.wedge(Form.volume(chart))
 
@@ -767,7 +797,7 @@ class TestWorkCounts:
         monkeypatch.undo()
         jets = [var for var in p.variables() if is_jet(var)]
         assert len(jets) > 1
-        assert dv.terms == {((), (jet_parts(var),)): p.partial(var) for var in jets}
+        assert dv.terms == {((), (var,)): p.partial(var) for var in jets}
 
     def test_render_names_each_factor_once(self, monkeypatch, chart_tx_uv):
         """The renderers name each distinct (variable, exponent) factor of a

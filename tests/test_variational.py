@@ -27,7 +27,7 @@ from jetbalance import (
     vertical_decompose,
     vertical_homotopy,
 )
-from jetbalance.symcore import base_var
+from jetbalance.symcore import base_var, jet_parts
 from conftest import (
     CHARTS,
     density_chart,
@@ -376,8 +376,8 @@ class TestHigherBalance:
                 chart, {slot: random_poly(rng, chart, max_degree=2, max_terms=2) for slot in picked}
             )
             encoding = Form.zero(chart)
-            for (i, counts), p in data.entries.items():
-                encoding = encoding + Form.contact(chart, i, counts) * p
+            for var, p in data.entries.items():
+                encoding = encoding + Form.contact(chart, *jet_parts(var)) * p
             source = interior_euler(encoding.wedge(Form.volume(chart)))
             assert higher_balance_residuals(data) == tuple(-c for c in source.components())
 
