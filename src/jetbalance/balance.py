@@ -19,13 +19,14 @@ terms, but stays inside exact polynomial arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .jetforms import Form
 from .symcore import Chart, EngineError, InvalidSystemError, Poly, _add_into, _bareiss, _divide
 from .symcore import _promoted, _rational, base_index, base_var, is_jet, jet_parts, jet_var
 from .symcore import mono_mul, var_order
-from .variational import FunctionalForm, _euler_sum, euler_lagrange
+from .variational import FunctionalForm, _euler_sum, _total_derivative_along, euler_lagrange
 from .variational import higher_balance_residuals, interior_euler
 
 
@@ -347,12 +348,16 @@ def symmetric_hyperbolicity(bs: BalanceSystem, point: Sequence) -> Hyperbolicity
     assignment.update(
         {jet_var(i, chart.zero_index()): point[chart.n + i] for i in range(chart.m)}
     )
-    time_matrix = [
-        [matrices[0][i][j].evaluate(assignment) for j in range(chart.m)]
-        for i in range(chart.m)
-    ]
+    # row i of the time matrix times the lcm d_i of its denominators is an int
+    # row; a leading k-by-k block of those rows has d_1...d_k times the minor
+    rows, scales = [], [1]
+    for i in range(chart.m):
+        row = [matrices[0][i][j].evaluate(assignment) for j in range(chart.m)]
+        d = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+        scales.append(scales[-1] * d)
     # Fractions, so that a structured report prints every minor, 0 included, as text
-    minors = tuple(Fraction(_bareiss([row[:k] for row in time_matrix[:k]])[1])
+    minors = tuple(Fraction(_bareiss([row[:k] for row in rows[:k]])[1], scales[k])
                    for k in range(1, chart.m + 1))
     singular = any(v == 0 for v in minors)
     verdict = all(symmetric) and all(v > 0 for v in minors)
@@ -372,9 +377,10 @@ def symmetric_hyperbolicity(bs: BalanceSystem, point: Sequence) -> Hyperbolicity
 
 
 def evaluate_on_section(p: Poly, section: Sequence, chart: Chart) -> Poly:
-    """Substitute a prolonged section: every jet variable (i, counts) becomes
-    the corresponding iterated partial derivative of section[i], a polynomial
-    in the base coordinates; base coordinates stay untouched."""
+    """Substitute a prolonged section: every jet variable z^i_Lambda becomes
+    the iterated total derivative D_Lambda of section[i], a polynomial in the
+    base coordinates, on which D_mu is the partial along x^mu; base
+    coordinates stay untouched."""
     section = tuple(section)
     if len(section) != chart.m:
         raise InvalidSystemError("one section polynomial per field is required")
@@ -382,20 +388,9 @@ def evaluate_on_section(p: Poly, section: Sequence, chart: Chart) -> Poly:
         chart.validate_poly(s)
         if any(is_jet(v) for v in s.variables()):
             raise InvalidSystemError("section polynomials may only involve base coordinates")
-    cache: dict = {}
-
-    def derived(i: int, counts: tuple) -> Poly:
-        key = (i, counts)
-        if key not in cache:
-            value = section[i]
-            for mu, reps in enumerate(counts):
-                for _ in range(reps):
-                    value = value.partial(base_var(mu))
-            cache[key] = value
-        return cache[key]
-
-    mapping = {var: derived(*jet_parts(var)) for var in p.variables() if is_jet(var)}
-    return p.substitute(mapping)
+    jets = {var: jet_parts(var) for var in p.variables() if is_jet(var)}
+    return p.substitute(
+        {var: _total_derivative_along(section[i], counts) for var, (i, counts) in jets.items()})
 
 
 def divergence_split(chart: Chart, p: Poly) -> tuple:

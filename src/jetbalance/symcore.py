@@ -39,7 +39,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import comb, lcm
-from operator import floordiv, itemgetter, truediv
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 
@@ -188,22 +188,9 @@ def mono_key(m: Mono) -> tuple:
     return tuple(out)
 
 
-def _grlex_key(variables) -> Callable[[Mono], tuple]:
-    """Key of the order of mono_key (grlex) on monomials over `variables`,
-    comparing in C: minus the degree, then minus the position and exponent
-    of each factor from the highest-ranked down (the exponent vector's
-    nonzero entries).  No key is a proper prefix of another of equal degree,
-    so a min-heap puts the leading monomial first."""
-    slot = {var: -k for k, var in enumerate(sorted(variables))}
-
-    def key(mono: Mono) -> tuple:
-        out = [0]
-        for var, e in reversed(mono):
-            out[0] -= e
-            out += (slot[var], -e)
-        return tuple(out)
-
-    return key
+def _heap_key(m: Mono) -> tuple:
+    """mono_key negated, which reverses its order: a min-heap pops the leading monomial first."""
+    return tuple(-k for k in mono_key(m))
 
 
 def _canonical(mono) -> Mono:
@@ -258,14 +245,12 @@ def _add_into(out: dict, items) -> None:
 
 
 def _bareiss(rows: list) -> tuple:
-    """(rank, determinant) of a matrix of ints or of Fractions by
-    fraction-free (Bareiss 1968) elimination with row pivoting: each step
-    divides by the previous pivot, exactly, so the entries stay minors of
-    the matrix.  Int rows divide with //, others with /; the determinant
-    is 0 unless the matrix is square of full rank."""
+    """(rank, determinant) of an int matrix by fraction-free (Bareiss 1968)
+    elimination with row pivoting: each step divides by the previous pivot
+    with //, exactly, so the entries stay minors of the matrix.  The
+    determinant is 0 unless the matrix is square of full rank."""
     rows = list(rows)  # reorders and replaces rows of this copy, never edits a row
     cols = len(rows[0]) if rows else 0
-    div = floordiv if all(type(a) is int for row in rows for a in row) else truediv
     rank, prev, sign = 0, 1, 1
     for col in range(cols):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -277,7 +262,7 @@ def _bareiss(rows: list) -> tuple:
         top = rows[rank]
         for i in range(rank + 1, len(rows)):
             f = rows[i][col]
-            rows[i] = [div(a * top[col] - b * f, prev) for a, b in zip(rows[i], top)]
+            rows[i] = [(a * top[col] - b * f) // prev for a, b in zip(rows[i], top)]
         rank, prev = rank + 1, top[col]
     return rank, sign * prev if rank == len(rows) == cols else 0
 
@@ -658,12 +643,11 @@ class Poly:
             raise ZeroDivisionError("division of a polynomial by zero")
         if tuple(divisor.terms) == ((),):
             return self._scale(Fraction(1) / divisor.terms[()])
-        heap_key = _grlex_key(self.variables() | divisor.variables())
-        lead_mono = min(divisor.terms, key=heap_key)
+        lead_mono = max(divisor.terms, key=mono_key)
         lead_coeff = divisor.terms[lead_mono]
         tail = [(m, c) for m, c in divisor.terms.items() if m != lead_mono]
         rem = dict(self.terms)
-        heap = [(heap_key(m), m) for m in rem]
+        heap = [(_heap_key(m), m) for m in rem]
         heapify(heap)
         quot: dict[Mono, int | Fraction] = {}
         while heap:
@@ -687,7 +671,7 @@ class Poly:
                 prev = rem.get(prod)
                 if prev is None:
                     rem[prod] = -q_coeff * c
-                    heappush(heap, (heap_key(prod), prod))
+                    heappush(heap, (_heap_key(prod), prod))
                 else:
                     s = prev - q_coeff * c
                     if s:

@@ -627,6 +627,21 @@ class TestHyperbolicity:
         assert report.verdict
         assert report.leading_minors == (Fraction(1, 2),)
 
+    def test_bareiss_takes_int_blocks(self, monkeypatch):
+        """At a rational point, `_bareiss` runs once per leading block of
+        the time matrix, and every entry it receives is an int."""
+        blocks = []
+        bareiss = jetbalance.balance._bareiss
+        monkeypatch.setattr(jetbalance.balance, "_bareiss",
+                            lambda rows: blocks.append(rows) or bareiss(rows))
+        chart = Chart(("t", "x"), ("u", "v", "w"))
+        bs = random_system(random.Random(3), chart, max_order=0, max_degree=3)
+        point = [Fraction(1, 2), 3, Fraction(-2, 3), Fraction(5, 7), Fraction(1, 4)]
+        report = symmetric_hyperbolicity(bs, point)
+        assert [len(rows) for rows in blocks] == [1, 2, 3]
+        assert all(type(a) is int for rows in blocks for row in rows for a in row)
+        assert report.leading_minors == (Fraction(1, 3), Fraction(9, 2), Fraction(15, 7))
+
     def test_order_too_high(self):
         with pytest.raises(OrderTooHighError):
             symmetric_hyperbolicity(burgers(), [0, 0, 1])

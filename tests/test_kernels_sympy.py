@@ -1,8 +1,9 @@
 """Differential test of the symcore kernels against sympy.
 
 `*`, `**`, `div_exact` and `sorted_terms` on seeded random polynomials are
-compared with `sympy.Poly` over the rationals, and `_bareiss` with sympy's
-rank and determinant, and every coefficient met on
+compared with `sympy.Poly` over the rationals, `_bareiss` with sympy's
+rank and determinant, and `leading_minors` with sympy's determinant of each
+leading block, and every coefficient met on
 the way is an int or a Fraction, never a float.  The generators are the chart's
 variables in descending order (a variable compares as its rank), so sympy's
 `grlex` order is the graded order the renderers print in.  `total_derivative`
@@ -12,12 +13,13 @@ is checked by the chain rule on a polynomial section, and `euler_lagrange` again
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from jetbalance import Chart, Poly, euler_lagrange
+from jetbalance import BalanceSystem, Chart, Poly, euler_lagrange, symmetric_hyperbolicity
 from jetbalance.symcore import (
     _affinely_independent, _bareiss, base_index, base_var, is_jet, jet_parts, jet_var,
 )
@@ -109,17 +111,44 @@ def test_power_of_a_sum(name):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_bareiss_rank_and_determinant(seed):
-    """Int matrices (odd seeds) and Fraction ones; entries in -2..2 make zero
-    pivots, row swaps and singular matrices common."""
+    """Int matrices (odd seeds) and rational ones (even seeds), each row of a
+    rational one cleared by the lcm d_i of its denominators, so that det / (d_1
+    ... d_k) is its determinant; entries in -2..2 make zero pivots, row swaps
+    and singular matrices common."""
     rng = random.Random(seed)
     size, cols = rng.randint(1, 4), rng.randint(1, 4)
     rows = [[rng.randint(-2, 2) if seed % 2 else Fraction(rng.randint(-2, 2), rng.randint(1, 3))
              for _ in range(cols)] for _ in range(size)]
     matrix = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in row]
                            for row in rows])
-    rank, det = _bareiss(rows)
+    scales = [math.lcm(*(a.denominator for a in row)) for row in rows]
+    cleared = [[a.numerator * (d // a.denominator) for a in row] for row, d in zip(rows, scales)]
+    assert all(type(a) is int for row in cleared for a in row)
+    rank, det = _bareiss(cleared)
     assert rank == matrix.rank()
-    assert sympy.Rational(det.numerator, det.denominator) == (matrix.det() if size == cols else 0)
+    assert sympy.Rational(det, math.prod(scales)) == (matrix.det() if size == cols else 0)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_leading_minors(seed):
+    """`leading_minors` are sympy's determinants of the leading blocks of a
+    rational m-by-m matrix A, m up to 8: the fluxes F[i, t] = sum_j 2 A_ij u_j
+    have the time matrix A.  Seeds 2 mod 3 copy a multiple of row 0 into a
+    later row, so that every minor from that row on vanishes."""
+    rng = random.Random(seed)
+    m = 1 + seed % 8
+    A = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m)] for _ in range(m)]
+    if seed % 3 == 2 and m > 1:
+        A[rng.randrange(1, m)] = [Fraction(-3, 2) * a for a in A[0]]
+    chart = Chart(("t",), tuple("uvwabcde"[:m]))
+    F = [[sum((2 * a * chart.field(j) for j, a in enumerate(row)), Poly.zero())] for row in A]
+    report = symmetric_hyperbolicity(BalanceSystem(chart, F, [Poly.zero()] * m), [0] * (m + 1))
+    matrix = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in row] for row in A])
+    expected = [matrix[:k, :k].det() for k in range(1, m + 1)]
+    assert [sympy.Rational(v.numerator, v.denominator) for v in report.leading_minors] == expected
+    assert report.singular == (0 in expected)
+    if seed % 3 == 2 and m > 1:
+        assert expected[-1] == 0
 
 
 @pytest.mark.parametrize("e", [0, 1, 5])
