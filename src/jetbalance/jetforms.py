@@ -409,7 +409,9 @@ def _render_form(form: Form, notation: _Notation, poly, table: TermTable) -> str
     coefficient, its cofactor, against the volume symbol.  Of an unmarked
     form, a top horizontal word whose coefficient the density divides prints
     the quotient against the volume symbol in place of the dx factors (eta
-    detection).  Coefficients +-1 print as a sign, and a function word
+    detection).  A word stores its dx factors first, so the volume symbol
+    takes the sign (-1)^(n r) of its move past the r contact factors.
+    Coefficients +-1 print as a sign, and a function word
     prints as its bare coefficient.  A word's generators print by field,
     then multi-index, and words of one degree sort by those factors."""
     if form.is_zero:
@@ -426,8 +428,9 @@ def _render_form(form: Form, notation: _Notation, poly, table: TermTable) -> str
         quotient = (coeff if form.marked else coeff.div_exact(chart.rho)) if h == top else None
         if quotient is None:
             factors, volume = [f"d{bases[mu]}" for mu in h], []
-        else:
-            coeff, factors, volume = quotient, [], [notation.volume]
+        else:  # eta prints after the r contact factors: a move of sign (-1)^(n r)
+            coeff = -quotient if chart.n * len(gens) % 2 else quotient
+            factors, volume = [], [notation.volume]
         for i, counts in gens:
             sub = notation.subscript.format(suffix(bases, counts)) if any(counts) else ""
             factors.append(notation.contact.format(notation.name(chart.field_names[i]), sub))

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetbalance import balance_form
 from jetbalance.cli import _latex_leaf, _text_leaf, parse_system, render_system
 from jetbalance.jetforms import Form, form_latex, form_text, poly_latex
 from jetbalance.symcore import Chart, Poly, base_var, jet_var, poly_text
@@ -460,4 +461,52 @@ def test_fields_print_before_multi_indices():
         " + \\left(\\frac{1}{2}\\right) \\omega^{f} \\wedge \\eta"
         " + \\left(f^{2}\\right) \\omega^{f}_{X} \\wedge \\eta"
         " + \\left(t\\right) \\omega^{f}_{t} \\wedge \\eta + \\left(v\\right) \\omega^{f}_{tX} \\wedge \\eta"
+    )
+
+
+# A word stores its dx factors first and prints eta after its r contact
+# factors, so eta ^ w = (-1)^n w ^ eta prints with a minus sign on odd n.
+ETA_CHARTS = {1: Chart(("x",), ("u", "v")), 2: Chart(("t", "x"), ("u", "v")),
+              3: Chart(("t", "x", "y"), ("u", "v"))}
+
+
+@pytest.mark.parametrize("eta_first", [False, True])
+@pytest.mark.parametrize("n", sorted(ETA_CHARTS))
+def test_eta_takes_the_sign_of_its_move(n, eta_first):
+    chart = ETA_CHARTS[n]
+    vol, w_u = Form.volume(chart), Form.contact(chart, 0)
+    w_v = Form.contact(chart, 1, (1,) + (0,) * (n - 1))
+    one = vol.wedge(w_u) if eta_first else w_u.wedge(vol)
+    two = vol.wedge(w_u).wedge(w_v) if eta_first else w_u.wedge(w_v).wedge(vol)
+    sign = "-" if eta_first and n % 2 else ""
+    first = chart.base_names[0]
+    assert form_text(one) == f"{sign}w(u)^eta"
+    assert form_latex(one) == f"{sign}\\omega^{{u}} \\wedge \\eta"
+    assert form_text(two) == f"w(u)^w(v_{first})^eta"
+    assert form_latex(two) == f"\\omega^{{u}} \\wedge \\omega^{{v}}_{{{first}}} \\wedge \\eta"
+    assert form_text(two * -1) == f"-w(u)^w(v_{first})^eta"
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_eta_sign_of_an_unmarked_form(n):
+    """The density quotient of an unmarked top word takes the same sign:
+    dx^1 ^ ... ^ dx^n ^ w(u) times rho is eta ^ w(u) = -w(u) ^ eta."""
+    base = ("x", "t", "y")[:n]
+    x = Poly.variable(base_var(0))
+    chart = Chart(base, ("u",), 1 + x**2)
+    top = Form.dx(chart, 0)
+    for mu in range(1, n):
+        top = top.wedge(Form.dx(chart, mu))
+    form = top.wedge(Form.contact(chart, 0)) * (chart.rho * chart.field(0))
+    assert form_text(form) == "(-u) w(u)^eta"
+    assert form_latex(form) == "\\left(-u\\right) \\omega^{u} \\wedge \\eta"
+
+
+def test_one_coordinate_encoding():
+    """The encoding is sum (F w(z_x) + Pi w(y)) ^ eta, signs as written."""
+    doc = parse_system("base x; fields u; F[u,x] = u^2; Pi[u] = x;")
+    form = balance_form(doc.to_balance_system())
+    assert form_text(form) == "(x) w(u)^eta + (u^2) w(u_x)^eta"
+    assert form_latex(form) == (
+        "\\left(x\\right) \\omega^{u} \\wedge \\eta + \\left(u^{2}\\right) \\omega^{u}_{x} \\wedge \\eta"
     )
