@@ -326,8 +326,9 @@ class _Parser:
 
     def declaration(self, keyword: str, missing: str, empty: str, taken=()) -> tuple:
         """The names of a `base` or `fields` statement.  Each name is checked
-        at its own token: `_` is reserved for jet tokens, and no name repeats
-        one declared before it here or in `taken`."""
+        at its own token: `_` is reserved for jet tokens and `d` for the
+        explicit derivative form, and no name repeats one declared before it
+        here or in `taken`."""
         if self.tokens[self.pos] != keyword:
             self.fail(missing, expected=(repr(keyword),))
         self.pos += 1
@@ -336,6 +337,8 @@ class _Parser:
             name = self.tokens[self.pos]
             if "_" in name:
                 self.fail(f"declared name {name!r} contains '_', which is reserved for jet tokens")
+            if name == "d":
+                self.fail("declared name 'd' is reserved for the explicit derivative form")
             if name in names:
                 self.fail("chart names must be distinct")
             names.append(name)
@@ -1031,6 +1034,10 @@ def render(report: Report, fmt: str = "text") -> bytes:
 
 
 def _parse_point(text: str) -> list:
+    """The `--at` coordinates: integers, p/q or decimals.  An exponent is
+    refused: `Fraction` would expand `1e-999999999` before any check."""
+    if "e" in text.lower():
+        raise InvalidSystemError(f"--at takes integers, p/q or decimals, not exponents: {text!r}")
     try:
         return [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:

@@ -418,6 +418,16 @@ class TestMain:
         assert code == 2
         assert "order-too-high" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at, code", [("0,0,1e5", 2), ("0,0,2E-3", 2), ("0, -1/2, 1.25", 0)])
+    def test_point_forms(self, tmp_path, capsys, at, code):
+        """`--at` reads integers, p/q and decimals, and refuses an exponent,
+        which `Fraction` would expand digit by digit before any check."""
+        system = tmp_path / "quadratic.bal"
+        system.write_text("base t x; fields u; F[u,t] = u^2; F[u,x] = u;")
+        assert main(["hyperbolic", str(system), "--at", at]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error[invalid-system]: --at takes") if code else err == ""
+
     def test_exit_two_on_too_long_coefficient(self, tmp_path, capsys):
         """A coefficient past the int-string digit limit is a coded error."""
         big = tmp_path / "big.bal"
@@ -730,6 +740,14 @@ FRONT_END_ERRORS = {
         lambda: parse_system("base t x;\nfields u v_1;"),
         "parse", "declared name 'v_1' contains '_', which is reserved for jet tokens", 2, 10,
     ),
+    "d-declared-as-base": (
+        lambda: parse_system("base t d;\nfields u;"),
+        "parse", "declared name 'd' is reserved for the explicit derivative form", 1, 8,
+    ),
+    "d-declared-as-field": (
+        lambda: parse_system("base t x;\nfields u d;"),
+        "parse", "declared name 'd' is reserved for the explicit derivative form", 2, 10,
+    ),
     "repeated-declared-name": (
         lambda: parse_system("base t x;\nfields u x;"), "parse", "chart names must be distinct", 2, 10,
     ),
@@ -775,6 +793,14 @@ FRONT_END_ERRORS = {
     "unreadable-point": (
         lambda: _parse_point("0,a"),
         "invalid-system", "cannot read rational coordinates from '0,a'", None, None,
+    ),
+    "exponent-in-point": (
+        lambda: _parse_point("0,1e5"),
+        "invalid-system", "--at takes integers, p/q or decimals, not exponents: '0,1e5'", None, None,
+    ),
+    "capital-exponent-in-point": (
+        lambda: _parse_point("2E-3"),
+        "invalid-system", "--at takes integers, p/q or decimals, not exponents: '2E-3'", None, None,
     ),
 }
 
