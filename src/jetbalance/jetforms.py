@@ -428,7 +428,7 @@ def _render_form(form: Form, notation: _Notation, poly, table: TermTable) -> str
         quotient = (coeff if form.marked else coeff.div_exact(chart.rho)) if h == top else None
         if quotient is None:
             factors, volume = [f"d{bases[mu]}" for mu in h], []
-        else:  # eta prints after the r contact factors: a move of sign (-1)^(n r)
+        else:
             coeff = -quotient if chart.n * len(gens) % 2 else quotient
             factors, volume = [], [notation.volume]
         for i, counts in gens:
