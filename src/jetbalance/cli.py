@@ -1033,14 +1033,21 @@ def render(report: Report, fmt: str = "text") -> bytes:
 # ---------------------------------------------------------------------------
 
 
+# an --at coordinate: a signed ASCII integer, p/q or decimal; an exponent matches to be refused
+_POINT = re.compile(r"\s*([+-]?(?:\d+(?:/\d+|\.\d*)?|\.\d+))([eE][+-]?\d+)?\s*", re.ASCII)
+
+
 def _parse_point(text: str) -> list:
-    """The `--at` coordinates: integers, p/q or decimals.  An exponent is
-    refused: `Fraction` would expand `1e-999999999` before any check."""
-    if "e" in text.lower():
+    """The `--at` coordinates.  An exponent is refused: `Fraction` would
+    expand `1e-999999999` before any check."""
+    matches = [_POINT.fullmatch(part) for part in text.split(",")]
+    if None in matches:
+        raise InvalidSystemError(f"cannot read rational coordinates from {text!r}")
+    if any(match[2] for match in matches):
         raise InvalidSystemError(f"--at takes integers, p/q or decimals, not exponents: {text!r}")
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+        return [Fraction(match[1]) for match in matches]
+    except (ValueError, ZeroDivisionError) as exc:  # p/0, or past the int digit limit
         raise InvalidSystemError(f"cannot read rational coordinates from {text!r}") from exc
 
 

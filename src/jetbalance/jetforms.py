@@ -406,31 +406,26 @@ _LATEX = _Notation(
 def _render_form(form: Form, notation: _Notation, poly, table: TermTable) -> str:
     """The form word walker: words in degree order joined by their signs,
     each a coefficient times its basis.  A marked form prints each stored
-    coefficient, its cofactor, against the volume symbol.  Of an unmarked
-    form, a top horizontal word whose coefficient the density divides prints
-    the quotient against the volume symbol in place of the dx factors (eta
-    detection).  A word stores its dx factors first, so the volume symbol
-    takes the sign (-1)^(n r) of its move past the r contact factors.
-    Coefficients +-1 print as a sign, and a function word
-    prints as its bare coefficient.  A word's generators print by field,
-    then multi-index, and words of one degree sort by those factors."""
+    coefficient, its cofactor, against the volume symbol; an unmarked form
+    prints its dx factors.  A word stores its dx factors first, so the volume
+    symbol takes the sign (-1)^(n r) of its move past the r contact factors.
+    Coefficients +-1 print as a sign, and a function word prints as its bare
+    coefficient.  A word's generators print by field, then multi-index, and
+    words of one degree sort by those factors."""
     if form.is_zero:
         return "0"
     chart = form.chart
     bases = [notation.name(b) for b in chart.base_names]
-    top = tuple(range(chart.n))
+    volume = [notation.volume] if form.marked else []
     words = []
     for (h, c), coeff in form.terms.items():
         sign, gens = _printed(c)
+        if form.marked and chart.n * len(c) % 2:
+            sign = -sign
         words.append(((len(h) + len(c), len(c), h, gens), coeff if sign == 1 else -coeff))
     pieces = []
     for (_, _, h, gens), coeff in sorted(words):  # distinct words have distinct keys
-        quotient = (coeff if form.marked else coeff.div_exact(chart.rho)) if h == top else None
-        if quotient is None:
-            factors, volume = [f"d{bases[mu]}" for mu in h], []
-        else:
-            coeff = -quotient if chart.n * len(gens) % 2 else quotient
-            factors, volume = [], [notation.volume]
+        factors = [] if form.marked else [f"d{bases[mu]}" for mu in h]
         for i, counts in gens:
             sub = notation.subscript.format(suffix(bases, counts)) if any(counts) else ""
             factors.append(notation.contact.format(notation.name(chart.field_names[i]), sub))
@@ -448,8 +443,8 @@ def _render_form(form: Form, notation: _Notation, poly, table: TermTable) -> str
 
 def form_text(form: Form, table: TermTable | None = None) -> str:
     """Canonical text rendering of a form.  A marked form prints its
-    cofactors against eta; an unmarked one prints eta for the top horizontal
-    factors the density divides.  `table` as for `poly_text`."""
+    cofactors against eta; an unmarked one prints its dx factors.  `table`
+    as for `poly_text`."""
     if table is None:
         table = TermTable(form.chart.var_name)
     return _render_form(form, _TEXT, poly_text, table)

@@ -574,11 +574,6 @@ class Poly:
         out = {m: c for m, c in self.terms.items() if mono_vertical_degree(m) > 0}
         return Poly._raw(out)
 
-    def base_part(self) -> "Poly":
-        """The vertical-degree-0 component (base coordinates and constants only)."""
-        out = {m: c for m, c in self.terms.items() if mono_vertical_degree(m) == 0}
-        return Poly._raw(out)
-
     def scale_integrate(self, exponent: int) -> "Poly":
         """Exact value of the scaling integral over t in [0, 1] of
         t^exponent * p(x, t*y, t*z): each monomial of vertical degree d picks

@@ -418,10 +418,13 @@ class TestMain:
         assert code == 2
         assert "order-too-high" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("at, code", [("0,0,1e5", 2), ("0,0,2E-3", 2), ("0, -1/2, 1.25", 0)])
+    @pytest.mark.parametrize(
+        "at, code", [("0,0,1e5", 2), ("0,0,2E-3", 2), ("0, -1/2, 1.25", 0), (" +1., .5 ,-3 ", 0)]
+    )
     def test_point_forms(self, tmp_path, capsys, at, code):
-        """`--at` reads integers, p/q and decimals, and refuses an exponent,
-        which `Fraction` would expand digit by digit before any check."""
+        """`--at` reads signed ASCII integers, p/q and decimals, and refuses an
+        exponent, which `Fraction` would expand digit by digit before any
+        check.  Other digits are refused in `FRONT_END_ERRORS`."""
         system = tmp_path / "quadratic.bal"
         system.write_text("base t x; fields u; F[u,t] = u^2; F[u,x] = u;")
         assert main(["hyperbolic", str(system), "--at", at]) == code
@@ -801,6 +804,18 @@ FRONT_END_ERRORS = {
     "capital-exponent-in-point": (
         lambda: _parse_point("2E-3"),
         "invalid-system", "--at takes integers, p/q or decimals, not exponents: '2E-3'", None, None,
+    ),
+    "arabic-indic-digit-in-point": (
+        lambda: _parse_point("0,0,\u0663"),
+        "invalid-system", "cannot read rational coordinates from '0,0,\u0663'", None, None,
+    ),
+    "fullwidth-digit-in-point": (
+        lambda: _parse_point("0,0, \uff13"),
+        "invalid-system", "cannot read rational coordinates from '0,0, \uff13'", None, None,
+    ),
+    "underscore-in-point": (
+        lambda: _parse_point("0,0,1_000"),
+        "invalid-system", "cannot read rational coordinates from '0,0,1_000'", None, None,
     ),
 }
 

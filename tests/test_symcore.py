@@ -34,6 +34,8 @@ from jetbalance.symcore import (
 
 from conftest import multi_indices, polys, random_poly, random_system
 
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+
 
 class TestArithmetic:
     def test_add_collects_like_terms(self, chart_tx_u):
@@ -586,19 +588,26 @@ class TestWorkCounts:
             expected = expected + term
         assert value == expected
 
-    def test_reports_divide_by_no_density(self, monkeypatch):
-        """The encoding and its parts are held against eta, so rendering
-        `check` and `decompose` on a non-unit density divides nothing."""
-        doc = cli.parse_system(
+    def test_reports_divide_by_no_density(self):
+        """Every form a `check` or `decompose` report holds carries the volume
+        marker, so it prints against eta with no division by the density: on
+        a non-unit density and on each bundled system those commands accept
+        (a document with higher flux entries is left to `higher`)."""
+        docs = [cli.parse_system(
             "base t x; fields u v; density 1 + x^2; F[u,t] = u; F[u,x] = u^2 v + x u_x;"
             " F[v,t] = v; F[v,x] = u v_x - t; Pi[u] = t u v; Pi[v] = x u;"
-        )
-        divisions = self._record(monkeypatch, "div_exact", lambda *args: 1)
-        for command in ("check", "decompose"):
-            report = cli.run(command, doc)
-            for fmt in ("text", "latex", "structured"):
-                assert cli.render(report, fmt)
-        assert divisions == []
+        )]
+        docs += [cli.parse_system(path.read_text(encoding="utf-8")) for path in sorted(SYSTEMS.glob("*.bal"))]
+        accepted = [doc for doc in docs if not doc.has_higher_entries]
+        forms = [
+            value
+            for doc in accepted
+            for command in ("check", "decompose")
+            for section in cli.run(command, doc).sections.values()
+            for value in section.values() if isinstance(value, Form)
+        ]
+        # the Helmholtz residual and the two parts of the K-split, each marked
+        assert len(forms) == 3 * len(accepted) and all(form.marked for form in forms)
 
     def test_rational_power_divides_each_term_once(self, monkeypatch, chart_x_u):
         """A base with rational coefficients is expanded over the integers and
