@@ -26,8 +26,8 @@ from .jetforms import Form
 from .symcore import Chart, EngineError, InvalidSystemError, Poly, _add_into, _bareiss, _divide
 from .symcore import _promoted, _rational, base_index, base_var, is_jet, jet_parts, jet_var
 from .symcore import mono_mul, var_order
-from .variational import FunctionalForm, _euler_sum, _total_derivative_along, euler_lagrange
-from .variational import higher_balance_residuals, interior_euler
+from .variational import FunctionalForm, _cleared_euler_sum, _denominators, _divided
+from .variational import _total_derivative_along, higher_balance_residuals, interior_euler
 
 
 class OrderTooHighError(EngineError):
@@ -229,22 +229,30 @@ def decompose(bs: BalanceSystem) -> DecompositionReport:
     pairing's support.  The homotopy image of the encoding omega is L~ eta,
     so the Lagrangian part is d_V(L~ eta) and, by the homotopy identity, the
     rest of omega is the pure non-Lagrangian part h(d_V omega).  The Godunov
-    part is the source form, the Euler sum of the data, minus the
-    Euler-Lagrange form of L~; the interior Euler image of the
+    part is the source form, the Euler sum S of the data, minus the
+    Euler-Lagrange form E of L~; both sums run on ints cleared by one common
+    d, the lcm of the denominators of the data and of L~'s jet partials, E
+    with its sign folded in, so the Godunov components are S + (-E) over
+    their one scale, divided once.  The interior Euler image of the
     non-Lagrangian part gives it by an independent route."""
     chart = bs.chart
     ltilde = quasi_lagrangian(bs)
     potentials, remainder = divergence_split(chart, ltilde)
     lag_part = (Form.volume(chart) * ltilde).d_V()
     nonlag_part = balance_form(bs) - lag_part
-    source = FunctionalForm._from_components(chart, _euler_sum(chart, bs.entries.items()))
-    euler_part = euler_lagrange(chart, ltilde)
+    chart.validate_poly(ltilde)
+    entries, partials = bs.entries.items(), ltilde.jet_partials().items()
+    d = lcm(_denominators(entries), _denominators(partials))
+    godunov, scale = _cleared_euler_sum(chart, entries, d)
+    minus_euler, _ = _cleared_euler_sum(chart, partials, -d)
+    for comp, minus in zip(godunov, minus_euler):  # S - E, in place of S
+        _add_into(comp, minus.items())
     return DecompositionReport(
         quasi_lagrangian=ltilde,
         lagrangian_part=lag_part,
         nonlagrangian_part=nonlag_part,
-        euler_lagrange_form=euler_part,
-        godunov_part=source - euler_part,
+        euler_lagrange_form=FunctionalForm._from_components(chart, _divided(minus_euler, -scale)),
+        godunov_part=FunctionalForm._from_components(chart, _divided(godunov, scale)),
         helmholtz_closed=nonlag_part.is_zero,
         trivial_quasi_lagrangian=ltilde.is_zero,
         divergence_potentials=potentials,
@@ -436,7 +444,8 @@ def _single_antiderivative(chart: Chart, mono: tuple, coeff) -> tuple | None:
             if any(var not in (w, v) for var in jets) or any(base_index(var) == mu for var, _ in rest):
                 continue  # d_mu(rest) != 0
             k = dict(mono).get(v, 0)
-            candidate = Poly._raw({rest + ((v, k + 1),): _divide(coeff, k + 1)})
-            if candidate.total_derivative(mu).terms == {mono: coeff}:
-                return mu, candidate
+            top = rest + ((v, k + 1),)
+            # d_mu is linear: the candidate c top works iff d_mu(top) = (k + 1) mono
+            if Poly._raw({top: 1}).total_derivative(mu).terms == {mono: k + 1}:
+                return mu, Poly._raw({top: _divide(coeff, k + 1)})
     return None

@@ -64,7 +64,7 @@ from .symcore import (
     MAX_ORDER, Chart, EngineError, InvalidSystemError, Poly, TermTable, _ONE, _add_into, _exact,
     base_var, jet_parts, jet_var, poly_text, suffix, var_field, var_order,
 )
-from .variational import _euler_sum, higher_balance_residuals
+from .variational import _cleared_euler_sum, _divided, higher_balance_residuals
 
 FORMATS = ("text", "latex", "structured")
 
@@ -670,10 +670,10 @@ def _by_coord(chart: Chart, values) -> dict:
 
 def _equations(report: Report, at, section_text) -> None:
     bs = report.doc.to_balance_system()
-    sources = _euler_sum(bs.chart, bs.entries.items())  # the residuals are their negation
+    comps, scale = _cleared_euler_sum(bs.chart, bs.entries.items())  # the residuals negate the sources
     report.sections["equations"] = {
-        "residuals": _by_field(bs.chart, [-c for c in sources]),
-        "source_components": _by_field(bs.chart, sources),
+        "residuals": _by_field(bs.chart, _divided(comps, -scale)),
+        "source_components": _by_field(bs.chart, _divided(comps, scale)),
     }
 
 
@@ -1047,8 +1047,12 @@ def _parse_point(text: str) -> list:
         raise InvalidSystemError(f"--at takes integers, p/q or decimals, not exponents: {text!r}")
     try:
         return [Fraction(match[1]) for match in matches]
-    except (ValueError, ZeroDivisionError) as exc:  # p/0, or past the int digit limit
+    except ZeroDivisionError as exc:  # p/0
         raise InvalidSystemError(f"cannot read rational coordinates from {text!r}") from exc
+    except ValueError as exc:  # CPython's int-string digit limit, passed by the longest number
+        digits = max(len(run) for match in matches for run in re.findall(r"\d+", match[1]))
+        raise InvalidSystemError(f"--at number of {digits} digits is too long "
+                                 f"(the limit is {sys.get_int_max_str_digits()})") from exc
 
 
 def _build_argparser() -> argparse.ArgumentParser:

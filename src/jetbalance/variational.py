@@ -17,10 +17,11 @@ Conventions, fixed once and used throughout:
 from __future__ import annotations
 
 import operator
+from math import lcm
 
 from .jetforms import BidegreeError, Form
-from .symcore import Chart, EngineError, InvalidSystemError, Poly, _ONE, _add_into, jet_parts
-from .symcore import jet_var, var_field, var_order
+from .symcore import Chart, EngineError, InvalidSystemError, Poly, _ONE, _add_into, _divide
+from .symcore import jet_parts, jet_var, var_field, var_order
 
 
 class NotFunctionalError(EngineError):
@@ -207,18 +208,60 @@ def vertical_decompose(form: Form) -> tuple:
     return exact_part, complement
 
 
-def _euler_sum(chart: Chart, entries) -> tuple:
-    """The Euler operator's alternating sum: each (code, p) entry, code the
-    jet variable z^i_counts, adds (-1)^|counts| D_counts(rho p) to field i.
-    It gives the Euler-Lagrange components of jet partials and the source
-    components of balance data, whose negation is the residuals."""
+def _cleared(terms: dict, scale: int) -> dict:
+    """The int terms of `scale` times `terms`, every coefficient denominator
+    dividing the int `scale`."""
+    return {mono: c.numerator * (scale // c.denominator) for mono, c in terms.items()}
+
+
+def _denominators(entries) -> int:
+    """The lcm of the coefficient denominators of (code, p) entries."""
+    return lcm(*(c.denominator for _, p in entries for c in p.terms.values()))
+
+
+def _cleared_euler_sum(chart: Chart, entries, d: int | None = None) -> tuple:
+    """The Euler operator's alternating sum over the integers: each (code, p)
+    entry, code the jet variable z^i_counts, adds (-1)^|counts| D_counts(rho p)
+    to field i.  Returns (components, scale): int term dicts, one per field,
+    that are `scale` times the sum.  Each entry is scaled once, by d with its
+    sign folded in, and rho by the lcm D_rho of its own denominators, so
+    every total derivative and every addition runs on ints; scale = d D_rho.
+    d defaults to the lcm of the entries' denominators (`entries` is then
+    read twice); a given d is a nonzero multiple of it, a negative one
+    negating the sum."""
+    if d is None:
+        d = _denominators(entries)
+    rho = chart.rho.terms
+    d_rho = lcm(*(c.denominator for c in rho.values()))
+    rho = None if rho == _ONE else Poly._raw(_cleared(rho, d_rho))  # a unit density multiplies nothing
     comps = [{} for _ in range(chart.m)]
-    rho = None if chart.rho.terms == _ONE else chart.rho  # a unit density multiplies nothing
     for var, p in entries:
         i, counts = jet_parts(var)
-        terms = _total_derivative_along(p if rho is None else rho * p, counts).terms.items()
-        _add_into(comps[i], ((mono, -c) for mono, c in terms) if sum(counts) % 2 else terms)
-    return tuple(map(Poly._raw, comps))
+        scale = -d if sum(counts) % 2 else d
+        piece = p if scale == 1 else Poly._raw(_cleared(p.terms, scale))
+        if rho is not None:
+            piece = rho * piece
+        _add_into(comps[i], _total_derivative_along(piece, counts).terms.items())
+    return comps, d * d_rho
+
+
+def _divided(comps, scale: int) -> tuple:
+    """The Polys comps / scale of int term dicts and a nonzero int scale, a
+    negative one giving the negation.  Each distinct value is divided once,
+    by `_divide`, so integral quotients stay ints."""
+    if scale == 1:
+        return tuple(map(Poly._raw, comps))
+    if scale == -1:
+        return tuple(Poly._raw({mono: -c for mono, c in comp.items()}) for comp in comps)
+    quotients = {c: _divide(c, scale) for c in {c for comp in comps for c in comp.values()}}
+    return tuple(Poly._raw({mono: quotients[c] for mono, c in comp.items()}) for comp in comps)
+
+
+def _euler_sum(chart: Chart, entries) -> tuple:
+    """The Euler sum of `entries` (see `_cleared_euler_sum`) as Polys: the
+    Euler-Lagrange components of jet partials and the source components of
+    balance data, whose negation is the residuals."""
+    return _divided(*_cleared_euler_sum(chart, entries))
 
 
 def euler_lagrange(chart: Chart, lagrangian: Poly) -> FunctionalForm:
@@ -249,4 +292,5 @@ def higher_balance_residuals(bs) -> tuple:
     """Residuals of a `balance.BalanceSystem` of any order: minus the Euler
     sum of its entries.  With only first-order entries they are the
     first-order balance residuals."""
-    return tuple(-c for c in _euler_sum(bs.chart, bs.entries.items()))
+    comps, scale = _cleared_euler_sum(bs.chart, bs.entries.items())
+    return _divided(comps, -scale)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -47,10 +48,11 @@ def chart_tx_uv():
 
 def density_chart(n: int, density: str) -> Chart:
     """Fields u, v over n = 1-3 coordinates, one of them x, with the volume
-    density 1 or 1 + x^2."""
+    density 1, 1 + x^2 or 2/3 + x^2/5."""
     base = ("t", "x", "y")[:n] if n > 1 else ("x",)
     x = Poly.variable(base_var(base.index("x")))
-    return Chart(base, ("u", "v"), None if density == "1" else 1 + x**2)
+    rho = {"1": None, "1 + x^2": 1 + x**2, "2/3 + x^2/5": Fraction(2, 3) + x**2 / 5}[density]
+    return Chart(base, ("u", "v"), rho)
 
 
 def multi_indices(n: int, max_order: int):
@@ -77,6 +79,26 @@ def random_fraction(rng: random.Random) -> Fraction:
     num = rng.choice([-3, -2, -1, 1, 2, 3, 5])
     den = rng.choice([1, 1, 2, 3, 4])
     return Fraction(num, den)
+
+
+PRIMES_TO_71 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def coprime_poly(rng: random.Random, chart: Chart, max_order: int = 2, max_terms: int = 4) -> Poly:
+    """Up to max_terms terms of degree <= 3 whose coefficient denominators
+    are 1 or primes up to 71, so that their lcm grows with every new prime."""
+    pool = variable_pool(chart, max_order)
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = tuple(sorted(collections.Counter(rng.choices(pool, k=rng.randint(0, 3))).items()))
+        terms[mono] = Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 4, 5]), rng.choice((1,) + PRIMES_TO_71))
+    return Poly(terms)
+
+
+def coprime_system(rng: random.Random, chart: Chart, max_order: int = 2) -> BalanceSystem:
+    """Fluxes and sources drawn by `coprime_poly`."""
+    F = [[coprime_poly(rng, chart, max_order) for _ in range(chart.n)] for _ in range(chart.m)]
+    return BalanceSystem(chart, F, [coprime_poly(rng, chart, max_order) for _ in range(chart.m)])
 
 
 def random_poly(

@@ -447,6 +447,17 @@ class TestMain:
         assert main(["hyperbolic", str(system), "--at", at, "--format", fmt]) == 2
         assert capsys.readouterr().err.startswith("error[number-too-long]")
 
+    @pytest.mark.parametrize("number", ["1" + "0" * 5000, "1/" + "3" * 5001, "2." + "5" * 5001])
+    def test_exit_two_on_too_long_point_number(self, tmp_path, capsys, number):
+        """A coordinate past the int-string digit limit is reported with its
+        digit count and the limit, as the parser reports a long literal."""
+        system = tmp_path / "quartic.bal"
+        system.write_text("base t x; fields u; F[u,t] = u^4; F[u,x] = u;")
+        assert main(["hyperbolic", str(system), "--at", f"0,0,{number}"]) == 2
+        assert capsys.readouterr().err == (
+            "error[invalid-system]: --at number of 5001 digits is too long "
+            f"(the limit is {sys.get_int_max_str_digits()})\n")
+
     NOT_UTF8 = b'base t x; fields u; title "a\xffb"; F[u,t] = u;\n'
 
     def test_exit_two_on_file_not_utf8(self, tmp_path, capsys):

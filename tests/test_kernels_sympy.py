@@ -8,7 +8,7 @@ the way is an int or a Fraction, never a float.  The generators are the chart's
 variables in descending order (a variable compares as its rank), so sympy's
 `grlex` order is the graded order the renderers print in.  `total_derivative`
 is checked by the chain rule on a polynomial section, and `euler_lagrange` against
-`sympy.calculus.euler.euler_equations`.
+`sympy.calculus.euler.euler_equations`, with a unit and a rational density.
 """
 
 from __future__ import annotations
@@ -287,6 +287,39 @@ def test_euler_lagrange_matches_sympy(chart, order, seed):
 
     ours = euler_lagrange(chart, lagrangian).components()
     expected = euler_equations(_expr(lagrangian, value), funcs, xs)
+    assert len(expected) == chart.m
+    for i, eq in enumerate(expected):
+        difference = _jet_symbols(_expr(ours[i], value) - eq.lhs + eq.rhs, funcs, list(xs))
+        assert sympy.expand(difference) == 0
+
+
+DENSITY_CHARTS = (  # rho = 2/3 + x^2/5 on (x), and 2/3 + x^2/5 - 3/7 t x on (t, x)
+    Chart(("x",), ("u",), Fraction(2, 3) + Poly.variable(base_var(0)) ** 2 / 5),
+    Chart(("t", "x"), ("u", "v"), Fraction(2, 3) + _X**2 / 5 - Fraction(3, 7) * _T * _X),
+)
+
+
+@pytest.mark.parametrize("chart,seed", [(DENSITY_CHARTS[k % 2], 2100 + k) for k in range(6)])
+def test_euler_lagrange_with_a_rational_density_matches_sympy(chart, seed):
+    """On a chart with a rational, non-unit density rho, the Euler-Lagrange
+    components of a Lagrangian with rational coefficients are E(rho L): the
+    same as on the unit chart, and sympy's Euler equations of rho L."""
+    rng = random.Random(seed)
+    lagrangian = random_poly(rng, chart, max_order=2, max_degree=3, max_terms=4) * Fraction(5, 11)
+    lagrangian = lagrangian + sum((chart.field(i) ** 4 for i in range(chart.m)), Poly.zero())
+    xs = sympy.symbols(f"X0:{chart.n}")
+    funcs = [sympy.Function(f"u{i}")(*xs) for i in range(chart.m)]
+
+    def value(var):
+        if not is_jet(var):
+            return xs[base_index(var)]
+        i, counts = jet_parts(var)
+        return sympy.Derivative(funcs[i], *zip(xs, counts)) if any(counts) else funcs[i]
+
+    ours = euler_lagrange(chart, lagrangian).components()
+    unit = Chart(chart.base_names, chart.field_names)
+    assert ours == euler_lagrange(unit, chart.rho * lagrangian).components()
+    expected = euler_equations(_expr(chart.rho * lagrangian, value), funcs, xs)
     assert len(expected) == chart.m
     for i, eq in enumerate(expected):
         difference = _jet_symbols(_expr(ours[i], value) - eq.lhs + eq.rhs, funcs, list(xs))

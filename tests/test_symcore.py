@@ -21,6 +21,7 @@ from jetbalance import (
     Poly,
     balance_form,
     balance_residuals,
+    decompose,
     evaluate_on_section,
     godunov_check,
     poly_text,
@@ -32,7 +33,7 @@ from jetbalance.symcore import (
     var_order,
 )
 
-from conftest import multi_indices, polys, random_poly, random_system
+from conftest import coprime_system, density_chart, multi_indices, polys, random_poly, random_system
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -712,6 +713,35 @@ class TestWorkCounts:
                     piece = piece.total_derivative(mu)
             expected[i] = expected[i] + (-piece if sum(counts) % 2 else piece)
         assert comps == tuple(expected)
+
+    @pytest.mark.parametrize("density", ["1", "2/3 + x^2/5"])
+    def test_euler_sums_differentiate_ints_only(self, monkeypatch, density):
+        """On a system with rational coefficients, the Euler sums of
+        `_euler_sum` and of `decompose` differentiate cleared ints: every
+        total derivative they take has int coefficients only."""
+        chart = density_chart(3, density)
+        bs = coprime_system(random.Random(19), chart)
+        assert any(type(c) is Fraction for p in bs.entries.values() for c in p.terms.values())
+        integral = self._record(monkeypatch, "total_derivative", lambda p, mu: all(
+            type(c) is int for c in p.terms.values()))
+        variational._euler_sum(chart, bs.entries.items())
+        decompose(bs)
+        assert integral and all(integral)
+
+    def test_cleared_sum_divides_each_value_once(self, monkeypatch):
+        """The division back from the cleared ints divides each distinct
+        value once per call, and only integral quotients are ints."""
+        chart = density_chart(2, "2/3 + x^2/5")
+        lagrangian = quasi_lagrangian(coprime_system(random.Random(23), chart))
+        comps, scale = variational._cleared_euler_sum(chart, lagrangian.jet_partials().items())
+        divisions = []
+        divide = variational._divide
+        monkeypatch.setattr(variational, "_divide", lambda c, d: divisions.append((c, d)) or divide(c, d))
+        polys = variational._divided(comps, scale)
+        values = [c for comp in comps for c in comp.values()]
+        assert sorted(divisions) == sorted((c, scale) for c in set(values)) and len(set(values)) < len(values)
+        assert sum(len(p.terms) for p in polys) == len(values)
+        assert all(type(c) is int or c.denominator > 1 for p in polys for c in p.terms.values())
 
     def test_pairing_and_encoding_in_one_dict(self, monkeypatch):
         """The pairing polynomial adds each entry's shifted terms into one

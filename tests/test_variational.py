@@ -24,12 +24,16 @@ from jetbalance import (
     euler_lagrange,
     functional_from_components,
     interior_euler,
+    quasi_lagrangian,
     vertical_decompose,
     vertical_homotopy,
 )
+from jetbalance import variational
 from jetbalance.symcore import base_var, jet_parts
 from conftest import (
     CHARTS,
+    coprime_poly,
+    coprime_system,
     density_chart,
     homogeneous_forms,
     multi_indices,
@@ -380,6 +384,68 @@ class TestHigherBalance:
                 encoding = encoding + Form.contact(chart, *jet_parts(var)) * p
             source = interior_euler(encoding.wedge(Form.volume(chart)))
             assert higher_balance_residuals(data) == tuple(-c for c in source.components())
+
+
+def _reference_euler_sum(chart: Chart, entries) -> tuple:
+    """The Euler sum in Fraction arithmetic, entry by entry: field i adds
+    (-1)^|counts| D_counts(rho p) for each (code, p) entry."""
+    comps = [Poly.zero()] * chart.m
+    for var, p in entries:
+        i, counts = jet_parts(var)
+        piece = chart.rho * p
+        for mu, reps in enumerate(counts):
+            for _ in range(reps):
+                piece = piece.total_derivative(mu)
+        comps[i] = comps[i] - piece if sum(counts) % 2 else comps[i] + piece
+    return tuple(comps)
+
+
+def _ints_where_integral(polys) -> bool:
+    return all(type(c) is int or c.denominator > 1 for p in polys for c in p.terms.values())
+
+
+@pytest.mark.parametrize("density", ["1", "1 + x^2", "2/3 + x^2/5"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+class TestClearedEulerSum:
+    """The Euler sums run on ints cleared of the denominators and divide once
+    at the end; they equal the sum taken in Fraction arithmetic on systems
+    whose denominators are coprime up to 71, under integral and rational
+    densities."""
+
+    @staticmethod
+    def _systems(n, density):
+        chart = density_chart(n, density)
+        rng = random.Random(1700 + 10 * n + len(density))
+        slots = [(i, counts) for i in range(chart.m) for counts in multi_indices(n, 3)]
+        higher = [BalanceSystem.from_entries(chart, {slot: coprime_poly(rng, chart, max_order=1)
+                                                     for slot in rng.sample(slots, 4)})
+                  for _ in range(2)]
+        return [coprime_system(rng, chart) for _ in range(3)] + higher
+
+    def test_source_sum_and_residuals(self, n, density):
+        for bs in self._systems(n, density):
+            expected = _reference_euler_sum(bs.chart, bs.entries.items())
+            sources = variational._euler_sum(bs.chart, bs.entries.items())
+            residuals = balance_residuals(bs)
+            assert sources == expected
+            assert residuals == tuple(-c for c in expected)
+            assert _ints_where_integral(sources + residuals)
+
+    def test_euler_lagrange(self, n, density):
+        for bs in self._systems(n, density):
+            lagrangian = quasi_lagrangian(bs) + coprime_poly(random.Random(n), bs.chart)
+            expected = _reference_euler_sum(bs.chart, lagrangian.jet_partials().items())
+            comps = euler_lagrange(bs.chart, lagrangian).components()
+            assert comps == expected and _ints_where_integral(comps)
+
+    def test_decompose_parts(self, n, density):
+        for bs in self._systems(n, density):
+            dec = decompose(bs)
+            source = _reference_euler_sum(bs.chart, bs.entries.items())
+            euler = _reference_euler_sum(bs.chart, dec.quasi_lagrangian.jet_partials().items())
+            parts = dec.euler_lagrange_form.components(), dec.godunov_part.components()
+            assert parts == (euler, tuple(s - e for s, e in zip(source, euler)))
+            assert _ints_where_integral(parts[0] + parts[1])
 
 
 def _dx_twin(bs) -> Form:
