@@ -19,14 +19,13 @@ terms, but stays inside exact polynomial arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .jetforms import Form
-from .symcore import Chart, EngineError, InvalidSystemError, Poly, _add_into, _bareiss, _divide
-from .symcore import _promoted, _rational, base_index, base_var, is_jet, jet_parts, jet_var
-from .symcore import mono_mul, var_order
-from .variational import FunctionalForm, _cleared_euler_sum, _denominators, _divided
+from .symcore import Chart, EngineError, InvalidSystemError, Poly, _add_into, _bareiss, _cleared
+from .symcore import _denominator, _divide, _promoted, _rational, base_index, base_var, is_jet
+from .symcore import jet_parts, jet_var, mono_mul, var_order
+from .variational import FunctionalForm, _cleared_euler_sum, _divided
 from .variational import _total_derivative_along, higher_balance_residuals, interior_euler
 
 
@@ -190,17 +189,22 @@ def source_form(bs: BalanceSystem) -> FunctionalForm:
 def pairing_polynomial(bs: BalanceSystem) -> Poly:
     """The contraction of the system data with the fiber scaling field: each
     entry times the jet variable of its generator, so for first-order data
-    sum_i y^i Pi_i + sum_{i,mu} z^i_mu F[i][mu], added in one term dict."""
+    sum_i y^i Pi_i + sum_{i,mu} z^i_mu F[i][mu]."""
+    return _pairing(bs, ((var, var) for var in bs.entries))
+
+
+def _pairing(bs: BalanceSystem, pairs) -> Poly:
+    """The sum of y times the entry of generator gen over the (y, gen)
+    `pairs`, added in one term dict: L~'s pairing at every generator's own
+    jet variable, Godunov's source pairing at the fields and a flux
+    column's at their promotions."""
     total: dict = {}
-    for var, p in bs.entries.items():
-        _add_into(total, _shifted(var, p))
+    for y, gen in pairs:
+        entry = bs.entries.get(gen)
+        if entry is not None:
+            factor = ((y, 1),)
+            _add_into(total, ((mono_mul(factor, mono), c) for mono, c in entry.terms.items()))
     return Poly._raw(total)
-
-
-def _shifted(var, p: Poly) -> list:
-    """The terms of var * p: each monomial of p times var."""
-    factor = ((var, 1),)
-    return [(mono_mul(factor, mono), c) for mono, c in p.terms.items()]
 
 
 def quasi_lagrangian(bs: BalanceSystem) -> Poly:
@@ -241,10 +245,10 @@ def decompose(bs: BalanceSystem) -> DecompositionReport:
     lag_part = (Form.volume(chart) * ltilde).d_V()
     nonlag_part = balance_form(bs) - lag_part
     chart.validate_poly(ltilde)
-    entries, partials = bs.entries.items(), ltilde.jet_partials().items()
-    d = lcm(_denominators(entries), _denominators(partials))
-    godunov, scale = _cleared_euler_sum(chart, entries, d)
-    minus_euler, _ = _cleared_euler_sum(chart, partials, -d)
+    partials = ltilde.jet_partials()
+    d = _denominator(c for p in (*bs.entries.values(), *partials.values()) for c in p.terms.values())
+    godunov, scale = _cleared_euler_sum(chart, bs.entries.items(), d)
+    minus_euler, _ = _cleared_euler_sum(chart, partials.items(), -d)
     for comp, minus in zip(godunov, minus_euler):  # S - E, in place of S
         _add_into(comp, minus.items())
     return DecompositionReport(
@@ -272,18 +276,6 @@ def _symmetric(m: int, entry) -> bool:
     return all(entry(i, k) == entry(k, i) for i in range(m) for k in range(i + 1, m))
 
 
-def _field_pairing(bs: BalanceSystem, fields: list, gens: list) -> Poly:
-    """sum_i y^i times the entry of generator gens[i], y^i = fields[i], added
-    in one term dict: the source pairing at the fields themselves, the
-    pairing of a flux column at their promotions."""
-    total: dict = {}
-    for y, gen in zip(fields, gens):
-        entry = bs.entries.get(gen)
-        if entry is not None:
-            _add_into(total, _shifted(y, entry))
-    return Poly._raw(total)
-
-
 def godunov_check(bs: BalanceSystem) -> GodunovReport:
     """Classification of a zero-order system: fluxes must be field gradients
     of potentials (symmetric field Jacobians), and the source pairing
@@ -300,15 +292,14 @@ def godunov_check(bs: BalanceSystem) -> GodunovReport:
         _symmetric(chart.m, lambda i, k: bs.flux(i, mu).partial(fields[k]))
         for mu in range(chart.n)
     )
-    pairing = _field_pairing(bs, fields, fields)
+    pairing = _pairing(bs, zip(fields, fields))
     pairing_constant = Fraction(0) if pairing.is_zero else None
     zero_order = bs.order == 0
     potentials = None
     if zero_order and all(symmetric):
         pots = []
         for mu in range(chart.n):
-            column = [_promoted(y, mu) for y in fields]
-            pot = _field_pairing(bs, fields, column).scale_integrate(-1)
+            pot = _pairing(bs, ((y, _promoted(y, mu)) for y in fields)).scale_integrate(-1)
             if any(pot.partial(y) != bs.flux(i, mu) for i, y in enumerate(fields)):
                 raise EngineError("potential recovery failed on a symmetric flux column")
             pots.append(pot)
@@ -360,9 +351,9 @@ def symmetric_hyperbolicity(bs: BalanceSystem, point: Sequence) -> Hyperbolicity
     # row; a leading k-by-k block of those rows has d_1...d_k times the minor
     rows, scales = [], [1]
     for i in range(chart.m):
-        row = [matrices[0][i][j].evaluate(assignment) for j in range(chart.m)]
-        d = lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (d // v.denominator) for v in row])
+        row = {j: matrices[0][i][j].evaluate(assignment) for j in range(chart.m)}
+        d = _denominator(row.values())
+        rows.append(list(_cleared(row, d).values()))
         scales.append(scales[-1] * d)
     # Fractions, so that a structured report prints every minor, 0 included, as text
     minors = tuple(Fraction(_bareiss([row[:k] for row in rows[:k]])[1], scales[k])

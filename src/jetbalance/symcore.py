@@ -224,6 +224,17 @@ def _divide(c, d: int):
     return _exact(c / d)
 
 
+def _denominator(values) -> int:
+    """The lcm of the denominators of the int or Fraction `values`."""
+    return lcm(*(c.denominator for c in values))
+
+
+def _cleared(terms: dict, d: int) -> dict:
+    """The ints d times the values of `terms`, every denominator dividing the
+    int d: the one step that clears denominators before exact int work."""
+    return {key: c.numerator * (d // c.denominator) for key, c in terms.items()}
+
+
 _ONE = {(): 1}  # the terms of the constant 1
 
 
@@ -288,14 +299,13 @@ def _multinomial_power(terms: dict, k: int) -> dict:
     result coefficient is divided once by D^k."""
     variables = sorted({var for mono in terms for var, _ in mono})
     slot = {var: i for i, var in enumerate(variables)}
-    denominator = lcm(*(c.denominator for c in terms.values()))
+    denominator = _denominator(terms.values())
     # per base term: its exponent vector times a, and its cleared coefficient to the a, for a = 0..k
     factors = []
-    for mono, c in terms.items():
+    for mono, c in _cleared(terms, denominator).items():
         vec = [0] * len(variables)
         for var, e in mono:
             vec[slot[var]] = e
-        c = c.numerator * (denominator // c.denominator)
         factors.append(([tuple(a * e for e in vec) for a in range(k + 1)],
                         [c**a for a in range(k + 1)]))
     *head, (last_vecs, last_pows) = factors

@@ -16,11 +16,9 @@ Conventions, fixed once and used throughout:
 
 from __future__ import annotations
 
-import operator
-from math import lcm
-
 from .jetforms import BidegreeError, Form
-from .symcore import Chart, EngineError, InvalidSystemError, Poly, _ONE, _add_into, _divide
+from .symcore import Chart, EngineError, InvalidSystemError, Poly, _ONE, _add_into, _cleared
+from .symcore import _denominator, _divide
 from .symcore import jet_parts, jet_var, var_field, var_order
 
 
@@ -36,9 +34,9 @@ class FunctionalForm:
     For s = 1 the form is a source form: a sum of components E_i wedged with
     the order-0 contact generator of field i and the coordinate volume.  A
     source form built from its components holds them and builds its form
-    words only when `.form` is read; two forms on one chart that both hold
-    components compare, add and subtract by them.  `FunctionalForm(form)`
-    wraps form words and reads its components off them when asked.
+    words only when `.form` is read.  `FunctionalForm(form)` wraps form
+    words and reads its components off them when asked.  Equality, sums and
+    differences all go through the form words.
     """
 
     __slots__ = ("chart", "_form", "_components")
@@ -96,15 +94,9 @@ class FunctionalForm:
             comps[var_field(c[0])] = -coeff if chart.n % 2 else coeff
         return tuple(comps)
 
-    def _by_components(self, other: "FunctionalForm") -> bool:
-        return (self._components is not None and other._components is not None
-                and self.chart == other.chart)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctionalForm):
             return NotImplemented
-        if self._by_components(other):
-            return self._components == other._components
         return self.form == other.form
 
     def __hash__(self) -> int:
@@ -113,18 +105,11 @@ class FunctionalForm:
     def __repr__(self) -> str:
         return f"FunctionalForm({self.form!r})"
 
-    def _combine(self, other: "FunctionalForm", op) -> "FunctionalForm":
-        if self._by_components(other):
-            return self._from_components(
-                self.chart, tuple(map(op, self._components, other._components))
-            )
-        return FunctionalForm(op(self.form, other.form))  # raises on a chart mismatch
-
     def __add__(self, other: "FunctionalForm") -> "FunctionalForm":
-        return self._combine(other, operator.add)
+        return FunctionalForm(self.form + other.form)  # raises on a chart mismatch
 
     def __sub__(self, other: "FunctionalForm") -> "FunctionalForm":
-        return self._combine(other, operator.sub)
+        return FunctionalForm(self.form - other.form)
 
 
 def functional_from_components(chart: Chart, components) -> FunctionalForm:
@@ -208,31 +193,20 @@ def vertical_decompose(form: Form) -> tuple:
     return exact_part, complement
 
 
-def _cleared(terms: dict, scale: int) -> dict:
-    """The int terms of `scale` times `terms`, every coefficient denominator
-    dividing the int `scale`."""
-    return {mono: c.numerator * (scale // c.denominator) for mono, c in terms.items()}
-
-
-def _denominators(entries) -> int:
-    """The lcm of the coefficient denominators of (code, p) entries."""
-    return lcm(*(c.denominator for _, p in entries for c in p.terms.values()))
-
-
 def _cleared_euler_sum(chart: Chart, entries, d: int | None = None) -> tuple:
     """The Euler operator's alternating sum over the integers: each (code, p)
     entry, code the jet variable z^i_counts, adds (-1)^|counts| D_counts(rho p)
     to field i.  Returns (components, scale): int term dicts, one per field,
-    that are `scale` times the sum.  Each entry is scaled once, by d with its
-    sign folded in, and rho by the lcm D_rho of its own denominators, so
-    every total derivative and every addition runs on ints; scale = d D_rho.
-    d defaults to the lcm of the entries' denominators (`entries` is then
-    read twice); a given d is a nonzero multiple of it, a negative one
-    negating the sum."""
+    that are `scale` times the sum.  Each entry is cleared once by symcore's
+    `_cleared`, by d with its sign folded in, and rho by the lcm D_rho of its
+    own denominators, so every total derivative and every addition runs on
+    ints; scale = d D_rho.  d defaults to the entries' `_denominator`
+    (`entries` is then read twice); a given d is a nonzero multiple of it, a
+    negative one negating the sum."""
     if d is None:
-        d = _denominators(entries)
+        d = _denominator(c for _, p in entries for c in p.terms.values())
     rho = chart.rho.terms
-    d_rho = lcm(*(c.denominator for c in rho.values()))
+    d_rho = _denominator(rho.values())
     rho = None if rho == _ONE else Poly._raw(_cleared(rho, d_rho))  # a unit density multiplies nothing
     comps = [{} for _ in range(chart.m)]
     for var, p in entries:
