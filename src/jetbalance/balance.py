@@ -23,8 +23,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .jetforms import Form
 from .symcore import Chart, EngineError, InvalidSystemError, Poly, _add_into, _bareiss, _cleared
-from .symcore import _denominator, _divide, _promoted, _rational, base_index, base_var, is_jet
-from .symcore import jet_parts, jet_var, mono_mul, var_order
+from .symcore import _denominator, _divide, _polynomial, _promoted, _rational, base_index
+from .symcore import base_var, is_jet, jet_parts, jet_var, mono_mul, var_order
 from .variational import FunctionalForm, _cleared_euler_sum, _divided
 from .variational import _total_derivative_along, higher_balance_residuals, interior_euler
 
@@ -86,12 +86,12 @@ class BalanceSystem:
         return bs
 
     def _fill(self, chart: Chart, entries: Mapping) -> None:
-        """Keep the nonzero entries of a code -> polynomial map and check the
+        """Keep the nonzero entries of a code -> Poly map and check the
         generators and the variables of all entries together, each once; the
         same walk records `order`."""
         clean, orders, variables = {}, [], set(entries)
         for var, p in entries.items():
-            if not p.is_zero:
+            if not _polynomial(p).is_zero:
                 clean[var] = p
                 own = p.variables()
                 variables |= own

@@ -216,6 +216,13 @@ def _rational(value):
     raise InvalidSystemError(f"{value!r} is not an exact rational: use an int or a Fraction")
 
 
+def _polynomial(value) -> "Poly":
+    """A Poly as given; InvalidSystemError for any other value (an int included)."""
+    if not isinstance(value, Poly):
+        raise InvalidSystemError(f"{value!r} is not a polynomial: use a Poly")
+    return value
+
+
 def _divide(c, d: int):
     """c / d for a nonzero int d, divided once: an int when the quotient is
     integral, otherwise a Fraction."""
@@ -703,7 +710,7 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
 
     def __new__(cls, base_names, field_names, rho=None):
         self = super().__new__(cls, tuple(base_names), tuple(field_names),
-                               Poly.constant(1) if rho is None else rho)
+                               Poly.constant(1) if rho is None else _polynomial(rho))
         if not self.base_names or not self.field_names:
             raise InvalidSystemError("a chart needs at least one base coordinate and one field")
         if max(len(self.base_names), len(self.field_names)) > _MASK + 1:
@@ -774,8 +781,8 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
             raise InvalidSystemError(f"field index {i!r} is not an int in range for m={self.m}")
 
     def validate_poly(self, p: Poly) -> None:
-        """Check that every variable of p is a variable of this chart."""
-        self.validate_variables(p.variables())
+        """Check that p is a Poly and every variable of p a variable of this chart."""
+        self.validate_variables(_polynomial(p).variables())
 
     def validate_variables(self, variables: Iterable[Var]) -> None:
         """Check that each variable is a variable of this chart: an int code,

@@ -106,9 +106,13 @@ class FunctionalForm:
         return f"FunctionalForm({self.form!r})"
 
     def __add__(self, other: "FunctionalForm") -> "FunctionalForm":
+        if not isinstance(other, FunctionalForm):
+            return NotImplemented
         return FunctionalForm(self.form + other.form)  # raises on a chart mismatch
 
     def __sub__(self, other: "FunctionalForm") -> "FunctionalForm":
+        if not isinstance(other, FunctionalForm):
+            return NotImplemented
         return FunctionalForm(self.form - other.form)
 
 

@@ -22,6 +22,7 @@ from jetbalance import (
     divergence_split,
     euler_lagrange,
     evaluate_on_section,
+    functional_from_components,
     godunov_check,
     helmholtz_check,
     higher_balance_residuals,
@@ -932,6 +933,22 @@ class TestSystemConstruction:
             chart_tx_u.jet(i, counts)
         with pytest.raises(InvalidSystemError):
             Form.contact(chart_tx_u, i, counts)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda chart: BalanceSystem(chart, [[1, chart.field(0)]], [Poly.zero()]),
+                     id="flux"),
+        pytest.param(lambda chart: BalanceSystem.from_entries(chart, {(0, (1, 0)): 1}),
+                     id="from_entries"),
+        pytest.param(lambda chart: Chart(chart.base_names, chart.field_names, 2), id="density"),
+        pytest.param(lambda chart: functional_from_components(chart, [0]), id="components"),
+        pytest.param(lambda chart: euler_lagrange(chart, 1), id="euler_lagrange"),
+        pytest.param(lambda chart: Form.function(chart, 1), id="form_function"),
+    ])
+    def test_polynomial_arguments_are_polys(self, chart_tx_u, build):
+        """A polynomial argument is a Poly: an int is not coerced, and each
+        entry point raises InvalidSystemError naming the value."""
+        with pytest.raises(InvalidSystemError, match=r"^[0-2] is not a polynomial"):
+            build(chart_tx_u)
 
     def test_parsed_system_holds_codes(self):
         """The entries of a parsed bundled system and the words of its forms

@@ -289,6 +289,17 @@ class TestSourceFormsHoldComponents:
             assert combined == FunctionalForm(combined.form)
             assert combined.form == op(a.form, b.form)
 
+    def test_foreign_operands_raise_type_error(self):
+        """+ and - take only another FunctionalForm; any other operand makes
+        Python raise TypeError, and == with it is False."""
+        chart = Chart(("t", "x"), ("u",))
+        f = functional_from_components(chart, [chart.field(0)])
+        for other in (1, Poly.constant(1), Form.zero(chart)):
+            for op in (operator.add, operator.sub):
+                with pytest.raises(TypeError):
+                    op(f, other)
+        assert (f == 3) is False
+
     def test_equality(self):
         """Two forms built from components are equal iff their components are."""
         chart = Chart(("t", "x", "y"), ("u", "v"))
