@@ -190,7 +190,7 @@ def pairing_polynomial(bs: BalanceSystem) -> Poly:
     """The contraction of the system data with the fiber scaling field: each
     entry times the jet variable of its generator, so for first-order data
     sum_i y^i Pi_i + sum_{i,mu} z^i_mu F[i][mu]."""
-    return _pairing(bs, ((var, var) for var in bs.entries))
+    return _pairing(bs, zip(bs.entries, bs.entries))
 
 
 def _pairing(bs: BalanceSystem, pairs) -> Poly:

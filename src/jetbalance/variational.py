@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from .jetforms import BidegreeError, Form
 from .symcore import Chart, EngineError, InvalidSystemError, Poly, _ONE, _add_into, _cleared
-from .symcore import _denominator, _divide
-from .symcore import jet_parts, jet_var, var_field, var_order
+from .symcore import _denominator, _divide, jet_parts, jet_var, var_field, var_order
 
 
 class NotFunctionalError(EngineError):
