@@ -3,13 +3,14 @@ analysis drivers, and text / LaTeX / structured renderers.
 
 `run` looks the command up in a table of section builders; each builder
 fills a `Report` whose sections map names to dicts of raw values (`Poly`,
-`Form`, `Fraction`, booleans, nested dicts of them, lists, and matrices as
-lists of rows).  The renderers share one walk over those sections that turns
-each section into labelled entries (scalar, list, matrix, error) with a
-per-format leaf formatter for the values; text and LaTeX lay the entries
-out by per-format line templates, and a small override table lets a format
-lay out a whole section itself (the R1/S1 labels of `equations`, and the
-LaTeX quasi-Lagrangian with its divergence presentation).
+`Form`, `Fraction`, booleans, nested dicts of them, and tuples, a matrix
+being a tuple of rows).  Every format formats them with one shape-keeping
+pass, `_formatted`, which maps its leaf formatter over the nested dicts,
+lists and tuples: the structured renderer formats its whole payload in one
+call, and text and LaTeX give each formatted entry of a section one line by
+per-format templates.  A small override table lets a format lay out a whole
+section itself (the R1/S1 labels of `equations`, and the LaTeX
+quasi-Lagrangian with its divergence presentation).
 
 System files are semicolon-separated statements:
 
@@ -64,7 +65,7 @@ from .symcore import (
     MAX_ORDER, Chart, EngineError, InvalidSystemError, Poly, TermTable, _ONE, _add_into, _exact,
     base_var, jet_parts, jet_var, poly_text, suffix, var_field, var_order,
 )
-from .variational import _cleared_euler_sum, _divided, higher_balance_residuals
+from .variational import higher_balance_residuals
 
 FORMATS = ("text", "latex", "structured")
 
@@ -670,10 +671,10 @@ def _by_coord(chart: Chart, values) -> dict:
 
 def _equations(report: Report, at, section_text) -> None:
     bs = report.doc.to_balance_system()
-    comps, scale = _cleared_euler_sum(bs.chart, bs.entries.items())  # the residuals negate the sources
+    residuals = balance_residuals(bs)  # the source components are their negations
     report.sections["equations"] = {
-        "residuals": _by_field(bs.chart, _divided(comps, -scale)),
-        "source_components": _by_field(bs.chart, _divided(comps, scale)),
+        "residuals": _by_field(bs.chart, residuals),
+        "source_components": _by_field(bs.chart, (-r for r in residuals)),
     }
 
 
@@ -741,9 +742,9 @@ def _hyperbolic(report: Report, at, section_text) -> None:
         return
     report.sections["hyperbolicity"] = {
         "symmetric": _by_coord(chart, rep.symmetric),
-        "matrices": _by_coord(chart, ([list(row) for row in m] for m in rep.matrices)),
-        "point": list(rep.point),
-        "leading_minors": list(rep.leading_minors),
+        "matrices": _by_coord(chart, rep.matrices),
+        "point": rep.point,
+        "leading_minors": rep.leading_minors,
         "singular": rep.singular,
         "verdict": rep.verdict,
     }
@@ -834,33 +835,14 @@ def _structured_leaf(value, chart: Chart, table: TermTable | None = None):
 _LEAVES = {"text": _text_leaf, "latex": _latex_leaf, "structured": _structured_leaf}
 
 
-def _walk(report: Report, fmt: str, table: TermTable):
-    """The one walk over `report.sections`: yields each section's name, its
-    content and, lazily, its labelled entries (kind, path, value) with every
-    leaf formatted for `fmt` through the render's term table.  Kind is
-    scalar, list, matrix (a list of rows inside a nested dict) or error;
-    path is (key,) or (key, inner key)."""
-    chart = report.doc.chart
-    leaf = _LEAVES[fmt]
-
-    def entries(content):
-        for key, value in content.items():
-            if key == "error":
-                yield "error", (key,), value
-            elif isinstance(value, dict):
-                for sub, inner in value.items():
-                    if isinstance(inner, list):
-                        rows = [[leaf(c, chart, table) for c in row] for row in inner]
-                        yield "matrix", (key, sub), rows
-                    else:
-                        yield "scalar", (key, sub), leaf(inner, chart, table)
-            elif isinstance(value, (list, tuple)):
-                yield "list", (key,), [leaf(v, chart, table) for v in value]
-            else:
-                yield "scalar", (key,), leaf(value, chart, table)
-
-    for name, content in report.sections.items():
-        yield name, content, entries(content)
+def _formatted(value, leaf, chart: Chart, table: TermTable):
+    """`value` with `leaf` applied to every leaf through the render's term
+    table; nested dicts stay dicts, and lists and tuples become lists."""
+    if isinstance(value, dict):
+        return {key: _formatted(inner, leaf, chart, table) for key, inner in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_formatted(inner, leaf, chart, table) for inner in value]
+    return leaf(value, chart, table)
 
 
 def _equation_lines(template: str, leaf):
@@ -900,7 +882,8 @@ def _latex_quasi_lagrangian(content: dict, chart: Chart, table: TermTable) -> li
 
 
 # Per line format: an entry's line template per kind, the separators of
-# matrix rows and cells, and the label layout.
+# matrix rows and cells, and the label layout.  A list at the top of a
+# section is a list, a list under one of its dicts a matrix.
 _TEMPLATES = {
     "text": (
         {
@@ -936,58 +919,56 @@ _SECTION_OVERRIDES = {
 def _lines(report: Report, fmt: str, table: TermTable):
     """(section name, lines) for the text or LaTeX format."""
     templates, row_sep, cell_sep, label_layout = _TEMPLATES[fmt]
-    for name, content, entries in _walk(report, fmt, table):
+    chart = report.doc.chart
+    for name, content in report.sections.items():
         override = _SECTION_OVERRIDES.get((fmt, name))
         if override is not None:
-            yield name, override(content, report.doc.chart, table)
+            yield name, override(content, chart, table)
+            continue
+        if "error" in content:  # laid out from the raw code and message
+            yield name, [templates["error"].format(label=label_layout("error"), **content["error"])]
             continue
         lines = []
-        for kind, path, value in entries:
-            if kind == "matrix":
-                value = row_sep.join(cell_sep.join(row) for row in value)
-            elif kind == "list":
-                value = ", ".join(value)
-            label = label_layout(path[0] if len(path) == 1 else f"{path[0]}[{path[1]}]")
-            fields = value if kind == "error" else {"value": value}
-            lines.append(templates[kind].format(label=label, **fields))
+        for key, value in _formatted(content, _LEAVES[fmt], chart, table).items():
+            for sub, inner in value.items() if isinstance(value, dict) else ((None, value),):
+                if not isinstance(inner, list):
+                    kind = "scalar"
+                elif sub is None:
+                    kind, inner = "list", ", ".join(inner)
+                else:
+                    kind, inner = "matrix", row_sep.join(cell_sep.join(row) for row in inner)
+                label = label_layout(key if sub is None else f"{key}[{sub}]")
+                lines.append(templates[kind].format(label=label, value=inner))
         yield name, lines
 
 
-def _system_summary(doc: SystemDocument, table: TermTable) -> dict:
+def _system_summary(doc: SystemDocument) -> dict:
     chart = doc.chart
     fluxes = {name: {} for name in chart.field_names}
     for (i, counts), p in doc.fluxes.items():
-        fluxes[chart.field_names[i]][suffix(chart.base_names, counts)] = poly_text(p, chart, table)
+        fluxes[chart.field_names[i]][suffix(chart.base_names, counts)] = p
     return {
         "title": doc.title,
-        "base": list(chart.base_names),
-        "fields": list(chart.field_names),
-        "density": poly_text(chart.rho, chart, table),
+        "base": chart.base_names,
+        "fields": chart.field_names,
+        "density": chart.rho,
         "order": doc.order,
         "fluxes": fluxes,
-        "sources": {
-            chart.field_names[i]: poly_text(doc.source(i), chart, table)
-            for i in range(chart.m)
-        },
-        "notes": list(doc.notes),
+        "sources": _by_field(chart, map(doc.source, range(chart.m))),
+        "notes": doc.notes,
     }
 
 
 # Each renderer makes one term table for its report and drops it on return.
 def render_structured(report: Report) -> str:
-    table = TermTable(report.doc.chart.var_name)
-    analyses = {}
-    for name, _, entries in _walk(report, "structured", table):
-        section = analyses[name] = {}
-        for _, path, value in entries:
-            node = section if len(path) == 1 else section.setdefault(path[0], {})
-            node[path[-1]] = value
+    chart = report.doc.chart
     payload = {
-        "system": _system_summary(report.doc, table),
-        "analyses": analyses,
-        "footnotes": list(report.footnotes),
+        "system": _system_summary(report.doc),
+        "analyses": report.sections,
+        "footnotes": report.footnotes,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    formatted = _formatted(payload, _structured_leaf, chart, TermTable(chart.var_name))
+    return json.dumps(formatted, indent=2, sort_keys=True) + "\n"
 
 
 def render_text(report: Report) -> str:
