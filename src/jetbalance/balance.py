@@ -79,7 +79,7 @@ class BalanceSystem:
         """The gradient system of a first-order Lagrangian: each entry is the
         partial along its generator's jet variable, so the fluxes are the
         derivative partials and the sources the field partials."""
-        if lagrangian.jet_order() > 1:
+        if _polynomial(lagrangian).jet_order() > 1:
             raise InvalidSystemError("Lagrangian-generated systems need jet order <= 1")
         bs = cls.__new__(cls)
         bs._fill(chart, lagrangian.jet_partials())
@@ -244,7 +244,6 @@ def decompose(bs: BalanceSystem) -> DecompositionReport:
     potentials, remainder = divergence_split(chart, ltilde)
     lag_part = (Form.volume(chart) * ltilde).d_V()
     nonlag_part = balance_form(bs) - lag_part
-    chart.validate_poly(ltilde)
     partials = ltilde.jet_partials()
     d = _denominator(c for p in (*bs.entries.values(), *partials.values()) for c in p.terms.values())
     godunov, scale = _cleared_euler_sum(chart, bs.entries.items(), d)
@@ -380,6 +379,7 @@ def evaluate_on_section(p: Poly, section: Sequence, chart: Chart) -> Poly:
     the iterated total derivative D_Lambda of section[i], a polynomial in the
     base coordinates, on which D_mu is the partial along x^mu; base
     coordinates stay untouched."""
+    chart.validate_poly(p)
     section = tuple(section)
     if len(section) != chart.m:
         raise InvalidSystemError("one section polynomial per field is required")
@@ -404,6 +404,7 @@ def divergence_split(chart: Chart, p: Poly) -> tuple:
     monomials with positive multiples, so it vanishes only when rest holds
     no jet variable and no x^mu.  Only such a candidate is built and tried.
     """
+    chart.validate_poly(p)
     potentials = [{} for _ in range(chart.n)]
     remainder = {}
     for mono, coeff in p.terms.items():

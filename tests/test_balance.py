@@ -943,12 +943,29 @@ class TestSystemConstruction:
         pytest.param(lambda chart: functional_from_components(chart, [0]), id="components"),
         pytest.param(lambda chart: euler_lagrange(chart, 1), id="euler_lagrange"),
         pytest.param(lambda chart: Form.function(chart, 1), id="form_function"),
+        pytest.param(lambda chart: BalanceSystem.from_lagrangian(chart, 1), id="from_lagrangian"),
+        pytest.param(lambda chart: evaluate_on_section(1, [chart.x(0)], chart),
+                     id="evaluate_on_section"),
+        pytest.param(lambda chart: divergence_split(chart, 1), id="divergence_split"),
     ])
     def test_polynomial_arguments_are_polys(self, chart_tx_u, build):
         """A polynomial argument is a Poly: an int is not coerced, and each
         entry point raises InvalidSystemError naming the value."""
         with pytest.raises(InvalidSystemError, match=r"^[0-2] is not a polynomial"):
             build(chart_tx_u)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda chart, p: evaluate_on_section(p, [chart.x(0)], chart),
+                     id="evaluate_on_section"),
+        pytest.param(lambda chart, p: divergence_split(chart, p), id="divergence_split"),
+    ])
+    def test_foreign_chart_polynomials_are_refused(self, chart_tx_u, call):
+        """A polynomial of another chart is refused, not read as zero or
+        split into parts that hold variables from outside the chart: u u_y
+        of a chart with base t, x, y holds a jet variable that t, x lacks."""
+        wide = Chart(("t", "x", "y"), ("u",))
+        with pytest.raises(InvalidSystemError):
+            call(chart_tx_u, wide.field(0) * wide.jet(0, (0, 0, 1)))
 
     def test_parsed_system_holds_codes(self):
         """The entries of a parsed bundled system and the words of its forms

@@ -526,6 +526,16 @@ class TestMain:
         assert "jetbalance.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
+    def test_no_private_variational_helpers(self):
+        """Only `variational` and `balance` know how the cleared Euler sum is
+        scaled: `cli` holds no private function of `variational`."""
+        private = [
+            name for name, value in vars(cli).items()
+            if name.startswith("_") and callable(value)
+            and getattr(value, "__module__", None) == "jetbalance.variational"
+        ]
+        assert private == []
+
 
 class TestRobustness:
     MALFORMED = [
