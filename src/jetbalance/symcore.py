@@ -790,6 +790,7 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
         multi-index slots whose order slot is the sum of its counts and whose
         field is below m."""
         width = _SLOT * (self.n + 2)  # the bit length of a jet variable, less one
+        shifts = range(_SLOT, width - _SLOT, _SLOT)  # those of the multi-index slots
         for var in variables:
             if type(var) is not int or var < 0:
                 raise InvalidSystemError(f"{var!r} is neither a base coordinate nor a jet variable")
@@ -797,11 +798,10 @@ class Chart(namedtuple("Chart", "base_names field_names rho")):
                 self._check_base(var)
             elif var.bit_length() - 1 != width:
                 raise InvalidSystemError(f"variable code {var:#x} is not a jet variable for n={self.n}")
+            elif sum(var >> shift & _MASK for shift in shifts) != var >> width - _SLOT & _MASK:
+                raise InvalidSystemError(f"jet variable {var:#x} stores an order other than |Lambda|")
             else:
-                i, counts = jet_parts(var)
-                if sum(counts) != var_order(var):
-                    raise InvalidSystemError(f"jet variable {var:#x} stores an order other than |Lambda|")
-                self._check_field(i)
+                self._check_field(var & _MASK)
 
     def var_name(self, var: Var) -> str:
         if var <= _MASK:

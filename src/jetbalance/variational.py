@@ -130,6 +130,8 @@ def _total_derivative_along(piece, counts: tuple):
     """The iterated total derivative D_counts of a Poly or a Form."""
     for mu, reps in enumerate(counts):
         for _ in range(reps):
+            if piece.is_zero:
+                return piece
             piece = piece.total_derivative(mu)
     return piece
 
